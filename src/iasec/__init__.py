@@ -32,8 +32,6 @@ from .alignment import (
 )
 from .gaussmi import (
     DEFAULT_RHO_GRID,
-    EAVESDROPPER,
-    MiQuery,
     MiValue,
     NumericalError,
     SlopeEstimate,
@@ -41,8 +39,6 @@ from .gaussmi import (
     expectation,
     mi_from_gains,
     mi_schur,
-    mutual_info,
-    sum_capacity_bound,
 )
 from .secrecy import (
     codebook_plan,

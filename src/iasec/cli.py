@@ -7,6 +7,7 @@ across scenarios so downstream tooling never has to branch on shape.
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -221,13 +222,14 @@ def eta_asymptote(scenario, K):
     return (K - 2) / (2 * K)
 
 
-def _sample_aligned(dims, seed, residual_tol, with_eavesdropper=False):
-    """Sample and align, resampling a degenerate draw up to the retry budget."""
+def _sample_aligned(dims, seed, residual_tol, draw):
+    """Draw and align, resampling a degenerate draw up to the retry budget.
+
+    `draw(dims, seed, attempt)` returns the network to align for one attempt.
+    """
     last = None
     for attempt in range(_RETRY_BUDGET):
-        net = sample_network(
-            dims, seed, with_eavesdropper=with_eavesdropper, block_index=attempt
-        )
+        net = draw(dims, seed, attempt)
         try:
             aset = build_beamformers(net, build_generators(net), residual_tol=residual_tol)
             return net, aset, attempt
@@ -244,12 +246,14 @@ def _confidential_tables(net, aset, cfg):
     the hard-check aggregate.
     """
     rows = []
+    curve = {}
     all_checks = True
     for rho in cfg.rho_grid:
         powers = stream_power(aset, PowerConfig(rho=rho, epsilon_margin=cfg.epsilon_margin))
         rates = confidential_rates(net, aset, powers)
-        dec = decodability_check(net, aset, powers, rates)
-        reg = randomization_region_check(net, aset, powers, rates.Rx)
+        curve[rho] = rates
+        dec = decodability_check(rates)
+        reg = randomization_region_check(rates)
         if not rates.clamped:
             all_checks = all_checks and dec.passed and reg.passed
         rows.append(
@@ -265,7 +269,7 @@ def _confidential_tables(net, aset, cfg):
         )
     by_rho = {row["rho"]: row["R"] for row in rows}
     fit = estimate_slope(lambda r: by_rho[r], cfg.rho_grid)
-    deficit = equivocation_deficit(net, aset, cfg.rho_grid, cfg.epsilon_margin)
+    deficit = equivocation_deficit(curve)
     return rows, fit, deficit, all_checks
 
 
@@ -291,9 +295,26 @@ def _record(scenario, K, dims, seed, rho, trials, R, Rx, eta_measured, eta_targe
     }
 
 
-def _run_confidential_point(cfg, K, m):
-    dims = derive_dims(K, m)
-    net, aset, attempts = _sample_aligned(dims, cfg.seed, cfg.tol)
+def _draw_confidential(dims, seed, attempt):
+    return sample_network(dims, seed, block_index=attempt)
+
+
+def _draw_known_csi(dims, seed, attempt):
+    """A network sampled with its eavesdropper row, which becomes the last receiver."""
+    net = sample_network(dims, seed, with_eavesdropper=True, block_index=attempt)
+    return augment_with_virtual_user(dims, net)
+
+
+def _run_confidential_point(cfg, K, m, scenario="confidential", draw=_draw_confidential):
+    """One point of the confidential pipeline.
+
+    The known-CSI scenario runs it on K+1 aligned users: `_draw_known_csi`
+    folds the eavesdropper in as a virtual user, and the record keeps the K
+    real users.
+    """
+    aligned_K = K + 1 if scenario == "external-known-csi" else K
+    dims = derive_dims(aligned_K, m)
+    net, aset, attempts = _sample_aligned(dims, cfg.seed, cfg.tol, draw)
     report = verify_alignment(net, aset, residual_tol=cfg.tol)
     rows, fit, deficit, checks = _confidential_tables(net, aset, cfg)
     top = rows[-1]
@@ -308,47 +329,13 @@ def _run_confidential_point(cfg, K, m):
             for p in deficit.points
         ],
         "delta_slope_parts": {"num": deficit.num_slope, "den": deficit.den_slope},
-        "eta_asymptote": eta_asymptote("confidential", K),
+        "eta_asymptote": eta_asymptote(scenario, K),
     }
+    if aligned_K != K:
+        detail["augmented_K"] = aligned_K
     return _record(
-        "confidential", K, dims, cfg.seed, top["rho"], None, top["R"], top["Rx"],
-        fit.slope, max(0.0, eta_target_confidential(K, m)), delta, top["clamped"],
-        checks and report.passed, detail,
-    )
-
-
-def _run_known_csi_point(cfg, K, m):
-    aug_dims = derive_dims(K + 1, m)
-    last = None
-    for attempt in range(_RETRY_BUDGET):
-        net = sample_network(aug_dims, cfg.seed, with_eavesdropper=True, block_index=attempt)
-        aug = augment_with_virtual_user(aug_dims, net)
-        try:
-            aset = build_beamformers(aug, build_generators(aug), residual_tol=cfg.tol)
-            break
-        except AlignmentError as exc:
-            last = exc
-    else:
-        raise NumericalError(f"alignment failed beyond retry budget: {last}")
-    report = verify_alignment(aug, aset, residual_tol=cfg.tol)
-    rows, fit, deficit, checks = _confidential_tables(aug, aset, cfg)
-    top = rows[-1]
-    delta = deficit.delta_hat if not deficit.degenerate else None
-    detail = {
-        "per_rho": rows,
-        "slope_residual": fit.residual,
-        "alignment": report.as_dict(),
-        "attempts": attempt,
-        "augmented_K": K + 1,
-        "delta_points": [
-            {"rho": p.rho, "delta_hat": None if p.degenerate else p.delta_hat}
-            for p in deficit.points
-        ],
-        "eta_asymptote": eta_asymptote("external-known-csi", K),
-    }
-    return _record(
-        "external-known-csi", K, aug_dims, cfg.seed, top["rho"], None, top["R"], top["Rx"],
-        fit.slope, max(0.0, eta_target_confidential(K + 1, m)), delta, top["clamped"],
+        scenario, K, dims, cfg.seed, top["rho"], None, top["R"], top["Rx"],
+        fit.slope, max(0.0, eta_target_confidential(aligned_K, m)), delta, top["clamped"],
         checks and report.passed, detail,
     )
 
@@ -412,7 +399,9 @@ def _run_ergodic_point(cfg, K, m):
 
 _POINT_RUNNERS = {
     "confidential": _run_confidential_point,
-    "external-known-csi": _run_known_csi_point,
+    "external-known-csi": functools.partial(
+        _run_confidential_point, scenario="external-known-csi", draw=_draw_known_csi
+    ),
     "external-ergodic": _run_ergodic_point,
 }
 
@@ -488,6 +477,18 @@ def _oracle_suite(cfg, K, m, instances):
     }, {"worst_chain_rel": worst_chain, "worst_schur_rel": worst_schur}
 
 
+def _alignment_audit(cfg, dims, trials):
+    """Verification and full-rank audit of the point sampled at the master seed.
+
+    The beamformers are built unverified: a failure is a finding, never an
+    exception.
+    """
+    net = sample_network(dims, cfg.seed)
+    aset = build_beamformers(net, build_generators(net), verify=False)
+    report = verify_alignment(net, aset, residual_tol=cfg.tol)
+    return report, check_full_rank(net, aset, trials, cfg.seed)
+
+
 def audit(cfg):
     """Lemma and oracle audit suite over the configured (K, m) grid."""
     cfg.validate()
@@ -499,11 +500,7 @@ def audit(cfg):
         for m in sorted(cfg.m_list()):
             tag = f"K{K}_m{m}"
             dims = derive_dims(K, m)
-            # verification failures are audit findings here, never exceptions
-            net = sample_network(dims, cfg.seed)
-            aset = build_beamformers(net, build_generators(net), verify=False)
-            report = verify_alignment(net, aset, residual_tol=cfg.tol)
-            rank_audit = check_full_rank(net, aset, trials, cfg.seed)
+            report, rank_audit = _alignment_audit(cfg, dims, trials)
             oracle_checks, oracle_detail = _oracle_suite(cfg, K, m, min(trials, 100))
             checks[f"{tag}_alignment"] = report.passed
             checks[f"{tag}_lemma2"] = rank_audit.passed
@@ -636,6 +633,8 @@ def emit_report(manifest, out_dir):
             f"  K={r['K']} m={r['m']} F={r['F']}: eta {_fmt_cell(r['eta_measured'])}"
             f" (target {_fmt_cell(r['eta_target'])},"
             f" asymptote {_fmt_cell(r['detail'].get('eta_asymptote'))})"
+            f" R {_fmt_cell(r['R_bits_per_slot'])} Rx {_fmt_cell(r['Rx_bits_per_slot'])}"
+            f" at rho {_fmt_cell(r['rho'])}"
             f" delta_hat {_fmt_cell(r['delta_hat'])} checks {r['checks_passed']}"
         )
     for name, ok in manifest.get("checks", {}).items():
@@ -703,11 +702,7 @@ def _align_verify(cfg):
     details = {}
     for K in sorted(cfg.k_list()):
         for m in sorted(cfg.m_list()):
-            dims = derive_dims(K, m)
-            net = sample_network(dims, cfg.seed)
-            aset = build_beamformers(net, build_generators(net), verify=False)
-            report = verify_alignment(net, aset, residual_tol=cfg.tol)
-            rank_audit = check_full_rank(net, aset, trials, cfg.seed)
+            report, rank_audit = _alignment_audit(cfg, derive_dims(K, m), trials)
             checks[f"K{K}_m{m}_alignment"] = report.passed
             checks[f"K{K}_m{m}_full_rank"] = rank_audit.passed
             details[f"K{K}_m{m}"] = {

@@ -11,24 +11,17 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "EAVESDROPPER",
     "NumericalError",
-    "MiQuery",
     "MiValue",
     "SlopeEstimate",
     "McEstimate",
     "receiver_gains",
-    "eavesdropper_gains",
     "mi_from_gains",
     "mi_schur",
-    "mutual_info",
-    "sum_capacity_bound",
     "estimate_slope",
     "expectation",
     "DEFAULT_RHO_GRID",
 ]
-
-EAVESDROPPER = "eavesdropper"
 
 DEFAULT_RHO_GRID = (1e4, 1e6, 1e8, 1e10, 1e12)
 
@@ -41,29 +34,9 @@ class NumericalError(RuntimeError):
         self.condition_number = condition_number
 
 
-@dataclass(frozen=True)
-class MiQuery:
-    """(receiver, signal set, conditioning set); everyone else is noise."""
-
-    receiver: object  # user index or EAVESDROPPER
-    signal: frozenset
-    conditioned: frozenset = frozenset()
-
-    def __post_init__(self):
-        object.__setattr__(self, "signal", frozenset(self.signal))
-        object.__setattr__(self, "conditioned", frozenset(self.conditioned))
-        if not self.signal:
-            raise ValueError("signal set must be nonempty")
-        if self.signal & self.conditioned:
-            raise ValueError("signal and conditioning sets must be disjoint")
-        if self.receiver != EAVESDROPPER and self.receiver in self.conditioned:
-            raise ValueError("a user receiver cannot condition on its own transmitter")
-
-
 @dataclass
 class MiValue:
     bits: float
-    query: MiQuery | None = None
     condition_hint: float = 0.0
 
 
@@ -97,12 +70,6 @@ def receiver_gains(net, aset, receiver):
     return [net.links[receiver][k].apply(aset.matrix(k)) for k in range(K)]
 
 
-def eavesdropper_gains(eaves_row, aset):
-    """Effective gain matrices H_{e,k} V_k seen by the eavesdropper."""
-    K = len(eaves_row)
-    return [eaves_row[k].apply(aset.matrix(k)) for k in range(K)]
-
-
 def _logdet2_eye_plus(acc, F):
     """log2 det(I + acc) via scaled Cholesky; acc must be PSD Hermitian."""
     t = 1.0 + float(np.trace(acc).real)
@@ -131,16 +98,21 @@ def _accumulate(gains, powers, users, F):
     return acc
 
 
-def mi_from_gains(gains, powers, signal, conditioned=(), query=None):
+def mi_from_gains(gains, powers, signal, conditioned=()):
     """Mutual information of the signal set given the conditioned set, in bits.
 
     Conditioned users are removed outright; remaining non-signal users stay in
     the noise covariance. Evaluates log2 det(I + Q_{S u N}) - log2 det(I + Q_N).
+    The signal set must be nonempty and disjoint from the conditioned set.
     """
     K = len(gains)
     F = gains[0].shape[0]
     signal = set(signal)
     conditioned = set(conditioned)
+    if not signal:
+        raise ValueError("signal set must be nonempty")
+    if signal & conditioned:
+        raise ValueError("signal and conditioning sets must be disjoint")
     noise = [k for k in range(K) if k not in signal and k not in conditioned]
     top, hint_top = _logdet2_eye_plus(_accumulate(gains, powers, sorted(signal) + noise, F), F)
     bot, hint_bot = _logdet2_eye_plus(_accumulate(gains, powers, noise, F), F)
@@ -150,7 +122,7 @@ def mi_from_gains(gains, powers, signal, conditioned=(), query=None):
         bits = max(bits, 0.0) if bits > -1e-6 * max(1.0, abs(top)) else bits
         if bits < 0:
             raise NumericalError(f"negative mutual information {bits}", condition_number=hint_top)
-    return MiValue(bits=bits, query=query, condition_hint=max(hint_top, hint_bot))
+    return MiValue(bits=bits, condition_hint=max(hint_top, hint_bot))
 
 
 def mi_schur(gains, powers, signal, conditioned=()):
@@ -173,39 +145,6 @@ def mi_schur(gains, powers, signal, conditioned=()):
     if sign.real <= 0:
         raise NumericalError("Schur path lost positive definiteness")
     return float(logdet / np.log(2.0))
-
-
-def mutual_info(net, aset, powers, query):
-    """Evaluate a MiQuery against a realization and bound powers."""
-    if query.receiver == EAVESDROPPER:
-        if net.eavesdropper is None:
-            raise ValueError("network has no eavesdropper row")
-        gains = eavesdropper_gains(net.eavesdropper, aset)
-    else:
-        gains = receiver_gains(net, aset, query.receiver)
-    return mi_from_gains(gains, powers, query.signal, query.conditioned, query=query)
-
-
-def sum_capacity_bound(net, aset, powers, receiver, signal):
-    """Bracket the input-distribution maximization of I(X_S; Y_receiver).
-
-    achievable: the codebook's isotropic per-stream powers. upper: every
-    signal user's per-stream power inflated to its whole per-user budget
-    (m_k P_k on each stream), a relaxation that can only increase the
-    log-det. Both brackets share the same high-SNR slope.
-    """
-    signal = sorted(set(signal))
-    query = MiQuery(receiver=receiver, signal=frozenset(signal))
-    achievable = mutual_info(net, aset, powers, query)
-    inflated = np.array(powers, dtype=float)
-    for k in signal:
-        inflated[k] = net.dims.streams[k] * powers[k]
-    if query.receiver == EAVESDROPPER:
-        gains = eavesdropper_gains(net.eavesdropper, aset)
-    else:
-        gains = receiver_gains(net, aset, receiver)
-    upper = mi_from_gains(gains, inflated, signal, query=query)
-    return {"achievable": achievable, "upper": upper}
 
 
 def estimate_slope(f, grid=DEFAULT_RHO_GRID):

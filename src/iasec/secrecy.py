@@ -11,9 +11,9 @@ from perfect secrecy at finite SNR.
 import itertools
 from dataclasses import dataclass
 
-from .gaussmi import MiQuery, estimate_slope, mutual_info, sum_capacity_bound
-from .model import PowerConfig
-from .alignment import stream_power
+import numpy as np
+
+from .gaussmi import estimate_slope, mi_from_gains, receiver_gains
 
 __all__ = [
     "MAX_ENUM_USERS",
@@ -46,35 +46,25 @@ def _nonempty_subsets(items):
 
 @dataclass
 class RateAssignment:
-    """Common secrecy/randomization rates in bits per frequency-time slot."""
+    """Common secrecy/randomization rates in bits per frequency-time slot.
+
+    The per-receiver mutual informations the rates come from are kept, in
+    bits over the F-slot extension, so every check reads them instead of
+    recomputing them.
+    """
 
     R: float
     Rx: float
     R_raw: float
     Rx_raw: float
     clamped: bool
-    own_bits: tuple  # I(X_i; Y_i) per receiver, bits over the extension
+    F: int
+    own_bits: tuple  # I(X_i; Y_i) per receiver
     cross_bits: tuple  # I(X_{K-i}; Y_i) per receiver
+    leak_upper_bits: tuple  # relaxed upper bound on I(X_{K-i}; Y_i) per receiver
     binding_receiver: int
     binding_subset: tuple
-    subset_bits: dict  # (receiver, subset) -> conditional MI in bits
-
-
-def _rate_components(net, aset, powers):
-    K = net.dims.K
-    users = range(K)
-    own = []
-    cross = []
-    subset_bits = {}
-    for i in users:
-        others = [k for k in users if k != i]
-        own.append(mutual_info(net, aset, powers, MiQuery(i, frozenset({i}))).bits)
-        cross.append(mutual_info(net, aset, powers, MiQuery(i, frozenset(others))).bits)
-        for sub in _nonempty_subsets(others):
-            cond = frozenset(others) - frozenset(sub)
-            q = MiQuery(i, frozenset(sub), cond)
-            subset_bits[(i, sub)] = mutual_info(net, aset, powers, q).bits
-    return own, cross, subset_bits
+    subset_bits: dict  # (receiver, subset) -> I(X_S; Y_i | X_rest)
 
 
 def confidential_rates(net, aset, powers):
@@ -85,11 +75,33 @@ def confidential_rates(net, aset, powers):
 
     Negative formula outputs clamp to zero with the flag set; the subset
     minimum is enumerated exhaustively (2^(K-1)-1 subsets per receiver).
+
+    The leakage bound brackets the input-distribution maximization of
+    I(X_{K-i}; Y_i) from above: every other user's per-stream power is
+    inflated to its whole per-user budget (m_k P_k on each stream), a
+    relaxation that can only increase the log-det. The codebook's isotropic
+    value, `cross_bits`, brackets it from below, and both share the same
+    high-SNR slope.
     """
     K, F = net.dims.K, net.dims.F
     if K > MAX_ENUM_USERS:
         raise ValueError(f"subset enumeration capped at K={MAX_ENUM_USERS}")
-    own, cross, subset_bits = _rate_components(net, aset, powers)
+    own = []
+    cross = []
+    leak_upper = []
+    subset_bits = {}
+    for i in range(K):
+        gains = receiver_gains(net, aset, i)
+        others = tuple(k for k in range(K) if k != i)
+        own.append(mi_from_gains(gains, powers, {i}).bits)
+        for sub in _nonempty_subsets(others):
+            rest = set(others) - set(sub)
+            subset_bits[(i, sub)] = mi_from_gains(gains, powers, sub, rest).bits
+        cross.append(subset_bits[(i, others)])
+        inflated = np.array(powers, dtype=float)
+        for k in others:
+            inflated[k] = net.dims.streams[k] * powers[k]
+        leak_upper.append(mi_from_gains(gains, inflated, others).bits)
     r_raw = min(own) / F - max(cross) / ((K - 1) * F)
     binding = min(subset_bits, key=lambda key: subset_bits[key] / len(key[1]))
     rx_raw = subset_bits[binding] / (len(binding[1]) * F)
@@ -100,8 +112,10 @@ def confidential_rates(net, aset, powers):
         R_raw=r_raw,
         Rx_raw=rx_raw,
         clamped=clamped,
+        F=F,
         own_bits=tuple(own),
         cross_bits=tuple(cross),
+        leak_upper_bits=tuple(leak_upper),
         binding_receiver=binding[0],
         binding_subset=binding[1],
         subset_bits=subset_bits,
@@ -118,14 +132,10 @@ class DecodabilityReport:
         return min(self.slack)
 
 
-def decodability_check(net, aset, powers, rates):
+def decodability_check(rates):
     """Assert R + Rx <= I(X_k;Y_k)/F for every user, reporting the slack."""
-    K, F = net.dims.K, net.dims.F
     total = rates.R + rates.Rx
-    own = [
-        mutual_info(net, aset, powers, MiQuery(k, frozenset({k}))).bits for k in range(K)
-    ]
-    slack = tuple(b / F - total for b in own)
+    slack = tuple(b / rates.F - total for b in rates.own_bits)
     passed = all(s >= -_SLACK_TOL * max(1.0, total) for s in slack)
     return DecodabilityReport(slack=slack, passed=passed)
 
@@ -140,14 +150,13 @@ class RegionReport:
         return min(self.entries, key=lambda e: e[2])
 
 
-def randomization_region_check(net, aset, powers, rx_rate):
+def randomization_region_check(rates):
     """Check |S| Rx <= I(X_S;Y_i|X_rest)/F for every receiver and subset."""
-    K, F = net.dims.K, net.dims.F
-    _, _, subset_bits = _rate_components(net, aset, powers)
-    entries = []
-    for (i, sub), bits in sorted(subset_bits.items()):
-        entries.append((i, sub, bits / F - len(sub) * rx_rate))
-    passed = all(s >= -_SLACK_TOL * max(1.0, rx_rate) for _, _, s in entries)
+    entries = [
+        (i, sub, bits / rates.F - len(sub) * rates.Rx)
+        for (i, sub), bits in sorted(rates.subset_bits.items())
+    ]
+    passed = all(s >= -_SLACK_TOL * max(1.0, rates.Rx) for _, _, s in entries)
     return RegionReport(entries=entries, passed=passed)
 
 
@@ -183,25 +192,18 @@ class EquivocationReport:
     degenerate: bool
 
 
-def equivocation_deficit(net, aset, rho_grid, epsilon_margin=1.0):
-    """Evaluate the deficit bound on the rho grid.
+def equivocation_deficit(curve):
+    """Evaluate the deficit bound from the rate assignments on a rho grid.
 
-    Per receiver the numerator is the relaxation upper bound on the leakage
-    MI minus (K-1) F Rx; the common denominator is (K-1) F R. Worst case over
+    `curve` maps each grid rho, in increasing order, to its RateAssignment.
+    Per receiver the numerator is the relaxed upper bound on the leakage MI
+    minus (K-1) F Rx; the common denominator is (K-1) F R. Worst case over
     receivers is reported.
     """
-    K, F = net.dims.K, net.dims.F
     points = []
-    num_curve = []
-    den_curve = []
-    for rho in rho_grid:
-        powers = stream_power(aset, PowerConfig(rho=rho, epsilon_margin=epsilon_margin))
-        rates = confidential_rates(net, aset, powers)
-        nums = []
-        for i in range(K):
-            others = [k for k in range(K) if k != i]
-            upper = sum_capacity_bound(net, aset, powers, i, others)["upper"].bits
-            nums.append(upper - (K - 1) * F * rates.Rx_raw)
+    for rho, rates in curve.items():
+        K, F = len(rates.own_bits), rates.F
+        nums = tuple(upper - (K - 1) * F * rates.Rx_raw for upper in rates.leak_upper_bits)
         den = (K - 1) * F * rates.R_raw
         worst = max(nums)
         degenerate = den <= 0
@@ -210,18 +212,15 @@ def equivocation_deficit(net, aset, rho_grid, epsilon_margin=1.0):
                 rho=float(rho),
                 delta_hat=worst / den if not degenerate else float("nan"),
                 numerator_worst=worst,
-                numerators=tuple(nums),
+                numerators=nums,
                 denominator=den,
                 degenerate=degenerate,
                 clamped=rates.clamped,
             )
         )
-        num_curve.append(worst)
-        den_curve.append(den)
-    lookup_num = dict(zip(rho_grid, num_curve))
-    lookup_den = dict(zip(rho_grid, den_curve))
-    num_fit = estimate_slope(lambda r: lookup_num[r], rho_grid)
-    den_fit = estimate_slope(lambda r: lookup_den[r], rho_grid)
+    by_rho = dict(zip(curve, points))
+    num_fit = estimate_slope(lambda r: by_rho[r].numerator_worst, tuple(curve))
+    den_fit = estimate_slope(lambda r: by_rho[r].denominator, tuple(curve))
     degenerate = den_fit.slope <= 0
     return EquivocationReport(
         points=points,

@@ -24,11 +24,9 @@ from iasec.ergodic import (
 )
 from iasec.gaussmi import (
     DEFAULT_RHO_GRID,
-    MiQuery,
     estimate_slope,
     mi_from_gains,
     mi_schur,
-    mutual_info,
     receiver_gains,
 )
 from iasec.model import PowerConfig, derive_dims, sample_network
@@ -86,14 +84,16 @@ def test_criterion_3_slope_limits():
         net, aset = aligned(3, m)
         dims = net.dims
         for i in range(3):
-            def own(rho, i=i):
-                p = stream_power(aset, PowerConfig(rho=rho))
-                return mutual_info(net, aset, p, MiQuery(i, frozenset({i}))).bits
+            gains = receiver_gains(net, aset, i)
 
-            def cross(rho, i=i):
+            def own(rho, i=i, gains=gains):
                 p = stream_power(aset, PowerConfig(rho=rho))
-                others = frozenset(k for k in range(3) if k != i)
-                return mutual_info(net, aset, p, MiQuery(i, others)).bits
+                return mi_from_gains(gains, p, {i}).bits
+
+            def cross(rho, i=i, gains=gains):
+                p = stream_power(aset, PowerConfig(rho=rho))
+                others = {k for k in range(3) if k != i}
+                return mi_from_gains(gains, p, others).bits
 
             own_slope = estimate_slope(own, GRID).slope
             cross_slope = estimate_slope(cross, GRID).slope
@@ -112,9 +112,8 @@ def test_criterion_4_confidential_rate_prelimit():
         assert abs(slope - target) / target < 0.10, (m, slope, target)
         measured[m] = slope
         for rho, rates in curve.items():
-            p = stream_power(aset, PowerConfig(rho=rho))
-            assert decodability_check(net, aset, p, rates).passed, (m, rho)
-            assert randomization_region_check(net, aset, p, rates.Rx).passed, (m, rho)
+            assert decodability_check(rates).passed, (m, rho)
+            assert randomization_region_check(rates).passed, (m, rho)
     assert measured[2] < measured[3] < measured[4] < 0.25
     print(
         "PASS criterion 4: R slopes "
@@ -126,8 +125,8 @@ def test_criterion_4_confidential_rate_prelimit():
 def test_criterion_5_equivocation_deficit():
     values = {}
     for m in (3, 4, 5):
-        net, aset = aligned(3, m)
-        report = equivocation_deficit(net, aset, GRID)
+        _, curve = rate_slope(*aligned(3, m))
+        report = equivocation_deficit(curve)
         target = 1 / (m - 1)
         assert not report.degenerate
         assert abs(report.delta_hat - target) / target < 0.15, (m, report.delta_hat)

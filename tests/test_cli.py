@@ -2,10 +2,13 @@ import json
 
 import pytest
 
+import iasec
+from iasec.alignment import build_beamformers, build_generators
 from iasec.cli import (
     CSV_COLUMNS,
     ConfigError,
     ExperimentConfig,
+    _confidential_tables,
     emit_report,
     eta_target_confidential,
     eta_target_ergodic,
@@ -13,6 +16,8 @@ from iasec.cli import (
     run,
     sweep,
 )
+from iasec.gaussmi import mi_from_gains
+from iasec.model import derive_dims, sample_network
 
 SEED = 16
 
@@ -92,6 +97,28 @@ class TestRun:
         assert rec["detail"]["lemma5"]["passed"]
         target = eta_target_ergodic(3, 1)
         assert abs(rec["eta_measured"] - target) / target < 0.10
+
+
+class TestConfidentialTables:
+    # per receiver: I(X_i;Y_i), I(X_S;Y_i|X_rest) for each nonempty S of the
+    # K-1 others (the S = all-others entry is the cross term) and the
+    # inflated-power leakage bound
+    @pytest.mark.parametrize("K, m, distinct", [(3, 2, 15), (4, 1, 36)])
+    def test_each_mutual_information_evaluated_once_per_rho(self, monkeypatch, K, m, distinct):
+        net = sample_network(derive_dims(K, m), SEED)
+        aset = build_beamformers(net, build_generators(net))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return mi_from_gains(*args, **kwargs)
+
+        for module in (iasec, *vars(iasec).values()):
+            if getattr(module, "mi_from_gains", None) is mi_from_gains:
+                monkeypatch.setattr(module, "mi_from_gains", counted)
+        cfg = make_cfg(K=K, m=m).validate()
+        _confidential_tables(net, aset, cfg)
+        assert len(calls) == distinct * len(cfg.rho_grid)
 
 
 class TestSweep:

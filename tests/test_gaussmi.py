@@ -6,15 +6,14 @@ import pytest
 from iasec.alignment import build_beamformers, build_generators, stream_power
 from iasec.gaussmi import (
     DEFAULT_RHO_GRID,
-    MiQuery,
     estimate_slope,
     expectation,
     mi_from_gains,
     mi_schur,
-    mutual_info,
-    sum_capacity_bound,
+    receiver_gains,
 )
 from iasec.model import PowerConfig, derive_dims, sample_network
+from iasec.secrecy import confidential_rates
 
 
 def instance(K=3, m=2, seed=0, rho=1e4):
@@ -24,26 +23,26 @@ def instance(K=3, m=2, seed=0, rho=1e4):
     return net, aset, powers
 
 
+def mi(net, aset, powers, receiver, signal, conditioned=()):
+    return mi_from_gains(receiver_gains(net, aset, receiver), powers, signal, conditioned).bits
+
+
 class TestQueryValidation:
     def test_empty_signal_rejected(self):
+        net, aset, powers = instance()
         with pytest.raises(ValueError):
-            MiQuery(0, frozenset())
+            mi(net, aset, powers, 0, set())
 
     def test_overlap_rejected(self):
+        net, aset, powers = instance()
         with pytest.raises(ValueError):
-            MiQuery(0, frozenset({1}), frozenset({1}))
-
-    def test_receiver_cannot_condition_on_itself(self):
-        with pytest.raises(ValueError):
-            MiQuery(0, frozenset({1}), frozenset({0}))
+            mi(net, aset, powers, 0, {1}, {1})
 
 
 class TestEngine:
     def test_zero_power_is_zero_bits(self):
         net, aset, _ = instance()
-        zero = np.zeros(3)
-        v = mutual_info(net, aset, zero, MiQuery(0, frozenset({0})))
-        assert v.bits == 0.0
+        assert mi(net, aset, np.zeros(3), 0, {0}) == 0.0
 
     def test_scalar_awgn_closed_form(self):
         # |h|^2 P = 1 gives exactly log2(1 + 1) = 1 bit
@@ -54,11 +53,9 @@ class TestEngine:
     @pytest.mark.parametrize("seed", range(10))
     def test_chain_rule(self, seed):
         net, aset, powers = instance(seed=seed)
-        both = mutual_info(net, aset, powers, MiQuery(0, frozenset({1, 2}))).bits
-        first = mutual_info(net, aset, powers, MiQuery(0, frozenset({1}))).bits
-        second = mutual_info(
-            net, aset, powers, MiQuery(0, frozenset({2}), frozenset({1}))
-        ).bits
+        both = mi(net, aset, powers, 0, {1, 2})
+        first = mi(net, aset, powers, 0, {1})
+        second = mi(net, aset, powers, 0, {2}, {1})
         assert abs(both - (first + second)) <= 1e-9 * both
 
     @pytest.mark.parametrize("seed", range(10))
@@ -66,8 +63,6 @@ class TestEngine:
         # moderate SNR: the 1e-9 agreement bar is conditioning-limited, and
         # kappa(I + Q) ~ rho eats into it above ~1e7
         net, aset, powers = instance(seed=seed, rho=1e6)
-        from iasec.gaussmi import receiver_gains
-
         gains = receiver_gains(net, aset, 1)
         for signal, cond in [({0}, ()), ({0, 2}, ()), ({2}, (0,)), ({1}, ())]:
             two_logdet = mi_from_gains(gains, powers, signal, cond).bits
@@ -76,41 +71,16 @@ class TestEngine:
 
     def test_enlarging_signal_set_monotone(self):
         net, aset, powers = instance(seed=3)
-        small = mutual_info(net, aset, powers, MiQuery(0, frozenset({1}))).bits
-        big = mutual_info(net, aset, powers, MiQuery(0, frozenset({1, 2}))).bits
+        small = mi(net, aset, powers, 0, {1})
+        big = mi(net, aset, powers, 0, {1, 2})
         assert big >= small - 1e-12
-
-    def test_eavesdropper_receiver_queries(self):
-        from iasec.gaussmi import EAVESDROPPER, eavesdropper_gains
-
-        net = sample_network(derive_dims(3, 1), 8, with_eavesdropper=True)
-        from iasec.alignment import build_beamformers, build_generators
-
-        aset = build_beamformers(net, build_generators(net))
-        powers = stream_power(aset, PowerConfig(rho=1e4))
-        via_query = mutual_info(
-            net, aset, powers, MiQuery(EAVESDROPPER, frozenset({0, 1, 2}))
-        ).bits
-        direct = mi_from_gains(
-            eavesdropper_gains(net.eavesdropper, aset), powers, {0, 1, 2}
-        ).bits
-        assert via_query == direct
-
-    def test_eavesdropper_query_requires_row(self):
-        net, aset, powers = instance()
-        from iasec.gaussmi import EAVESDROPPER
-
-        with pytest.raises(ValueError):
-            mutual_info(net, aset, powers, MiQuery(EAVESDROPPER, frozenset({0})))
 
     def test_conditioning_absorbs_noise(self):
         # numerical form of "conditioning does not increase entropy"
         for seed in range(8):
             net, aset, powers = instance(seed=seed)
-            plain = mutual_info(net, aset, powers, MiQuery(0, frozenset({1}))).bits
-            conditioned = mutual_info(
-                net, aset, powers, MiQuery(0, frozenset({1}), frozenset({2}))
-            ).bits
+            plain = mi(net, aset, powers, 0, {1})
+            conditioned = mi(net, aset, powers, 0, {1}, {2})
             assert conditioned >= plain - 1e-9 * max(1.0, plain)
 
     def test_slope_invariant_under_column_rescaling(self):
@@ -125,7 +95,7 @@ class TestEngine:
 
             def f(rho):
                 p = stream_power(scaled, PowerConfig(rho=rho))
-                return mutual_info(net, scaled, p, MiQuery(0, frozenset({0}))).bits
+                return mi(net, scaled, p, 0, {0})
 
             return estimate_slope(f, DEFAULT_RHO_GRID).slope
 
@@ -133,15 +103,19 @@ class TestEngine:
 
 
 class TestSumCapacityBound:
+    """The leakage bracket a rate assignment carries: the codebook's isotropic
+    value (`cross_bits`) below, the inflated-power relaxation above."""
+
     def test_upper_dominates(self):
         net, aset, powers = instance(seed=5)
-        out = sum_capacity_bound(net, aset, powers, 0, {1, 2})
-        assert out["upper"].bits >= out["achievable"].bits
+        rates = confidential_rates(net, aset, powers)
+        for upper, achievable in zip(rates.leak_upper_bits, rates.cross_bits):
+            assert upper >= achievable
 
     def test_zero_power_both_zero(self):
         net, aset, _ = instance(seed=5)
-        out = sum_capacity_bound(net, aset, np.zeros(3), 0, {1, 2})
-        assert out["achievable"].bits == 0.0 and out["upper"].bits == 0.0
+        rates = confidential_rates(net, aset, np.zeros(3))
+        assert rates.cross_bits == (0.0,) * 3 and rates.leak_upper_bits == (0.0,) * 3
 
     def test_brackets_share_slope(self):
         net, aset, _ = instance(3, 1, seed=6)
@@ -149,13 +123,13 @@ class TestSumCapacityBound:
         def slope_of(which):
             def f(rho):
                 p = stream_power(aset, PowerConfig(rho=rho))
-                return sum_capacity_bound(net, aset, p, 0, {1, 2})[which].bits
+                return getattr(confidential_rates(net, aset, p), which)[0]
 
             return estimate_slope(f, DEFAULT_RHO_GRID).slope
 
         # F - m_1 = 1 for K=3, m=1
-        assert abs(slope_of("achievable") - 1.0) < 0.02
-        assert abs(slope_of("upper") - 1.0) < 0.02
+        assert abs(slope_of("cross_bits") - 1.0) < 0.02
+        assert abs(slope_of("leak_upper_bits") - 1.0) < 0.02
 
 
 class TestSlopeEstimation:
@@ -168,7 +142,7 @@ class TestSlopeEstimation:
 
         def f(rho):
             p = stream_power(aset, PowerConfig(rho=rho))
-            return mutual_info(net, aset, p, MiQuery(0, frozenset({0}))).bits
+            return mi(net, aset, p, 0, {0})
 
         fit = estimate_slope(f, DEFAULT_RHO_GRID)
         assert abs(fit.slope - 3.0) / 3.0 < 0.02
@@ -178,7 +152,7 @@ class TestSlopeEstimation:
 
         def f(rho):
             p = stream_power(aset, PowerConfig(rho=rho))
-            return mutual_info(net, aset, p, MiQuery(0, frozenset({1, 2}))).bits
+            return mi(net, aset, p, 0, {1, 2})
 
         fit = estimate_slope(f, DEFAULT_RHO_GRID)
         assert abs(fit.slope - 2.0) / 2.0 < 0.02

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iasec.alignment import build_beamformers, build_generators, stream_power
-from iasec.gaussmi import DEFAULT_RHO_GRID, estimate_slope
+from iasec.gaussmi import DEFAULT_RHO_GRID, estimate_slope, mi_from_gains, receiver_gains
 from iasec.model import PowerConfig, derive_dims, sample_network
 from iasec.secrecy import (
     MAX_ENUM_USERS,
@@ -72,6 +72,12 @@ class TestConfidentialRates:
             bound = min(rates.own_bits) / net.dims.F
             assert rates.R_raw + rates.Rx_raw <= bound + 1e-9 * max(1.0, bound)
 
+    def test_subsets_never_condition_on_the_receiver(self):
+        net, aset = instance(2)
+        rates = confidential_rates(net, aset, stream_power(aset, PowerConfig(rho=1e8)))
+        assert len(rates.subset_bits) == 3 * 3
+        assert all(i not in sub for i, sub in rates.subset_bits)
+
     def test_rx_positive_and_binding_subset_recorded(self):
         net, aset = instance(2)
         p = stream_power(aset, PowerConfig(rho=1e8))
@@ -100,8 +106,8 @@ class TestDecodability:
             rates = confidential_rates(net, aset, p)
             if rates.clamped:
                 continue
-            assert decodability_check(net, aset, p, rates).passed
-            assert randomization_region_check(net, aset, p, rates.Rx).passed
+            assert decodability_check(rates).passed
+            assert randomization_region_check(rates).passed
             checked += 1
         assert checked >= 90
 
@@ -111,7 +117,7 @@ class TestDecodability:
         rates = confidential_rates(net, aset, p)
         rates.R = rates.R * 10
         rates.Rx = rates.Rx * 10
-        report = decodability_check(net, aset, p, rates)
+        report = decodability_check(rates)
         assert not report.passed and report.worst_slack < 0
 
     def test_zero_rates_full_slack(self):
@@ -119,7 +125,7 @@ class TestDecodability:
         p = stream_power(aset, PowerConfig(rho=1e8))
         rates = confidential_rates(net, aset, p)
         rates.R, rates.Rx = 0.0, 0.0
-        report = decodability_check(net, aset, p, rates)
+        report = decodability_check(rates)
         assert report.passed
         assert np.allclose(report.slack, np.array(rates.own_bits) / net.dims.F)
 
@@ -129,7 +135,7 @@ class TestRandomizationRegion:
         net, aset = instance(3)
         p = stream_power(aset, PowerConfig(rho=1e8))
         rates = confidential_rates(net, aset, p)
-        report = randomization_region_check(net, aset, p, rates.Rx)
+        report = randomization_region_check(rates)
         assert report.passed
         assert abs(report.binding[2]) < 1e-9
 
@@ -137,42 +143,44 @@ class TestRandomizationRegion:
         net, aset = instance(3)
         p = stream_power(aset, PowerConfig(rho=1e8))
         rates = confidential_rates(net, aset, p)
-        report = randomization_region_check(net, aset, p, rates.Rx + 1.0)
+        rates.Rx = rates.Rx + 1.0
+        report = randomization_region_check(rates)
         assert not report.passed
 
 
 class TestEquivocationDeficit:
     def test_m3_trend_near_half(self):
         net, aset = instance(3)
-        report = equivocation_deficit(net, aset, DEFAULT_RHO_GRID)
+        report = equivocation_deficit(rate_curve(net, aset))
         assert abs(report.delta_hat - 0.5) / 0.5 < 0.15
 
     def test_decreasing_in_m(self):
         values = []
         for m in (2, 3, 4, 5):
             net, aset = instance(m)
-            values.append(equivocation_deficit(net, aset, DEFAULT_RHO_GRID).delta_hat)
+            values.append(equivocation_deficit(rate_curve(net, aset)).delta_hat)
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_pointwise_nonincreasing_beyond_1e6(self):
         net, aset = instance(3)
-        report = equivocation_deficit(net, aset, DEFAULT_RHO_GRID)
+        report = equivocation_deficit(rate_curve(net, aset))
         usable = [p.delta_hat for p in report.points if p.rho >= 1e6 and not p.degenerate]
         assert all(b <= a + 1e-9 for a, b in zip(usable, usable[1:]))
 
     def test_numerator_component_identity(self):
-        # numerator_i = upper_i - (K-1) F Rx_raw by definition; equal
-        # components leave a zero numerator
+        # numerator_i = upper_i - (K-1) F Rx_raw by definition, with upper_i
+        # the inflated-power leakage bound evaluated from scratch here
         net, aset = instance(3)
-        report = equivocation_deficit(net, aset, DEFAULT_RHO_GRID)
-        point = report.points[-1]
+        curve = rate_curve(net, aset)
+        point = equivocation_deficit(curve).points[-1]
         p = stream_power(aset, PowerConfig(rho=point.rho))
-        rates = confidential_rates(net, aset, p)
-        from iasec.gaussmi import sum_capacity_bound
-
+        rates = curve[point.rho]
         for i, num in enumerate(point.numerators):
-            upper = sum_capacity_bound(net, aset, p, i, {k for k in range(3) if k != i})
-            expect = upper["upper"].bits - 2 * net.dims.F * rates.Rx_raw
+            others = [k for k in range(3) if k != i]
+            inflated = np.array(p, dtype=float)
+            inflated[others] *= np.array(net.dims.streams)[others]
+            upper = mi_from_gains(receiver_gains(net, aset, i), inflated, others).bits
+            expect = upper - 2 * net.dims.F * rates.Rx_raw
             assert abs(num - expect) < 1e-9 * max(1.0, abs(expect))
 
 
