@@ -39,15 +39,13 @@ from .gaussmi import (
     expectation,
     mi_from_gains,
     mi_schur,
+    spectra_table,
 )
 from .secrecy import (
-    codebook_plan,
     confidential_rates,
     decodability_check,
-    epsilon_star,
     equivocation_deficit,
     randomization_region_check,
-    symmetric_proportions,
 )
 from .ergodic import (
     augment_with_virtual_user,

@@ -40,6 +40,7 @@ from .gaussmi import (
     mi_from_gains,
     mi_schur,
     receiver_gains,
+    spectra_table,
 )
 from .model import PowerConfig, derive_dims, sample_network, sub_rng
 from .secrecy import (
@@ -223,18 +224,25 @@ def eta_asymptote(scenario, K):
 
 
 def _sample_aligned(dims, seed, residual_tol, draw):
-    """Draw and align, resampling a degenerate draw up to the retry budget.
+    """Draw, align and verify, resampling a degenerate draw up to the retry budget.
 
     `draw(dims, seed, attempt)` returns the network to align for one attempt.
+    A draw whose construction fails or whose alignment report fails counts as
+    a failed attempt. Returns the network, its beamformers, the passing
+    alignment report and the attempt index.
     """
     last = None
     for attempt in range(_RETRY_BUDGET):
         net = draw(dims, seed, attempt)
         try:
-            aset = build_beamformers(net, build_generators(net), residual_tol=residual_tol)
-            return net, aset, attempt
+            aset = build_beamformers(net, build_generators(net), verify=False)
         except AlignmentError as exc:
             last = exc
+            continue
+        report = verify_alignment(net, aset, residual_tol=residual_tol)
+        if report.passed:
+            return net, aset, report, attempt
+        last = f"alignment verification failed: {report.summary()}"
     raise NumericalError(f"alignment failed beyond retry budget: {last}")
 
 
@@ -248,9 +256,10 @@ def _confidential_tables(net, aset, cfg):
     rows = []
     curve = {}
     all_checks = True
+    spectra = spectra_table(net, aset)
     for rho in cfg.rho_grid:
-        powers = stream_power(aset, PowerConfig(rho=rho, epsilon_margin=cfg.epsilon_margin))
-        rates = confidential_rates(net, aset, powers)
+        load = PowerConfig(rho=rho, epsilon_margin=cfg.epsilon_margin).effective
+        rates = confidential_rates(net, spectra, load)
         curve[rho] = rates
         dec = decodability_check(rates)
         reg = randomization_region_check(rates)
@@ -314,8 +323,7 @@ def _run_confidential_point(cfg, K, m, scenario="confidential", draw=_draw_confi
     """
     aligned_K = K + 1 if scenario == "external-known-csi" else K
     dims = derive_dims(aligned_K, m)
-    net, aset, attempts = _sample_aligned(dims, cfg.seed, cfg.tol, draw)
-    report = verify_alignment(net, aset, residual_tol=cfg.tol)
+    net, aset, report, attempts = _sample_aligned(dims, cfg.seed, cfg.tol, draw)
     rows, fit, deficit, checks = _confidential_tables(net, aset, cfg)
     top = rows[-1]
     delta = deficit.delta_hat if not deficit.degenerate else None
@@ -336,7 +344,7 @@ def _run_confidential_point(cfg, K, m, scenario="confidential", draw=_draw_confi
     return _record(
         scenario, K, dims, cfg.seed, top["rho"], None, top["R"], top["Rx"],
         fit.slope, max(0.0, eta_target_confidential(aligned_K, m)), delta, top["clamped"],
-        checks and report.passed, detail,
+        checks, detail,
     )
 
 

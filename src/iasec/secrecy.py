@@ -11,9 +11,7 @@ from perfect secrecy at finite SNR.
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
-from .gaussmi import estimate_slope, mi_from_gains, receiver_gains
+from .gaussmi import estimate_slope
 
 __all__ = [
     "MAX_ENUM_USERS",
@@ -21,15 +19,10 @@ __all__ = [
     "DecodabilityReport",
     "RegionReport",
     "EquivocationReport",
-    "SubsetSecrecyBudget",
-    "CodebookPlan",
     "confidential_rates",
     "decodability_check",
     "randomization_region_check",
     "equivocation_deficit",
-    "epsilon_star",
-    "symmetric_proportions",
-    "codebook_plan",
 ]
 
 # Subset minima must be exact, so enumeration is exhaustive and capped.
@@ -67,14 +60,16 @@ class RateAssignment:
     subset_bits: dict  # (receiver, subset) -> I(X_S; Y_i | X_rest)
 
 
-def confidential_rates(net, aset, powers):
-    """Rate assignment for the confidential-messages model.
+def confidential_rates(net, spectra, load):
+    """Rate assignment for the confidential-messages model at one rho.
 
     R  = min_i I(X_i;Y_i)/F - max_i I(X_{K-i};Y_i) / ((K-1)F)
     Rx = min over receivers i and nonempty S of I(X_S;Y_i|X_rest)/(|S| F)
 
-    Negative formula outputs clamp to zero with the flag set; the subset
-    minimum is enumerated exhaustively (2^(K-1)-1 subsets per receiver).
+    Every mutual information is read from `spectra` (`spectra_table`) at
+    load = rho - eps. Negative formula outputs clamp to zero with the flag
+    set; the subset minimum is enumerated exhaustively (2^(K-1)-1 subsets per
+    receiver).
 
     The leakage bound brackets the input-distribution maximization of
     I(X_{K-i}; Y_i) from above: every other user's per-stream power is
@@ -86,22 +81,19 @@ def confidential_rates(net, aset, powers):
     K, F = net.dims.K, net.dims.F
     if K > MAX_ENUM_USERS:
         raise ValueError(f"subset enumeration capped at K={MAX_ENUM_USERS}")
+    everyone = range(K)
     own = []
     cross = []
     leak_upper = []
     subset_bits = {}
-    for i in range(K):
-        gains = receiver_gains(net, aset, i)
-        others = tuple(k for k in range(K) if k != i)
-        own.append(mi_from_gains(gains, powers, {i}).bits)
+    for i, rx in enumerate(spectra):
+        others = tuple(k for k in everyone if k != i)
+        own.append(rx.mi(everyone, others, load))
         for sub in _nonempty_subsets(others):
-            rest = set(others) - set(sub)
-            subset_bits[(i, sub)] = mi_from_gains(gains, powers, sub, rest).bits
+            # conditioning on the rest of the others leaves only user i as noise
+            subset_bits[(i, sub)] = rx.mi({i, *sub}, {i}, load)
         cross.append(subset_bits[(i, others)])
-        inflated = np.array(powers, dtype=float)
-        for k in others:
-            inflated[k] = net.dims.streams[k] * powers[k]
-        leak_upper.append(mi_from_gains(gains, inflated, others).bits)
+        leak_upper.append(rx.leak_upper(load))
     r_raw = min(own) / F - max(cross) / ((K - 1) * F)
     binding = min(subset_bits, key=lambda key: subset_bits[key] / len(key[1]))
     rx_raw = subset_bits[binding] / (len(binding[1]) * F)
@@ -229,71 +221,4 @@ def equivocation_deficit(curve):
         den_slope=den_fit.slope,
         delta_hat_at_top=points[-1].delta_hat,
         degenerate=degenerate,
-    )
-
-
-@dataclass
-class SubsetSecrecyBudget:
-    epsilon_star: float
-    minimizing_subset: tuple
-    eps: float
-    d: float
-    proportions: tuple
-    receiver: int | None = None
-
-
-def symmetric_proportions(K):
-    """Equal per-user entropy shares over the K-1 eavesdropped users."""
-    return (1.0 / (K - 1),) * (K - 1)
-
-
-def epsilon_star(proportions, eps, d, receiver=None):
-    """Secrecy budget that lets full-set equivocation imply all-subset equivocation.
-
-    epsilon* = min over nonempty subsets S of (1 + eps - d) H(W_S)/H(W_all),
-    with subset entropies additive in the per-user proportions supplied.
-    """
-    proportions = tuple(float(p) for p in proportions)
-    if any(p <= 0 for p in proportions):
-        raise ValueError("entropy proportions must be positive")
-    best = None
-    best_sub = None
-    for sub in _nonempty_subsets(range(len(proportions))):
-        share = sum(proportions[u] for u in sub)
-        value = (1.0 + eps - d) * share
-        if best is None or value < best:
-            best, best_sub = value, sub
-    return SubsetSecrecyBudget(
-        epsilon_star=best,
-        minimizing_subset=best_sub,
-        eps=eps,
-        d=d,
-        proportions=proportions,
-        receiver=receiver,
-    )
-
-
-@dataclass
-class CodebookPlan:
-    """Index-space sizes of the binned random codebook (no codewords drawn)."""
-
-    n: int
-    F: int
-    log2_bins: float
-    log2_codewords_per_bin: float
-    log2_total: float
-
-
-def codebook_plan(rates, n, F):
-    """Bin/codeword bookkeeping: log2 M_k = n F R, log2 M_k^x = n F Rx."""
-    if n < 1:
-        raise ValueError("block count n must be >= 1")
-    bins = n * F * rates.R
-    per_bin = n * F * rates.Rx
-    return CodebookPlan(
-        n=n,
-        F=F,
-        log2_bins=bins,
-        log2_codewords_per_bin=per_bin,
-        log2_total=bins + per_bin,
     )

@@ -28,6 +28,7 @@ from iasec.gaussmi import (
     mi_from_gains,
     mi_schur,
     receiver_gains,
+    spectra_table,
 )
 from iasec.model import PowerConfig, derive_dims, sample_network
 from iasec.secrecy import (
@@ -48,10 +49,8 @@ def aligned(K, m, seed=SEED):
 
 
 def rate_slope(net, aset, grid=GRID):
-    curve = {}
-    for rho in grid:
-        p = stream_power(aset, PowerConfig(rho=rho))
-        curve[rho] = confidential_rates(net, aset, p)
+    spectra = spectra_table(net, aset)
+    curve = {rho: confidential_rates(net, spectra, PowerConfig(rho=rho).effective) for rho in grid}
     fit = estimate_slope(lambda r: curve[r].R, grid)
     return fit.slope, curve
 

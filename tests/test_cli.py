@@ -1,9 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-import iasec
-from iasec.alignment import build_beamformers, build_generators
+from iasec.alignment import build_beamformers, build_generators, stream_power
 from iasec.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -16,8 +16,9 @@ from iasec.cli import (
     run,
     sweep,
 )
-from iasec.gaussmi import mi_from_gains
-from iasec.model import derive_dims, sample_network
+from iasec.gaussmi import DEFAULT_RHO_GRID, mi_from_gains, receiver_gains, spectra_table
+from iasec.model import PowerConfig, derive_dims, sample_network
+from iasec.secrecy import confidential_rates
 
 SEED = 16
 
@@ -100,25 +101,39 @@ class TestRun:
 
 
 class TestConfidentialTables:
-    # per receiver: I(X_i;Y_i), I(X_S;Y_i|X_rest) for each nonempty S of the
-    # K-1 others (the S = all-others entry is the cross term) and the
-    # inflated-power leakage bound
-    @pytest.mark.parametrize("K, m, distinct", [(3, 2, 15), (4, 1, 36)])
-    def test_each_mutual_information_evaluated_once_per_rho(self, monkeypatch, K, m, distinct):
+    # one SVD per receiver and set: {i}, the others, all users, S u {i} for
+    # each proper nonempty S of the others, and the inflated all-users set;
+    # the rho grid only changes the loads the spectra are read at
+    @pytest.mark.parametrize("points", [5, 7])
+    @pytest.mark.parametrize("K, m, svds", [(3, 2, 18), (4, 1, 40)])
+    def test_one_svd_per_receiver_set_for_any_grid(self, monkeypatch, K, m, svds, points):
         net = sample_network(derive_dims(K, m), SEED)
         aset = build_beamformers(net, build_generators(net))
         calls = []
+        svd = np.linalg.svd
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return mi_from_gains(*args, **kwargs)
+            return svd(*args, **kwargs)
 
-        for module in (iasec, *vars(iasec).values()):
-            if getattr(module, "mi_from_gains", None) is mi_from_gains:
-                monkeypatch.setattr(module, "mi_from_gains", counted)
-        cfg = make_cfg(K=K, m=m).validate()
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        cfg = make_cfg(K=K, m=m, rho_grid=list(np.logspace(4, 12, points))).validate()
         _confidential_tables(net, aset, cfg)
-        assert len(calls) == distinct * len(cfg.rho_grid)
+        assert len(calls) == svds
+
+    @pytest.mark.parametrize("K, m", [(3, 2), (4, 1)])
+    def test_subset_terms_match_mi_from_gains(self, K, m):
+        net = sample_network(derive_dims(K, m), SEED)
+        aset = build_beamformers(net, build_generators(net))
+        spectra = spectra_table(net, aset)
+        for rho in DEFAULT_RHO_GRID:
+            power = PowerConfig(rho=rho)
+            rates = confidential_rates(net, spectra, power.effective)
+            powers = stream_power(aset, power)
+            for (i, sub), bits in rates.subset_bits.items():
+                rest = set(range(K)) - {i, *sub}
+                ref = mi_from_gains(receiver_gains(net, aset, i), powers, sub, rest).bits
+                assert abs(bits - ref) <= 1e-12 * ref
 
 
 class TestSweep:
