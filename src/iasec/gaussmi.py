@@ -36,7 +36,12 @@ DEFAULT_RHO_GRID = (1e4, 1e6, 1e8, 1e10, 1e12)
 
 
 class NumericalError(RuntimeError):
-    """A numerical evaluation broke down."""
+    """A numerical evaluation broke down; a failed factorization carries its
+    matrix's condition number."""
+
+    def __init__(self, message, condition_number=None):
+        super().__init__(message)
+        self.condition_number = condition_number
 
 
 @dataclass
@@ -193,7 +198,9 @@ def mi_schur(gains, powers, signal, conditioned=()):
     small = (small + small.conj().T) / 2.0
     sign, logdet = np.linalg.slogdet(small)
     if sign.real <= 0:
-        raise NumericalError("Schur path lost positive definiteness")
+        raise NumericalError(
+            "Schur path lost positive definiteness", condition_number=float(np.linalg.cond(sigma))
+        )
     return float(logdet / np.log(2.0))
 
 

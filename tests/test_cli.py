@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from iasec import gaussmi
 from iasec.alignment import build_beamformers, build_generators, stream_power
 from iasec.cli import (
     CSV_COLUMNS,
@@ -101,6 +102,25 @@ class TestRun:
 
 
 class TestConfidentialTables:
+    # per receiver: I(X_i;Y_i), I(X_S;Y_i|X_rest) for each nonempty S of the
+    # K-1 others (the S = all-others entry is the cross term) and the
+    # inflated-power leakage bound, each one difference of two table log-dets
+    @pytest.mark.parametrize("K, m, distinct", [(3, 2, 15), (4, 1, 36)])
+    def test_each_mutual_information_evaluated_once_per_rho(self, monkeypatch, K, m, distinct):
+        net = sample_network(derive_dims(K, m), SEED)
+        aset = build_beamformers(net, build_generators(net))
+        calls = []
+        mi_bits = gaussmi._mi_bits
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return mi_bits(*args, **kwargs)
+
+        monkeypatch.setattr(gaussmi, "_mi_bits", counted)
+        cfg = make_cfg(K=K, m=m).validate()
+        _confidential_tables(net, aset, cfg)
+        assert len(calls) == distinct * len(cfg.rho_grid)
+
     # one SVD per receiver and set: {i}, the others, all users, S u {i} for
     # each proper nonempty S of the others, and the inflated all-users set;
     # the rho grid only changes the loads the spectra are read at

@@ -187,6 +187,18 @@ class TestSlopeEstimation:
         with pytest.raises(NumericalError):
             estimate_slope(lambda r: float("nan"), DEFAULT_RHO_GRID)
 
+    def test_factorization_failure_carries_condition_number(self):
+        from iasec.gaussmi import NumericalError
+
+        # a negative noise power makes the noise covariance diag(-7, 1, 1)
+        e1 = np.eye(3, 1, dtype=complex)
+        with pytest.raises(NumericalError) as err:
+            mi_schur([e1, 2.0 * e1], np.array([10.0, -2.0]), {0})
+        assert err.value.condition_number == pytest.approx(7.0)
+        with pytest.raises(NumericalError):
+            mi_schur([e1, e1], np.array([1.0, -2.0]), {0})
+
+
 class TestExpectation:
     def test_constant_statistic(self):
         est = expectation(lambda t: t, lambda _: 3.25, trials=16)
