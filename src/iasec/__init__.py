@@ -51,8 +51,7 @@ from .ergodic import (
     augment_with_virtual_user,
     block_network,
     eavesdropper_budget_check,
+    ergodic_pass,
     ergodic_rates,
     mi_inequality_audit,
-    sample_schedule,
-    symmetry_audit,
 )

@@ -24,6 +24,7 @@ __all__ = [
     "FullRankAudit",
     "build_generators",
     "build_beamformers",
+    "align_first_valid",
     "verify_alignment",
     "check_full_rank",
     "rank_failures",
@@ -170,6 +171,30 @@ def build_beamformers(net, gens, verify=True, residual_tol=RESIDUAL_TOL):
         if not report.passed:
             raise AlignmentError(f"alignment verification failed: {report.summary()}")
     return aset
+
+
+def align_first_valid(draw, attempts, residual_tol=RESIDUAL_TOL, context="alignment failed"):
+    """Align the first of up to `attempts` draws that verifies.
+
+    `draw(attempt)` returns the network for one attempt. Beamformers are
+    built unverified and `verify_alignment` runs once per attempt; a
+    construction error or a failed report counts as a failed attempt.
+    Returns the network, its beamformers, the passing report and the attempt
+    index; raises AlignmentError once every attempt has failed.
+    """
+    last = None
+    for attempt in range(attempts):
+        net = draw(attempt)
+        try:
+            aset = build_beamformers(net, build_generators(net), verify=False)
+        except AlignmentError as exc:
+            last = exc
+            continue
+        report = verify_alignment(net, aset, residual_tol=residual_tol)
+        if report.passed:
+            return net, aset, report, attempt
+        last = f"alignment verification failed: {report.summary()}"
+    raise AlignmentError(f"{context} beyond retry budget: {last}")
 
 
 def numerical_rank(mat, factor=RANK_TOL_FACTOR):

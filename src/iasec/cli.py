@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .alignment import (
     AlignmentError,
+    align_first_valid,
     build_beamformers,
     build_generators,
     check_full_rank,
@@ -30,6 +31,7 @@ from .alignment import (
 from .ergodic import (
     augment_with_virtual_user,
     eavesdropper_budget_check,
+    ergodic_pass,
     ergodic_rates,
     mi_inequality_audit,
 )
@@ -223,29 +225,6 @@ def eta_asymptote(scenario, K):
     return (K - 2) / (2 * K)
 
 
-def _sample_aligned(dims, seed, residual_tol, draw):
-    """Draw, align and verify, resampling a degenerate draw up to the retry budget.
-
-    `draw(dims, seed, attempt)` returns the network to align for one attempt.
-    A draw whose construction fails or whose alignment report fails counts as
-    a failed attempt. Returns the network, its beamformers, the passing
-    alignment report and the attempt index.
-    """
-    last = None
-    for attempt in range(_RETRY_BUDGET):
-        net = draw(dims, seed, attempt)
-        try:
-            aset = build_beamformers(net, build_generators(net), verify=False)
-        except AlignmentError as exc:
-            last = exc
-            continue
-        report = verify_alignment(net, aset, residual_tol=residual_tol)
-        if report.passed:
-            return net, aset, report, attempt
-        last = f"alignment verification failed: {report.summary()}"
-    raise NumericalError(f"alignment failed beyond retry budget: {last}")
-
-
 def _confidential_tables(net, aset, cfg):
     """Rates, checks, and the deficit report across the rho grid.
 
@@ -323,7 +302,12 @@ def _run_confidential_point(cfg, K, m, scenario="confidential", draw=_draw_confi
     """
     aligned_K = K + 1 if scenario == "external-known-csi" else K
     dims = derive_dims(aligned_K, m)
-    net, aset, report, attempts = _sample_aligned(dims, cfg.seed, cfg.tol, draw)
+    try:
+        net, aset, report, attempts = align_first_valid(
+            lambda attempt: draw(dims, cfg.seed, attempt), _RETRY_BUDGET, residual_tol=cfg.tol
+        )
+    except AlignmentError as exc:
+        raise NumericalError(str(exc)) from exc
     rows, fit, deficit, checks = _confidential_tables(net, aset, cfg)
     top = rows[-1]
     delta = deficit.delta_hat if not deficit.degenerate else None
@@ -351,10 +335,11 @@ def _run_confidential_point(cfg, K, m, scenario="confidential", draw=_draw_confi
 def _run_ergodic_point(cfg, K, m):
     dims = derive_dims(K, m)
     trials = cfg.effective_trials(200)
+    powers = [PowerConfig(rho=rho, epsilon_margin=cfg.epsilon_margin) for rho in cfg.rho_grid]
+    pass_ = ergodic_pass(dims, powers, trials, cfg.seed, workers=cfg.workers)
     rows = []
     for rho in cfg.rho_grid:
-        power = PowerConfig(rho=rho, epsilon_margin=cfg.epsilon_margin)
-        est = ergodic_rates(dims, power, trials, cfg.seed, workers=cfg.workers)
+        est = ergodic_rates(pass_, rho)
         rows.append(
             {
                 "rho": rho,
@@ -367,13 +352,10 @@ def _run_ergodic_point(cfg, K, m):
         )
     by_rho = {row["rho"]: row["R"] for row in rows}
     fit = estimate_slope(lambda r: by_rho[r], cfg.rho_grid)
-    top_power = PowerConfig(rho=cfg.rho_grid[-1], epsilon_margin=cfg.epsilon_margin)
-    budget = eavesdropper_budget_check(
-        dims, top_power, rows[-1]["Rx"], trials, cfg.seed, workers=cfg.workers
-    )
+    budget = eavesdropper_budget_check(pass_, rows[-1]["Rx"])
     checks = budget.passed
     if K <= 4:  # disjoint-pair enumeration is exhaustive only up to K=4
-        ineq = mi_inequality_audit(dims, top_power, trials, cfg.seed, workers=cfg.workers)
+        ineq = mi_inequality_audit(pass_)
         checks = checks and ineq.passed
         lemma3_violations = ineq.lemma3_violations
         lemma4_passed = ineq.lemma4_passed
@@ -398,6 +380,7 @@ def _run_ergodic_point(cfg, K, m):
         "symmetry_passed": symmetry_passed,
         "eta_asymptote": eta_asymptote("external-ergodic", K),
         "slope_R": fit.slope,
+        "resampled_blocks": pass_.resampled_blocks,
     }
     return _record(
         "external-ergodic", K, dims, cfg.seed, top["rho"], trials, top["R"], top["Rx"],
@@ -523,11 +506,9 @@ def audit(cfg):
             if K <= 4:
                 power = PowerConfig(rho=cfg.rho_grid[-1], epsilon_margin=cfg.epsilon_margin)
                 mc_trials = max(30, min(trials, 100))
-                est = ergodic_rates(dims, power, mc_trials, cfg.seed, workers=cfg.workers)
-                budget = eavesdropper_budget_check(
-                    dims, power, est.Rx, mc_trials, cfg.seed, workers=cfg.workers
-                )
-                ineq = mi_inequality_audit(dims, power, mc_trials, cfg.seed, workers=cfg.workers)
+                pass_ = ergodic_pass(dims, [power], mc_trials, cfg.seed, workers=cfg.workers)
+                budget = eavesdropper_budget_check(pass_, ergodic_rates(pass_, power.rho).Rx)
+                ineq = mi_inequality_audit(pass_)
                 checks[f"{tag}_lemma3"] = ineq.lemma3_violations == 0
                 checks[f"{tag}_lemma4"] = ineq.lemma4_passed
                 checks[f"{tag}_lemma5"] = budget.passed

@@ -5,6 +5,14 @@ large-stream role rotates so every user's effective channel is identically
 distributed. Rates are expectations over blocks: the eavesdropper's whole
 multiple-access capacity is spent on randomization messages, split evenly,
 and what remains of each user's own-stream rate is secret.
+
+`ergodic_pass` makes one pass over the blocks of a (K, m) point. Each block is
+built once and its unit-power spectra are taken once; every mutual
+information at every grid rho is a difference of two log-dets read from
+them, so the block yields one row: the rate statistics at each rho, plus the
+budget and inequality-audit statistics at the top rho. One `expectation`
+reduces the rows in trial order, and `ergodic_rates`,
+`eavesdropper_budget_check` and `mi_inequality_audit` read that estimate.
 """
 
 import itertools
@@ -12,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import AlignmentError, build_beamformers, build_generators, stream_power
-from .gaussmi import expectation, mi_from_gains
+from .alignment import align_first_valid
+from .gaussmi import McEstimate, _log2det, _mi_bits, _squared_singular_values, expectation
 from .model import (
     NetworkRealization,
+    SystemDims,
     _TAG_PERM,
     _TAG_RETRY,
     sample_eavesdropper_block,
@@ -24,44 +33,21 @@ from .model import (
 )
 
 __all__ = [
-    "PermutationSchedule",
     "BlockAlignment",
+    "ErgodicPass",
     "ErgodicEstimate",
     "BudgetReport",
     "InequalityAuditReport",
-    "SymmetryReport",
-    "sample_schedule",
     "block_network",
+    "ergodic_pass",
     "ergodic_rates",
     "eavesdropper_budget_check",
     "mi_inequality_audit",
-    "symmetry_audit",
     "augment_with_virtual_user",
 ]
 
-_CI_Z = 1.96
 _TOL = 1e-9
-
-
-@dataclass
-class PermutationSchedule:
-    """B independent uniform orderings of the K users."""
-
-    K: int
-    B: int
-    permutations: np.ndarray  # B x K
-    seed: int
-
-    def __post_init__(self):
-        assert self.permutations.shape == (self.B, self.K)
-
-
-def sample_schedule(K, B, seed):
-    """Draw one uniform permutation per fading block, deterministically."""
-    if B < 1:
-        raise ValueError("need at least one block")
-    perms = np.stack([_block_permutation(K, seed, b) for b in range(B)])
-    return PermutationSchedule(K=K, B=B, permutations=perms, seed=int(seed))
+_RATE_STATS = 5  # own, eav, eav_up, R, Rx at one grid rho
 
 
 def _block_permutation(K, seed, block_index):
@@ -74,15 +60,16 @@ class BlockAlignment:
 
     Role r belongs to user perm[r]; role 0 carries the (m+1)^M streams this
     block. All mutual informations are computed in role coordinates and mapped
-    back through `role_of` when a user-indexed quantity is needed.
+    back through `perm` when a user-indexed quantity is needed. `attempts` is
+    the index of the draw that aligned (0 unless the block was resampled).
     """
 
     block_index: int
     perm: np.ndarray
-    role_of: np.ndarray
     net_role: NetworkRealization
     aset: object
     eaves_role: list | None
+    attempts: int
 
     def own_gains(self, role):
         """Effective gain matrices of all roles at role `role`'s receiver."""
@@ -94,16 +81,15 @@ class BlockAlignment:
         return [self.eaves_role[r].apply(self.aset.matrix(r)) for r in range(K)]
 
 
-def block_network(dims, seed, block_index, perm=None, with_eavesdropper=True, verify=True,
-                  retries=3):
+def block_network(dims, seed, block_index, perm=None, with_eavesdropper=True, retries=3):
     """Draw and align one fading block under the ordering `perm`.
 
     A fresh channel is sampled for the block, the grid is reindexed so that
     user perm[0] takes the large-stream role, and the beamformers are built
-    and verified on the reordered grid. A draw whose verification fails at
-    tolerance (a numerically degenerate realization) is resampled from a
-    derived sub-seed up to `retries` times, keeping long Monte Carlo runs
-    total without touching any non-degenerate block.
+    and verified on the reordered grid. A draw that fails to build or to
+    verify at tolerance (a numerically degenerate realization) is resampled
+    from a derived sub-seed up to `retries` times, keeping long Monte Carlo
+    runs total without touching any non-degenerate block.
     """
     if perm is None:
         perm = _block_permutation(dims.K, seed, block_index)
@@ -111,38 +97,175 @@ def block_network(dims, seed, block_index, perm=None, with_eavesdropper=True, ve
     K = dims.K
     if sorted(perm.tolist()) != list(range(K)):
         raise ValueError(f"perm must be a bijection on 0..{K - 1}")
-    last = None
-    for attempt in range(retries + 1):
-        if attempt == 0:
-            net = sample_network(dims, seed, block_index=block_index)
-        else:
-            salt = int(sub_rng(seed, _TAG_RETRY, block_index, attempt).integers(0, 2**63))
-            net = sample_network(dims, salt, block_index=block_index)
+
+    def draw(attempt):
+        draw_seed = seed
+        if attempt:
+            draw_seed = int(sub_rng(seed, _TAG_RETRY, block_index, attempt).integers(0, 2**63))
+        net = sample_network(dims, draw_seed, block_index=block_index)
         links_role = [[net.links[perm[r]][perm[s]] for s in range(K)] for r in range(K)]
-        net_role = NetworkRealization(
-            dims=dims, links=links_role, eavesdropper=None, seed=net.seed
-        )
-        try:
-            aset = build_beamformers(net_role, build_generators(net_role), verify=verify)
-            break
-        except AlignmentError as exc:
-            last = exc
-    else:
-        raise AlignmentError(f"block {block_index}: degenerate beyond retry budget: {last}")
+        return NetworkRealization(dims=dims, links=links_role, eavesdropper=None, seed=net.seed)
+
+    net_role, aset, _, attempts = align_first_valid(
+        draw, retries + 1, context=f"block {block_index}: degenerate"
+    )
     eaves_role = None
     if with_eavesdropper:
         eaves_user = sample_eavesdropper_block(dims, seed, block_index)
         eaves_role = [eaves_user[perm[r]] for r in range(K)]
-    role_of = np.empty(K, dtype=int)
-    role_of[perm] = np.arange(K)
     return BlockAlignment(
         block_index=block_index,
         perm=perm,
-        role_of=role_of,
         net_role=net_role,
         aset=aset,
         eaves_role=eaves_role,
+        attempts=attempts,
     )
+
+
+def _user_subsets(K, strict=False):
+    upper = K - 1 if strict else K
+    out = []
+    for r in range(1, upper + 1):
+        out.extend(itertools.combinations(range(K), r))
+    return out
+
+
+def _audit_sets(K):
+    """Lemma 3 disjoint pairs, Lemma 4 strict subsets, symmetry conditioning sets."""
+    nonempty = _user_subsets(K)
+    pairs = [
+        (m_set, l_set)
+        for m_set in nonempty
+        for l_set in nonempty
+        if not set(m_set) & set(l_set)
+    ]
+    strict = _user_subsets(K, strict=True)
+    sym_conds = [c for c in [()] + strict if len(c) <= K - 2]
+    return pairs, strict, sym_conds
+
+
+@dataclass
+class ErgodicPass:
+    """Per-block rows of one pass over fading blocks, reduced in trial order.
+
+    A row holds the five rate statistics (own, eav, eav_up, R, Rx) at every
+    power of `powers`, then, at the last power, the Lemma 5 budget statistics
+    and (for K <= 4) the Lemma 3/4/symmetry statistics.
+    """
+
+    dims: SystemDims
+    powers: tuple
+    estimate: McEstimate
+    resampled_blocks: list  # indices of the blocks whose first draw did not align
+
+    @property
+    def trials(self):
+        return self.estimate.trials
+
+    def rates(self, rho):
+        """The five rate statistics at grid point rho."""
+        g = [p.rho for p in self.powers].index(rho)
+        return self._columns(_RATE_STATS * g, _RATE_STATS * (g + 1))
+
+    def budget(self):
+        """Per nonempty user set: the budget's right-hand side and paired slack."""
+        start = _RATE_STATS * len(self.powers)
+        return self._columns(start, start + 2 * (2**self.dims.K - 1))
+
+    def audit(self):
+        """Lemma 3 violation share, Lemma 4 differences, symmetry MIs."""
+        return self._columns(_RATE_STATS * len(self.powers) + 2 * (2**self.dims.K - 1), None)
+
+    def _columns(self, start, stop):
+        est, cols = self.estimate, slice(start, stop)
+        return McEstimate(
+            mean=est.mean[cols],
+            ci_low=est.ci_low[cols],
+            ci_high=est.ci_high[cols],
+            std_err=est.std_err[cols],
+            trials=est.trials,
+        )
+
+
+def ergodic_pass(dims, powers, trials, seed, workers=1):
+    """Build each of `trials` fading blocks once and reduce one row per block.
+
+    Block t is `block_network(dims, seed, t)`. Its spectra are the squared
+    singular values of the unit-power factors G_k / sqrt(c_k): all roles and
+    the others at each role's receiver (2K), every nonempty role set at the
+    eavesdropper (2^K - 1), and the eavesdropper's inflated set with every
+    role weighted by its stream count (1). Each user loads rho - eps onto its
+    unit-power factor, so each spectrum gives its log-det at every power in
+    `powers` at once. The budget and audit statistics are taken at the last
+    power.
+    """
+    powers = tuple(powers)
+    loads = np.array([p.effective for p in powers])
+    audit_sets = _audit_sets(dims.K) if dims.K <= 4 else None
+    resampled = []
+
+    def statistic(block):
+        if block.attempts:
+            resampled.append(block.block_index)
+        return _block_row(block, loads, audit_sets)
+
+    est = expectation(lambda t: block_network(dims, seed, t), statistic, trials, workers=workers)
+    return ErgodicPass(dims=dims, powers=powers, estimate=est, resampled_blocks=sorted(resampled))
+
+
+def _block_row(block, loads, audit_sets):
+    """One block's statistics: see `ErgodicPass` for the layout."""
+    dims = block.net_role.dims
+    K, F = dims.K, dims.F
+    scale = 1.0 / np.sqrt(block.aset.power_normalizers)
+
+    def log2dets(factors):
+        return _log2det(_squared_singular_values(factors), loads)
+
+    own = np.zeros(len(loads))
+    for r in range(K):
+        unit = [g * s for g, s in zip(block.own_gains(r), scale)]
+        full, others = log2dets(unit), log2dets(unit[:r] + unit[r + 1 :])
+        own += [_mi_bits(a, b) for a, b in zip(full, others)]
+    own /= K
+    unit = [g * s for g, s in zip(block.eaves_gains(), scale)]
+    eaves = {frozenset(roles): log2dets([unit[r] for r in roles]) for roles in _user_subsets(K)}
+    # with no noise users left, each eavesdropper MI is its log-det alone
+    eav = eaves[frozenset(range(K))]
+    eav_up = log2dets([np.sqrt(dims.streams[r]) * unit[r] for r in range(K)])
+    rates = np.column_stack([own, eav, eav_up, (K * own - eav_up) / (K * F), eav / (K * F)])
+
+    # top-power log-dets keyed by user set: role r belongs to user perm[r]
+    perm = block.perm.tolist()
+    top = {frozenset(perm[r] for r in roles): v[-1] for roles, v in eaves.items()}
+    top[frozenset()] = 0.0
+    users = frozenset(range(K))
+
+    def mi_users(sig, cond=()):
+        """I(X_sig; Y_e | X_cond, H, H_e) at the top power."""
+        rest = users.difference(cond)
+        return _mi_bits(top[rest], top[rest.difference(sig)])
+
+    rx_block = eav[-1] / (K * F)
+    vals = []
+    for sub in _user_subsets(K):
+        rhs = mi_users(sub, users.difference(sub)) / F
+        vals.extend([rhs, rhs - len(sub) * rx_block])
+    if audit_sets is not None:
+        pairs, strict, sym_conds = audit_sets
+        viol = 0
+        for m_set, l_set in pairs:
+            plain = mi_users(m_set)
+            if plain > mi_users(m_set, l_set) + _TOL * max(1.0, plain):
+                viol += 1
+        vals.append(float(viol))
+        for sub in strict:
+            rest = tuple(u for u in range(K) if u not in sub)
+            vals.append(mi_users(rest) / len(rest) - mi_users(sub, rest) / len(sub))
+        for cond in sym_conds:
+            vals.extend(mi_users((u,), cond) for u in range(K) if u not in cond)
+    return np.concatenate([rates.ravel(), vals])
 
 
 @dataclass
@@ -159,7 +282,7 @@ class ErgodicEstimate:
     trials: int
 
 
-def ergodic_rates(dims, power, trials, seed, workers=1, verify_blocks=True):
+def ergodic_rates(pass_, rho):
     """Monte Carlo rate assignment for the ergodic external-eavesdropper model.
 
     R  = (K E[I(X;Y|H)] - E_upper[I(X_all;Y_e|H,H_e)]) / (K F)
@@ -167,29 +290,12 @@ def ergodic_rates(dims, power, trials, seed, workers=1, verify_blocks=True):
 
     E[I(X;Y|H)] averages each user's own-stream MI over blocks and the random
     role rotation; the eavesdropper term's input maximization is bracketed by
-    inflating every user's per-stream power to its whole budget.
+    inflating every user's per-stream power to its whole budget. Read at grid
+    point rho of the pass.
     """
-    if trials < 30:
+    if pass_.trials < 30:
         raise ValueError("ergodic estimates need at least 30 trials")
-    K, F = dims.K, dims.F
-
-    def draw(t):
-        return block_network(dims, seed, t, verify=verify_blocks)
-
-    def statistic(block):
-        p = stream_power(block.aset, power)
-        own = np.mean(
-            [mi_from_gains(block.own_gains(r), p, {r}).bits for r in range(K)]
-        )
-        eg = block.eaves_gains()
-        eav = mi_from_gains(eg, p, range(K)).bits
-        p_up = np.array([dims.streams[r] * p[r] for r in range(K)])
-        eav_up = mi_from_gains(eg, p_up, range(K)).bits
-        r_t = (K * own - eav_up) / (K * F)
-        rx_t = eav / (K * F)
-        return np.array([own, eav, eav_up, r_t, rx_t])
-
-    est = expectation(draw, statistic, trials, workers=workers)
+    est = pass_.rates(rho)
     own_m, eav_m, up_m, r_m, rx_m = (float(v) for v in est.mean)
     return ErgodicEstimate(
         R=max(r_m, 0.0),
@@ -201,20 +307,8 @@ def ergodic_rates(dims, power, trials, seed, workers=1, verify_blocks=True):
         eaves_upper_mean=up_m,
         R_ci=(float(est.ci_low[3]), float(est.ci_high[3])),
         Rx_ci=(float(est.ci_low[4]), float(est.ci_high[4])),
-        trials=trials,
+        trials=pass_.trials,
     )
-
-
-def _user_subsets(K, strict=False):
-    upper = K - 1 if strict else K
-    out = []
-    for r in range(1, upper + 1):
-        out.extend(itertools.combinations(range(K), r))
-    return out
-
-
-def _roles(block, users):
-    return [int(block.role_of[u]) for u in users]
 
 
 @dataclass
@@ -227,43 +321,24 @@ class BudgetReport:
         return min(self.entries, key=lambda e: e[4])
 
 
-def eavesdropper_budget_check(dims, power, rx_rate, trials, seed, workers=1):
+def eavesdropper_budget_check(pass_, rx_rate):
     """Check |S| Rx <= E[I(X_S;Y_e|X_rest,H,H_e)]/F for every nonempty user set S.
 
-    The confidence allowance comes from the paired per-block differences
-    against the same block's randomization-rate sample, which cancels the
-    role-rotation swing shared by both sides. With the full set the
-    inequality is an identity of the rate rule, so its slack sits at
-    numerical zero when the same seed and trial count are used.
+    Read at the pass's top rho. The confidence allowance comes from the
+    paired per-block differences against the same block's randomization-rate
+    sample, which cancels the role-rotation swing shared by both sides. With
+    the full set the inequality is an identity of the rate rule, so its slack
+    sits at numerical zero when `rx_rate` is this pass's own Rx.
     """
-    K, F = dims.K, dims.F
-    subsets = _user_subsets(K)
-
-    def draw(t):
-        return block_network(dims, seed, t)
-
-    def statistic(block):
-        p = stream_power(block.aset, power)
-        eg = block.eaves_gains()
-        rx_block = mi_from_gains(eg, p, range(K)).bits / (K * F)
-        vals = []
-        for sub in subsets:
-            roles = _roles(block, sub)
-            rest = [r for r in range(K) if r not in roles]
-            rhs = mi_from_gains(eg, p, roles, conditioned=rest).bits / F
-            vals.extend([rhs, rhs - len(sub) * rx_block])
-        vals.append(rx_block)
-        return np.array(vals)
-
-    est = expectation(draw, statistic, trials, workers=workers)
-    rx_mean = est.mean[-1]
+    est = pass_.budget()
+    rx_mean = pass_.rates(pass_.powers[-1].rho).mean[4]
     entries = []
     ok = True
-    for idx, sub in enumerate(subsets):
+    for idx, sub in enumerate(_user_subsets(pass_.dims.K)):
         lhs = len(sub) * rx_rate
         rhs = est.mean[2 * idx]
         # shift the paired slack if the caller's rate differs from this
-        # sample's own mean (zero when both use the same seed and trials)
+        # pass's own mean (zero when it is that mean)
         slack = est.mean[2 * idx + 1] - len(sub) * (rx_rate - rx_mean)
         half = est.ci_halfwidth[2 * idx + 1]
         entries.append((sub, lhs, rhs, half, slack))
@@ -276,7 +351,7 @@ def eavesdropper_budget_check(dims, power, rx_rate, trials, seed, workers=1):
 class InequalityAuditReport:
     lemma3_pairs: int
     lemma3_violations: int
-    lemma4_entries: list  # (subset, lhs mean, rhs mean, diff ci_half)
+    lemma4_entries: list  # (subset, mean of lhs - rhs, its ci_half)
     lemma4_passed: bool
     symmetry_entries: list  # (cond set, user means, ci halves)
     symmetry_passed: bool
@@ -286,67 +361,25 @@ class InequalityAuditReport:
         return self.lemma3_violations == 0 and self.lemma4_passed and self.symmetry_passed
 
 
-def mi_inequality_audit(dims, power, trials, seed, workers=1):
+def mi_inequality_audit(pass_):
     """Audit the conditioning and averaging inequalities behind the rate rule.
 
     Per realization: conditioning on a disjoint user set never lowers the
     eavesdropper's MI about the remaining set (checked for every disjoint
     pair, exhaustively for K <= 4). In expectation: the per-user normalized
     conditional MI of S given its complement dominates that of the complement
-    alone, and single-user conditional MIs agree across users.
+    alone, and single-user conditional MIs agree across users. Read at the
+    pass's top rho.
     """
-    if trials < 30:
-        raise ValueError("audits need at least 30 trials")
-    K, F = dims.K, dims.F
+    K = pass_.dims.K
     if K > 4:
         raise ValueError("disjoint-pair enumeration is exhaustive only up to K=4")
-    nonempty = _user_subsets(K)
-    pairs = [
-        (m_set, l_set)
-        for m_set in nonempty
-        for l_set in nonempty
-        if not set(m_set) & set(l_set)
-    ]
-    strict = _user_subsets(K, strict=True)
-    sym_conds = [c for c in [()] + strict if len(c) <= K - 2]
-
-    def draw(t):
-        return block_network(dims, seed, t)
-
-    def statistic(block):
-        p = stream_power(block.aset, power)
-        eg = block.eaves_gains()
-        cache = {}
-
-        def mi_users(sig, cond=()):
-            key = (sig, cond)
-            if key not in cache:
-                cache[key] = mi_from_gains(
-                    eg, p, _roles(block, sig), conditioned=_roles(block, cond)
-                ).bits
-            return cache[key]
-
-        vals = []
-        viol = 0
-        for m_set, l_set in pairs:
-            plain = mi_users(m_set)
-            if plain > mi_users(m_set, l_set) + _TOL * max(1.0, plain):
-                viol += 1
-        vals.append(float(viol))
-        for sub in strict:
-            rest = tuple(u for u in range(K) if u not in sub)
-            lhs = mi_users(rest) / len(rest)
-            rhs = mi_users(sub, rest) / len(sub)
-            vals.append(lhs - rhs)
-        for cond in sym_conds:
-            for u in range(K):
-                if u not in cond:
-                    vals.append(mi_users((u,), cond))
-        return np.array(vals)
-
-    est = expectation(draw, statistic, trials, workers=workers)
+    if pass_.trials < 30:
+        raise ValueError("audits need at least 30 trials")
+    pairs, strict, sym_conds = _audit_sets(K)
+    est = pass_.audit()
     idx = 0
-    lemma3_viol = int(round(float(est.mean[idx] * trials)))
+    lemma3_viol = int(round(float(est.mean[idx] * pass_.trials)))
     idx += 1
     lemma4_entries = []
     lemma4_ok = True
@@ -377,49 +410,6 @@ def mi_inequality_audit(dims, power, trials, seed, workers=1):
         symmetry_entries=sym_entries,
         symmetry_passed=sym_ok,
     )
-
-
-@dataclass
-class SymmetryReport:
-    skipped: bool
-    user_means: dict
-    user_ci_half: dict
-    passed: bool
-
-
-def symmetry_audit(dims, power, trials, seed, randomize_roles=True, workers=1):
-    """Check that per-user own-stream MI expectations agree across users.
-
-    Only meaningful when the role rotation is active: with a fixed identity
-    ordering there is nothing to symmetrize and the audit reports skipped.
-    """
-    if trials < 100:
-        raise ValueError("symmetry audit needs at least 100 trials")
-    if not randomize_roles:
-        return SymmetryReport(skipped=True, user_means={}, user_ci_half={}, passed=True)
-    K = dims.K
-
-    def draw(t):
-        return block_network(dims, seed, t)
-
-    def statistic(block):
-        p = stream_power(block.aset, power)
-        return np.array(
-            [
-                mi_from_gains(block.own_gains(int(block.role_of[u])), p, {int(block.role_of[u])}).bits
-                for u in range(K)
-            ]
-        )
-
-    est = expectation(draw, statistic, trials, workers=workers)
-    means = {u: float(est.mean[u]) for u in range(K)}
-    halves = {u: float(est.ci_halfwidth[u]) for u in range(K)}
-    ok = all(
-        abs(means[a] - means[b]) <= halves[a] + halves[b]
-        for a in range(K)
-        for b in range(a + 1, K)
-    )
-    return SymmetryReport(skipped=False, user_means=means, user_ci_half=halves, passed=ok)
 
 
 def augment_with_virtual_user(aug_dims, net):

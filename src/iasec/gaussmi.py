@@ -21,7 +21,6 @@ __all__ = [
     "NumericalError",
     "MiValue",
     "SlopeEstimate",
-    "McEstimate",
     "ReceiverSpectra",
     "receiver_gains",
     "mi_from_gains",
@@ -87,8 +86,13 @@ def _squared_singular_values(blocks):
 
 
 def _log2det(s2, load=1.0):
-    """log2 det(I + load B B^H) from the squared singular values s2 of B."""
-    return float(np.sum(np.log1p(load * s2)) / np.log(2.0))
+    """log2 det(I + load B B^H) from the squared singular values s2 of B.
+
+    An array of loads gives one log-det per load, each summed as a scalar
+    load's would be.
+    """
+    bits = np.log1p(np.multiply.outer(load, s2)).sum(axis=-1) / np.log(2.0)
+    return float(bits) if np.ndim(load) == 0 else bits
 
 
 def _mi_bits(top, bot):
@@ -250,12 +254,14 @@ def expectation(draw, statistic, trials, workers=1):
     def one(t):
         return np.atleast_1d(np.asarray(statistic(draw(t)), dtype=float))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, range(trials)))
-    else:
-        rows = [one(t) for t in range(trials)]
-    data = np.stack(rows, axis=0)
+    # no thread starts until a task is submitted, so workers=1 maps serially
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        rows = pool.map(one, range(trials)) if workers > 1 else map(one, range(trials))
+        data = None
+        for t, row in enumerate(rows):
+            if data is None:  # each row lands in one preallocated table
+                data = np.empty((trials, row.size))
+            data[t] = row
     mean = data.mean(axis=0)
     std_err = data.std(axis=0, ddof=1) / np.sqrt(trials)
     half = 1.96 * std_err

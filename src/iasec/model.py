@@ -135,24 +135,6 @@ class NetworkRealization:
         """Diagonal gain vector from transmitter k to receiver i."""
         return self.links[i][k].gains
 
-    def as_dict(self):
-        """JSON-ready form (interleaved re/im gains) for result manifests."""
-
-        def enc(ch):
-            return np.stack([ch.gains.real, ch.gains.imag], axis=1).tolist()
-
-        return {
-            "K": self.dims.K,
-            "m": self.dims.m,
-            "F": self.dims.F,
-            "seed": self.seed,
-            "distribution": self.distribution,
-            "links": [[enc(ch) for ch in row] for row in self.links],
-            "eavesdropper": None
-            if self.eavesdropper is None
-            else [enc(ch) for ch in self.eavesdropper],
-        }
-
 
 def sample_network(dims, seed, with_eavesdropper=False, block_index=0):
     """Draw all K^2 links (and the eavesdropper row if requested).

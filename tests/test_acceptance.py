@@ -19,6 +19,7 @@ from iasec.alignment import (
 from iasec.cli import ExperimentConfig, main, run
 from iasec.ergodic import (
     eavesdropper_budget_check,
+    ergodic_pass,
     ergodic_rates,
     mi_inequality_audit,
 )
@@ -145,16 +146,14 @@ def test_criterion_6_ergodic_rate_prelimit():
     for m in (1, 2, 3):
         dims = derive_dims(3, m)
         target = m / (3 * (2 * m + 1))
-        curve = {}
-        for rho in GRID:
-            curve[rho] = ergodic_rates(dims, PowerConfig(rho=rho), 200, SEED)
+        pass_ = ergodic_pass(dims, [PowerConfig(rho=rho) for rho in GRID], 200, SEED)
+        curve = {rho: ergodic_rates(pass_, rho) for rho in GRID}
         slope = estimate_slope(lambda r: curve[r].R, GRID).slope
         assert abs(slope - target) / target < 0.10, (m, slope, target)
         measured[m] = slope
-        top_power = PowerConfig(rho=GRID[-1])
-        budget = eavesdropper_budget_check(dims, top_power, curve[GRID[-1]].Rx, 200, SEED)
+        budget = eavesdropper_budget_check(pass_, curve[GRID[-1]].Rx)
         assert budget.passed
-        ineq = mi_inequality_audit(dims, top_power, 200, SEED)
+        ineq = mi_inequality_audit(pass_)
         assert ineq.lemma3_violations == 0
         assert ineq.lemma4_passed
     assert measured[1] < measured[2] < measured[3] < 1 / 6

@@ -1,45 +1,50 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from iasec.alignment import build_beamformers, build_generators, numerical_rank
+from iasec import alignment, ergodic
+from iasec.alignment import build_beamformers, build_generators, numerical_rank, stream_power
+from iasec.cli import main
 from iasec.ergodic import (
+    ErgodicPass,
+    _block_permutation,
     augment_with_virtual_user,
     block_network,
     eavesdropper_budget_check,
+    ergodic_pass,
     ergodic_rates,
     mi_inequality_audit,
-    sample_schedule,
-    symmetry_audit,
 )
-from iasec.model import PowerConfig, derive_dims, sample_network
+from iasec.gaussmi import DEFAULT_RHO_GRID, mi_from_gains
+from iasec.model import _TAG_RETRY, PowerConfig, derive_dims, sample_network, sub_rng
 
 SEED = 16
 
 
+def one_pass(dims, rhos, trials, seed=SEED, workers=1):
+    return ergodic_pass(dims, [PowerConfig(rho=r) for r in rhos], trials, seed, workers=workers)
+
+
 class TestSchedule:
+    # the per-block ordering each block_network draw uses
     def test_shape_and_bijection(self):
-        sched = sample_schedule(3, 5, seed=1)
-        assert sched.permutations.shape == (5, 3)
-        for perm in sched.permutations:
-            assert sorted(perm.tolist()) == [0, 1, 2]
+        for b in range(5):
+            assert sorted(_block_permutation(3, 1, b).tolist()) == [0, 1, 2]
 
     def test_deterministic(self):
-        a = sample_schedule(3, 20, seed=2)
-        b = sample_schedule(3, 20, seed=2)
-        assert np.array_equal(a.permutations, b.permutations)
+        a = [_block_permutation(3, 2, b) for b in range(20)]
+        b = [_block_permutation(3, 2, b) for b in range(20)]
+        assert np.array_equal(a, b)
 
     def test_uniform_over_orderings(self):
         # chi-square oracle against the uniform law on the 3! orderings
-        sched = sample_schedule(3, 6000, seed=3)
-        keys = [tuple(p) for p in sched.permutations.tolist()]
+        keys = [tuple(_block_permutation(3, 3, b).tolist()) for b in range(6000)]
         counts = np.array([keys.count(p) for p in sorted(set(keys))])
         assert counts.size == 6
         assert stats.chisquare(counts).pvalue > 0.01
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            sample_schedule(3, 0, seed=1)
 
 
 class TestBlockNetwork:
@@ -48,13 +53,12 @@ class TestBlockNetwork:
         block = block_network(dims, SEED, 0, perm=[0, 1, 2], with_eavesdropper=False)
         net = sample_network(dims, SEED, block_index=0)
         aset = build_beamformers(net, build_generators(net))
+        assert block.attempts == 0
         for k in range(3):
             assert np.allclose(block.aset.matrix(k), aset.matrix(k))
 
     def test_role_rotation_frequency(self):
-        dims = derive_dims(3, 1)
-        sched = sample_schedule(3, 3000, seed=4)
-        large_role_user = sched.permutations[:, 0]
+        large_role_user = np.array([_block_permutation(3, 4, b)[0] for b in range(3000)])
         for user in range(3):
             share = np.mean(large_role_user == user)
             assert abs(share - 1 / 3) < 1 / 3 * 0.10
@@ -78,11 +82,30 @@ class TestBlockNetwork:
         with pytest.raises(ValueError):
             block_network(derive_dims(3, 1), 1, 0, perm=[0, 0, 2])
 
+    def test_failed_verification_resamples_and_is_recorded(self, monkeypatch):
+        # block 2's first draw fails verification: it is redrawn from its
+        # first retry salt, and the pass lists it as resampled
+        verify = alignment.verify_alignment
+        seeds = []
+
+        def fail_third_call(net, aset, **kwargs):
+            report = verify(net, aset, **kwargs)
+            seeds.append(net.seed)
+            if len(seeds) == 3:
+                report.residual_tol = 0.0  # no residual passes
+            return report
+
+        monkeypatch.setattr(alignment, "verify_alignment", fail_third_call)
+        pass_ = one_pass(derive_dims(3, 1), [1e8], 4)
+        salt = int(sub_rng(SEED, _TAG_RETRY, 2, 1).integers(0, 2**63))
+        assert seeds == [SEED, SEED, SEED, salt, SEED]
+        assert pass_.resampled_blocks == [2]
+
 
 class TestErgodicRates:
     def test_rate_identities(self):
         dims = derive_dims(3, 1)
-        est = ergodic_rates(dims, PowerConfig(rho=1e8), 40, SEED)
+        est = ergodic_rates(one_pass(dims, [1e8], 40), 1e8)
         K, F = dims.K, dims.F
         assert est.Rx == pytest.approx(est.eaves_mean / (K * F), rel=1e-12)
         assert est.R_raw == pytest.approx(
@@ -92,49 +115,42 @@ class TestErgodicRates:
 
     def test_needs_thirty_trials(self):
         with pytest.raises(ValueError):
-            ergodic_rates(derive_dims(3, 1), PowerConfig(rho=1e4), 10, 1)
+            ergodic_rates(one_pass(derive_dims(3, 1), [1e4], 10, seed=1), 1e4)
 
     def test_deterministic_across_workers(self):
         dims = derive_dims(3, 1)
-        a = ergodic_rates(dims, PowerConfig(rho=1e6), 30, 5, workers=1)
-        b = ergodic_rates(dims, PowerConfig(rho=1e6), 30, 5, workers=4)
+        a = ergodic_rates(one_pass(dims, [1e6], 30, seed=5, workers=1), 1e6)
+        b = ergodic_rates(one_pass(dims, [1e6], 30, seed=5, workers=4), 1e6)
         assert a.R == b.R and a.Rx == b.Rx
 
     def test_own_stream_expectation_slope(self):
         # role rotation mixes stream counts: slope (m1 + (K-1) m2) / K
-        from iasec.gaussmi import DEFAULT_RHO_GRID, estimate_slope
+        from iasec.gaussmi import estimate_slope
 
         dims = derive_dims(3, 2)
-        curve = {
-            rho: ergodic_rates(dims, PowerConfig(rho=rho), 60, SEED).own_mean
-            for rho in DEFAULT_RHO_GRID
-        }
+        pass_ = one_pass(dims, DEFAULT_RHO_GRID, 60)
+        curve = {rho: ergodic_rates(pass_, rho).own_mean for rho in DEFAULT_RHO_GRID}
         fit = estimate_slope(lambda r: curve[r], DEFAULT_RHO_GRID)
         target = (dims.streams[0] + 2 * dims.streams[1]) / 3
         assert abs(fit.slope - target) / target < 0.05
 
 
 class TestBudget:
-    def test_rule_rate_decodable_for_every_subset(self):
-        dims = derive_dims(3, 1)
-        power = PowerConfig(rho=1e8)
-        est = ergodic_rates(dims, power, 60, SEED)
-        report = eavesdropper_budget_check(dims, power, est.Rx, 60, SEED)
+    @pytest.fixture(scope="class")
+    def pass_(self):
+        return one_pass(derive_dims(3, 1), [1e8], 60)
+
+    def test_rule_rate_decodable_for_every_subset(self, pass_):
+        report = eavesdropper_budget_check(pass_, ergodic_rates(pass_, 1e8).Rx)
         assert report.passed
 
-    def test_full_set_is_tight(self):
-        dims = derive_dims(3, 1)
-        power = PowerConfig(rho=1e8)
-        est = ergodic_rates(dims, power, 60, SEED)
-        report = eavesdropper_budget_check(dims, power, est.Rx, 60, SEED)
+    def test_full_set_is_tight(self, pass_):
+        report = eavesdropper_budget_check(pass_, ergodic_rates(pass_, 1e8).Rx)
         full = [e for e in report.entries if e[0] == (0, 1, 2)][0]
         assert abs(full[4]) < 1e-9
 
-    def test_doubled_rx_fails_at_full_set(self):
-        dims = derive_dims(3, 1)
-        power = PowerConfig(rho=1e8)
-        est = ergodic_rates(dims, power, 60, SEED)
-        report = eavesdropper_budget_check(dims, power, 2 * est.Rx, 60, SEED)
+    def test_doubled_rx_fails_at_full_set(self, pass_):
+        report = eavesdropper_budget_check(pass_, 2 * ergodic_rates(pass_, 1e8).Rx)
         assert not report.passed
         full = [e for e in report.entries if e[0] == (0, 1, 2)][0]
         assert full[4] < 0
@@ -142,32 +158,119 @@ class TestBudget:
 
 class TestInequalityAudit:
     def test_all_lemmas_hold(self):
-        dims = derive_dims(3, 1)
-        report = mi_inequality_audit(dims, PowerConfig(rho=1e8), 150, SEED)
+        report = mi_inequality_audit(one_pass(derive_dims(3, 1), [1e8], 150))
         assert report.lemma3_violations == 0
         assert report.lemma4_passed
         assert report.symmetry_passed
         assert report.passed
 
     def test_enumeration_guard(self):
+        # the guard reads only the dimensions, so no K=5 (F=2049) block is built
+        five = ErgodicPass(
+            dims=derive_dims(5, 1), powers=(PowerConfig(rho=1e4),), estimate=None,
+            resampled_blocks=[],
+        )
         with pytest.raises(ValueError):
-            mi_inequality_audit(derive_dims(5, 1), PowerConfig(rho=1e4), 30, 1)
+            mi_inequality_audit(five)
 
 
 class TestSymmetryAudit:
-    def test_skipped_without_randomization(self):
-        report = symmetry_audit(derive_dims(3, 1), PowerConfig(rho=1e4), 100, 1,
-                                randomize_roles=False)
-        assert report.skipped and report.passed
-
     def test_user_means_agree(self):
-        report = symmetry_audit(derive_dims(3, 1), PowerConfig(rho=1e6), 300, SEED)
-        assert not report.skipped
-        assert report.passed
+        report = mi_inequality_audit(one_pass(derive_dims(3, 1), [1e6], 300))
+        unconditioned = report.symmetry_entries[0]
+        assert unconditioned[0] == () and sorted(unconditioned[1]) == [0, 1, 2]
+        assert report.symmetry_passed
 
     def test_trials_floor(self):
         with pytest.raises(ValueError):
-            symmetry_audit(derive_dims(3, 1), PowerConfig(rho=1e4), 50, 1)
+            mi_inequality_audit(one_pass(derive_dims(3, 1), [1e4], 29, seed=1))
+
+
+def _close(have, want):
+    """rel 1e-12, or abs 1e-9 where the value is a numerical zero."""
+    return math.isclose(have, want, rel_tol=1e-12, abs_tol=1e-9 if abs(want) < 1e-6 else 0.0)
+
+
+def _reference_rows(dims, powers, trials):
+    """Per-block statistics recomputed with mi_from_gains on the same blocks.
+
+    Returns per-power (own, eav, eav_up, R) rows, budget right-hand sides,
+    Lemma 4 differences and the Lemma 3 violation count, all at the last power
+    for the last three.
+    """
+    K, F = dims.K, dims.F
+    subsets = ergodic._user_subsets(K)
+    pairs, strict, _ = ergodic._audit_sets(K)
+    rates, budget, lemma4, lemma3 = [], [], [], 0
+    for t in range(trials):
+        block = block_network(dims, SEED, t)
+        eg = block.eaves_gains()
+        row = []
+        for power in powers:
+            p = stream_power(block.aset, power)
+            own = np.mean([mi_from_gains(block.own_gains(r), p, {r}).bits for r in range(K)])
+            eav = mi_from_gains(eg, p, range(K)).bits
+            p_up = np.array([dims.streams[r] * p[r] for r in range(K)])
+            eav_up = mi_from_gains(eg, p_up, range(K)).bits
+            row.append([own, eav, eav_up, (K * own - eav_up) / (K * F)])
+        rates.append(row)
+
+        p = stream_power(block.aset, powers[-1])
+        role_of = block.perm.tolist().index
+
+        def mi(sig, cond=()):
+            roles = [role_of(u) for u in sig]
+            return mi_from_gains(eg, p, roles, conditioned=[role_of(u) for u in cond]).bits
+
+        budget.append([mi(s, [u for u in range(K) if u not in s]) / F for s in subsets])
+        diffs = []
+        for sub in strict:
+            rest = tuple(u for u in range(K) if u not in sub)
+            diffs.append(mi(rest) / len(rest) - mi(sub, rest) / len(sub))
+        lemma4.append(diffs)
+        for m_set, l_set in pairs:
+            plain = mi(m_set)
+            lemma3 += plain > mi(m_set, l_set) + 1e-9 * max(1.0, plain)
+    return (np.mean(rates, axis=0), np.mean(budget, axis=0), np.mean(lemma4, axis=0), lemma3)
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("K, m", [(3, 2), (4, 1)])
+    def test_columns_match_per_block_recomputation(self, K, m):
+        dims = derive_dims(K, m)
+        powers = [PowerConfig(rho=r) for r in DEFAULT_RHO_GRID]
+        pass_ = ergodic_pass(dims, powers, 30, SEED)
+        rates, budget, lemma4, lemma3 = _reference_rows(dims, powers, 30)
+        for g, rho in enumerate(DEFAULT_RHO_GRID):
+            est = ergodic_rates(pass_, rho)
+            have = [est.own_mean, est.eaves_mean, est.eaves_upper_mean, est.R_raw]
+            for h, w in zip(have, rates[g]):
+                assert _close(h, w), (rho, h, w)
+        report = eavesdropper_budget_check(pass_, ergodic_rates(pass_, DEFAULT_RHO_GRID[-1]).Rx)
+        for entry, want in zip(report.entries, budget, strict=True):
+            assert _close(entry[2], want), (entry, want)
+        audit = mi_inequality_audit(pass_)
+        for entry, want in zip(audit.lemma4_entries, lemma4, strict=True):
+            assert _close(entry[1], want), (entry, want)
+        assert audit.lemma3_violations == lemma3
+
+    def test_each_block_built_once(self, monkeypatch, tmp_path):
+        calls = []
+        build = ergodic.block_network
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(ergodic, "block_network", counted)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "external-ergodic", "K": 3, "m": 1}))
+        base = ["--config", str(cfg), "--seed", str(SEED), "--trials", "40"]
+        assert main(base + ["--out", str(tmp_path / "e"), "ergodic"]) in (0, 1)
+        assert len(calls) == 40
+        calls.clear()
+        assert main(base + ["--out", str(tmp_path / "a"), "audit"]) in (0, 1)
+        assert len(calls) == 40
 
 
 class TestAugmentation:

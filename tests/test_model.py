@@ -112,17 +112,6 @@ class TestSampling:
         assert all(gains_equal(a, b) for a, b in zip(b0, b0_again))
         assert not gains_equal(b0[0], b1[0])
 
-    def test_realization_serializes_to_json(self):
-        import json
-
-        dims = derive_dims(3, 1)
-        net = sample_network(dims, 7, with_eavesdropper=True)
-        blob = json.dumps(net.as_dict())
-        back = json.loads(blob)
-        assert back["K"] == 3 and back["seed"] == 7
-        g = np.array(back["links"][1][2])
-        assert np.allclose(g[:, 0] + 1j * g[:, 1], net.links[1][2].gains)
-
 
 class TestSeedSplitting:
     def test_rejects_out_of_range_seed(self):
