@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import sample_network, sub_rng
+from .model import sample_gains, sub_rng
 
 __all__ = [
     "AlignmentError",
@@ -40,6 +40,11 @@ RESIDUAL_TOL = 1e-8
 
 _TAG_AUDIT = 11
 
+# The stacked arrays of one chunk of full-rank-audit redraws stay near this
+# size. On a 2-core x86-64 host with OpenBLAS, chunks of 1 MiB ran no faster
+# at K=3 or 4 and raised the audit's peak resident memory by about 2 MiB.
+_AUDIT_CHUNK_BYTES = 1 << 18
+
 
 class AlignmentError(RuntimeError):
     """Raised when construction or verification of the beamformers fails."""
@@ -49,7 +54,7 @@ class AlignmentError(RuntimeError):
 class GeneratorSet:
     """The M commuting diagonal generators, stored as diagonal vectors."""
 
-    generators: list  # M vectors of length F
+    generators: np.ndarray  # M x F: one diagonal per row
     anchor: tuple  # ordered user pair whose ratio matrix normalizes the rest
     anchor_ratio: np.ndarray  # diagonal of the anchor ratio matrix
     seed_vector: np.ndarray  # row-equilibrated start vector (entrywise nonzero)
@@ -97,44 +102,69 @@ def build_generators(net):
     rank collapse as m and the generator count grow.
     """
     dims = net.dims
-    K = dims.K
-    pairs = [(i, j) for i in range(1, K) for j in range(1, K) if i != j]
-    ratios = {}
-    for i, j in pairs:
-        denom = net.gain(i, 0) * net.gain(0, j)
-        _require_nonzero(denom, f"inverting links around pair ({i},{j})")
-        ratios[(i, j)] = net.gain(i, j) / denom
-    anchor = (1, 2)
-    s0 = ratios[anchor]
-    _require_nonzero(s0, "inverting the anchor ratio")
-    generators = [ratios[p] / s0 for p in pairs if p != anchor]
-    assert len(generators) == dims.M
-    log_rows = np.zeros(dims.F)
-    for r in generators:
-        log_rows += np.log(np.abs(r))
-    w = np.exp(-0.5 * dims.m * log_rows).astype(complex)
-    return GeneratorSet(
-        generators=generators,
-        anchor=anchor,
-        anchor_ratio=s0,
-        seed_vector=w,
-    )
+    gains = np.array([[ch.gains for ch in row] for row in net.links])
+    gens, s0, w, zero = _generators(gains, dims.m)
+    if zero:
+        raise AlignmentError("zero diagonal entry while inverting the channel ratios")
+    assert len(gens) == dims.M
+    return GeneratorSet(generators=gens, anchor=(1, 2), anchor_ratio=s0, seed_vector=w)
 
 
-def _require_nonzero(diag, context):
-    if np.any(np.abs(diag) < 1e-300):
-        raise AlignmentError(f"zero diagonal entry while {context}")
+def _generators(gains, m):
+    """Generators, anchor ratio and start vector over any leading batch axes.
+
+    `gains[..., i, k, :]` is the diagonal from transmitter k to receiver i.
+    Returns gens[..., M, F], the anchor ratio and the start vector (each
+    [..., F]), and a mask [...] of the networks that divide by a zero
+    diagonal entry; their other outputs are meaningless.
+    """
+    K = gains.shape[-3]
+    rows, cols = np.array([(i, j) for i in range(1, K) for j in range(1, K) if i != j]).T
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        denom = gains[..., rows, 0, :] * gains[..., 0, cols, :]
+        ratios = gains[..., rows, cols, :] / denom
+        s0 = ratios[..., 0, :]  # the anchor pair (1, 2) comes first
+        gens = ratios[..., 1:, :] / s0[..., None, :]
+        log_rows = np.zeros(s0.shape)
+        for l in range(gens.shape[-2]):
+            log_rows += np.log(np.abs(gens[..., l, :]))
+        w = np.exp(-0.5 * m * log_rows).astype(complex)
+    zero = _has_zero(denom).any(axis=-1) | _has_zero(s0)
+    return gens, s0, w, zero
 
 
-def _power_columns(gens, exponent_ranges, w):
-    cols = []
-    for alpha in itertools.product(*exponent_ranges):
-        c = w.copy()
-        for r, a in zip(gens, alpha):
+def _has_zero(diag):
+    return (np.abs(diag) < 1e-300).any(axis=-1)
+
+
+def _beams(rx0, gens, s0, w, m):
+    """Unit-column beamformers [V_0, ..., V_{K-1}], each [..., F, m_k].
+
+    Works over the leading batch axes of its inputs: `rx0[..., k, :]` is the
+    diagonal from transmitter k to receiver 0, and gens[..., M, F], s0 and w
+    come from `_generators`. V_0 holds w times every power product of the
+    generators with exponents in 0..m, in `itertools.product` order; the
+    shared block is its columns with every exponent below m. Also returns
+    the mask of networks whose shared-block rotation divides by a zero
+    diagonal entry.
+    """
+    M = gens.shape[-2]
+    powers = [[None] + [gens[..., l, :] ** a for a in range(1, m + 1)] for l in range(M)]
+    cols, shared = [], []
+    for alpha in itertools.product(range(m + 1), repeat=M):
+        c = w
+        for pw, a in zip(powers, alpha):
             if a:
-                c = c * r**a
+                c = c * pw[a]
         cols.append(c)
-    return np.stack(cols, axis=1)
+        if max(alpha) < m:
+            shared.append(c)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rot = rx0[..., 1:, :] * s0[..., None, :]
+        rotated = np.stack(shared, axis=-1)[..., None, :, :] / rot[..., None]
+        beams = [np.stack(cols, axis=-1)] + [rotated[..., j, :, :] for j in range(rot.shape[-2])]
+        beams = [b / np.linalg.norm(b, axis=-2, keepdims=True) for b in beams]
+    return beams, _has_zero(rot).any(axis=-1)
 
 
 def build_beamformers(net, gens, verify=True, residual_tol=RESIDUAL_TOL):
@@ -147,20 +177,13 @@ def build_beamformers(net, gens, verify=True, residual_tol=RESIDUAL_TOL):
     keeping the dynamic range bounded as m grows.
     """
     dims = net.dims
-    K, m = dims.K, dims.m
-    M = dims.M
-    w = gens.seed_vector
-    beams = [None] * K
-    beams[0] = _power_columns(gens.generators, [range(m + 1)] * M, w)
-    shared = _power_columns(gens.generators, [range(m)] * M, w)
-    for j in range(1, K):
-        denom = net.gain(0, j) * gens.anchor_ratio
-        _require_nonzero(denom, f"rotating the shared block for user {j}")
-        beams[j] = shared / denom[:, None]
-    normalizers = np.empty(K)
+    rx0 = np.array([net.gain(0, k) for k in range(dims.K)])
+    mats, zero = _beams(rx0, gens.generators, gens.anchor_ratio, gens.seed_vector, dims.m)
+    if zero:
+        raise AlignmentError("zero diagonal entry while rotating the shared block")
+    normalizers = np.empty(dims.K)
     bf = []
-    for k in range(K):
-        mat = beams[k] / np.linalg.norm(beams[k], axis=0, keepdims=True)
+    for k, mat in enumerate(mats):
         if mat.shape[1] != dims.streams[k]:
             raise AlignmentError(f"user {k}: got {mat.shape[1]} columns, want {dims.streams[k]}")
         bf.append(Beamformer(user=k, matrix=mat))
@@ -201,9 +224,15 @@ def numerical_rank(mat, factor=RANK_TOL_FACTOR):
     """Rank by SVD with the documented tolerance rule."""
     if mat.size == 0:
         return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    tol = max(mat.shape) * s[0] * factor
-    return int(np.count_nonzero(s > tol))
+    return int(_rank(np.linalg.svd(mat, compute_uv=False), mat.shape, factor))
+
+
+def _rank(s, shape, factor):
+    """Ranks from stacked singular values s[..., :] of matrices of `shape`[-2:].
+
+    The rule: singular values above max(shape) * sigma_max * factor count.
+    """
+    return np.count_nonzero(s > max(shape[-2:]) * s[..., :1] * factor, axis=-1)
 
 
 def _containment_residual(cols, basis):
@@ -344,32 +373,53 @@ class FullRankAudit:
         return self.failures == 0
 
 
-def check_full_rank(net, aset, trials, seed, rank_tol_factor=RANK_TOL_FACTOR):
+def check_full_rank(dims, trials, seed, rank_tol_factor=RANK_TOL_FACTOR):
     """Re-draw the channel `trials` times and count any rank deficiency.
 
     Full rank of every effective gain matrix holds with probability one for
     continuous fading, so the expected failure count is zero; a nonzero count
-    points at a degenerate draw or a numerically collapsed basis.
+    points at a degenerate draw or a numerically collapsed basis. Redraw t is
+    the network `sample_network` draws at a seed taken from (seed, t); a
+    redraw fails when any of its K^2 products H_ik V_k falls below rank m_k
+    under `numerical_rank`'s rule, or when its construction would raise
+    AlignmentError. Redraws are sampled, built and tested a chunk at a time,
+    with one stacked singular-value call per (i, k) and chunk.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    dims = net.dims
+    seeds = [sub_rng(seed, _TAG_AUDIT, t).integers(0, 2**63) for t in range(trials)]
+    # bytes per redraw of the chunk's gains, bases and largest effective-channel stack
+    per_redraw = 16 * dims.F * (dims.K**2 + sum(dims.streams) + dims.streams[0])
+    chunk = max(1, _AUDIT_CHUNK_BYTES // per_redraw)
     failing = []
-    for t in range(trials):
-        trial_seed = sub_rng(seed, _TAG_AUDIT, t).integers(0, 2**63)
-        fresh = sample_network(dims, trial_seed)
-        try:
-            fresh_set = build_beamformers(fresh, build_generators(fresh), verify=False)
-            if rank_failures(fresh, fresh_set, rank_tol_factor):
-                failing.append(t)
-        except AlignmentError:
-            failing.append(t)
+    for start in range(0, trials, chunk):
+        gains = sample_gains(dims, seeds[start : start + chunk])
+        failed = _rank_deficient(gains, dims.m, rank_tol_factor)
+        failing += (start + np.flatnonzero(failed)).tolist()
     return FullRankAudit(
         trials=trials,
         failures=len(failing),
         failing_trials=failing,
         rank_tol_factor=rank_tol_factor,
     )
+
+
+def _rank_deficient(gains, m, rank_tol_factor):
+    """Per network of gains[T, K, K, F]: is its construction or any H_ik V_k rank short?"""
+    gens, s0, w, zero = _generators(gains, m)
+    beams, zero_rot = _beams(gains[:, 0], gens, s0, w, m)
+    failed = zero | zero_rot
+    built = ~failed
+    if not built.all():
+        gains, beams = gains[built], [b[built] for b in beams]
+    short = np.zeros(len(gains), dtype=bool)
+    for i in range(gains.shape[1]):
+        for k, v in enumerate(beams):
+            eff = gains[:, i, k, :, None] * v
+            s = np.linalg.svd(eff, compute_uv=False)
+            short |= _rank(s, eff.shape, rank_tol_factor) != v.shape[-1]
+    failed[built] = short
+    return failed
 
 
 def stream_power(aset, power):

@@ -477,7 +477,7 @@ def _alignment_audit(cfg, dims, trials):
     net = sample_network(dims, cfg.seed)
     aset = build_beamformers(net, build_generators(net), verify=False)
     report = verify_alignment(net, aset, residual_tol=cfg.tol)
-    return report, check_full_rank(net, aset, trials, cfg.seed)
+    return report, check_full_rank(dims, trials, cfg.seed)
 
 
 def audit(cfg):
@@ -497,15 +497,19 @@ def audit(cfg):
             checks[f"{tag}_lemma2"] = rank_audit.passed
             for name, ok in oracle_checks.items():
                 checks[f"{tag}_{name}"] = ok
+            # the Monte Carlo audit runs at K <= 4 only, on at most 100 blocks
+            # whatever `trials` says
+            mc_trials = max(30, min(trials, 100)) if K <= 4 else 0
             detail = {
                 "alignment": report.as_dict(),
+                "lemma2_trials": rank_audit.trials,
                 "lemma2_failures": rank_audit.failures,
                 "lemma2_failing_trials": rank_audit.failing_trials,
+                "mc_trials": mc_trials,
                 **oracle_detail,
             }
             if K <= 4:
                 power = PowerConfig(rho=cfg.rho_grid[-1], epsilon_margin=cfg.epsilon_margin)
-                mc_trials = max(30, min(trials, 100))
                 pass_ = ergodic_pass(dims, [power], mc_trials, cfg.seed, workers=cfg.workers)
                 budget = eavesdropper_budget_check(pass_, ergodic_rates(pass_, power.rho).Rx)
                 ineq = mi_inequality_audit(pass_)

@@ -15,6 +15,7 @@ __all__ = [
     "NetworkRealization",
     "PowerConfig",
     "derive_dims",
+    "sample_gains",
     "sample_network",
     "sample_eavesdropper_block",
     "sub_rng",
@@ -31,6 +32,7 @@ _TAG_RETRY = 5
 MIN_GAIN_MAGNITUDE = 1e-12
 
 _U64 = 2**64
+_U32_MASK = 2**32 - 1
 
 
 def sub_rng(master_seed, *path):
@@ -38,12 +40,25 @@ def sub_rng(master_seed, *path):
 
     The split is counter-based via ``SeedSequence`` so that sampling order
     does not matter: any (link, block) stream can be drawn in isolation.
+    The entropy is handed over as the uint32 words numpy itself would make
+    of the list ``[master_seed, *path]`` (each value split little-endian
+    into 32-bit words, zero as one word), which skips its per-element
+    coercion and leaves every stream unchanged.
     """
     if not 0 <= int(master_seed) < _U64:
         raise ValueError(f"seed must be a u64, got {master_seed}")
-    return np.random.default_rng(
-        np.random.SeedSequence([int(master_seed), *[int(p) for p in path]])
-    )
+    words = []
+    for value in (master_seed, *path):
+        value = int(value)
+        if value < 0:
+            raise ValueError(f"seed path elements must be non-negative, got {value}")
+        words.append(value & _U32_MASK)
+        value >>= 32
+        while value:
+            words.append(value & _U32_MASK)
+            value >>= 32
+    entropy = np.fromiter(words, dtype=np.uint32, count=len(words))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 @dataclass(frozen=True)
@@ -105,12 +120,35 @@ class DiagonalChannel:
 
 def _sample_gains(rng, F):
     """i.i.d. CN(0,1) gains with near-zero magnitudes rejected."""
-    g = (rng.standard_normal(F) + 1j * rng.standard_normal(F)) / np.sqrt(2.0)
+    z = rng.standard_normal(2 * F)
+    g = (z[:F] + 1j * z[F:]) / np.sqrt(2.0)
     bad = np.abs(g) < MIN_GAIN_MAGNITUDE
     while np.any(bad):
         n = int(bad.sum())
         g[bad] = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
         bad = np.abs(g) < MIN_GAIN_MAGNITUDE
+    return g
+
+
+def sample_gains(dims, seeds, block_index=0):
+    """Link gains of one network per seed, as a (len(seeds), K, K, F) array.
+
+    Entry [t, i, k] is the diagonal from transmitter k to receiver i of the
+    network `sample_network(dims, seeds[t], block_index=block_index)` draws:
+    each link reads its own (seed, link, block) stream. The first draw of
+    every stream is made in place and scaled in one pass; a stream with a
+    near-zero gain is drawn again from its start through `_sample_gains`, so
+    its rejection loop is the per-stream one.
+    """
+    K, F = dims.K, dims.F
+    z = np.empty((len(seeds), K, K, 2 * F))
+    for t, seed in enumerate(seeds):
+        for i in range(K):
+            for k in range(K):
+                sub_rng(seed, _TAG_LINK, i, k, block_index).standard_normal(out=z[t, i, k])
+    g = (z[..., :F] + 1j * z[..., F:]) / np.sqrt(2.0)
+    for t, i, k in zip(*np.nonzero((np.abs(g) < MIN_GAIN_MAGNITUDE).any(axis=-1))):
+        g[t, i, k] = _sample_gains(sub_rng(seeds[t], _TAG_LINK, i, k, block_index), F)
     return g
 
 
@@ -142,14 +180,8 @@ def sample_network(dims, seed, with_eavesdropper=False, block_index=0):
     Each link gets its own counter-derived substream, so the realization is a
     pure function of (dims, seed, block_index) regardless of evaluation order.
     """
-    K, F = dims.K, dims.F
-    links = [
-        [
-            DiagonalChannel(_sample_gains(sub_rng(seed, _TAG_LINK, i, k, block_index), F))
-            for k in range(K)
-        ]
-        for i in range(K)
-    ]
+    gains = sample_gains(dims, [seed], block_index)[0]
+    links = [[DiagonalChannel(gains[i, k]) for k in range(dims.K)] for i in range(dims.K)]
     eaves = None
     if with_eavesdropper:
         eaves = sample_eavesdropper_block(dims, seed, block_index)

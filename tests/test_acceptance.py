@@ -73,8 +73,7 @@ def test_criterion_1_alignment_exactness():
 
 def test_criterion_2_full_rank_audit():
     for m in (1, 2):
-        net, aset = aligned(3, m, seed=1)
-        audit = check_full_rank(net, aset, trials=1000, seed=777)
+        audit = check_full_rank(derive_dims(3, m), trials=1000, seed=777)
         assert audit.failures == 0, audit.failing_trials
     print("PASS criterion 2: 1000-trial full-rank audit, zero failures at m=1,2")
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from iasec import alignment, model
 from iasec.alignment import (
     AlignmentError,
     AlignmentSet,
@@ -13,7 +14,7 @@ from iasec.alignment import (
     stream_power,
     verify_alignment,
 )
-from iasec.model import DiagonalChannel, PowerConfig, derive_dims, sample_network
+from iasec.model import DiagonalChannel, PowerConfig, derive_dims, sample_network, sub_rng
 
 
 def svd_rank(mat, tol_factor=1e-10):
@@ -52,6 +53,12 @@ class TestGenerators:
         for a in gens.generators:
             for b in gens.generators:
                 assert np.allclose(a * b, b * a, rtol=1e-12)
+
+    def test_zero_divisor_raises(self):
+        net = sample_network(derive_dims(3, 1), 0)
+        net.links[1][0] = DiagonalChannel(np.zeros(3))
+        with pytest.raises(AlignmentError):
+            build_generators(net)
 
     def test_no_zero_entries(self):
         net = sample_network(derive_dims(4, 1), 2)
@@ -139,8 +146,7 @@ class TestVerifyAlignment:
 
 class TestFullRank:
     def test_clean_draws_have_no_failures(self):
-        net, aset = aligned_instance(3, 1, seed=11)
-        audit = check_full_rank(net, aset, trials=50, seed=123)
+        audit = check_full_rank(derive_dims(3, 1), trials=50, seed=123)
         assert audit.passed and audit.failures == 0
 
     def test_zeroed_gains_detected(self):
@@ -151,6 +157,84 @@ class TestFullRank:
         net.links[1][0] = DiagonalChannel(gains)
         bad = rank_failures(net, aset)
         assert (1, 0) in bad
+
+
+    @staticmethod
+    def per_redraw_failing_trials(dims, trials, seed):
+        # reference: one network, one build and K^2 rank tests per redraw
+        failing = []
+        for t in range(trials):
+            net = sample_network(dims, sub_rng(seed, alignment._TAG_AUDIT, t).integers(0, 2**63))
+            try:
+                aset = build_beamformers(net, build_generators(net), verify=False)
+            except AlignmentError:
+                failing.append(t)
+                continue
+            if rank_failures(net, aset):
+                failing.append(t)
+        return failing
+
+    @pytest.mark.parametrize(
+        "K,m,trials,chunk_bytes,deficient,broken",
+        [
+            (3, 1, 200, None, 57, 140),
+            (3, 2, 200, None, 3, 199),
+            (4, 1, 200, None, 120, 45),
+            (3, 1, 200, 5000, 0, 101),  # chunks of 6 redraws, the last holds 2
+            (4, 1, 1, None, 0, None),
+        ],
+    )
+    def test_stacked_audit_matches_per_redraw_loop(
+        self, monkeypatch, K, m, trials, chunk_bytes, deficient, broken
+    ):
+        dims = derive_dims(K, m)
+        seed = 31
+        if chunk_bytes is not None:
+            monkeypatch.setattr(alignment, "_AUDIT_CHUNK_BYTES", chunk_bytes)
+        draw_seed = {
+            int(sub_rng(seed, alignment._TAG_AUDIT, t).integers(0, 2**63)): t
+            for t in (deficient, broken)
+            if t is not None
+        }
+        sample = model.sample_gains
+
+        def patched(dims, seeds, block_index=0):
+            # near-zero slots of the cross link (1, 0) leave H_10 V_0 rank
+            # short without tripping a divisor check; an exact zero there
+            # divides by zero while the generators are formed
+            gains = sample(dims, seeds, block_index)
+            for row, s in enumerate(seeds):
+                if draw_seed.get(int(s)) == deficient:
+                    gains[row, 1, 0, : dims.streams[1] + 1] = 1e-30
+                elif draw_seed.get(int(s)) == broken:
+                    gains[row, 1, 0, 0] = 0.0
+            return gains
+
+        monkeypatch.setattr(model, "sample_gains", patched)
+        monkeypatch.setattr(alignment, "sample_gains", patched)
+        audit = check_full_rank(dims, trials=trials, seed=seed)
+        reference = self.per_redraw_failing_trials(dims, trials, seed)
+        assert audit.failing_trials == reference
+        assert audit.failures == len(reference) and audit.trials == trials
+        assert deficient in reference
+        assert broken is None or broken in reference
+
+
+    def test_one_singular_value_call_per_link_and_chunk(self, monkeypatch):
+        # one chunk holds all 200 redraws, so the K^2 rank tests of every
+        # redraw take K^2 stacked calls in all
+        monkeypatch.setattr(alignment, "_AUDIT_CHUNK_BYTES", 1 << 30)
+        svd = np.linalg.svd
+        shapes = []
+
+        def counted(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        check_full_rank(derive_dims(4, 1), trials=200, seed=5)
+        assert len(shapes) == 16
+        assert sorted(shapes) == sorted([(200, 33, 32)] * 4 + [(200, 33, 1)] * 12)
 
 
 class TestStreamPower:

@@ -293,3 +293,8 @@ class TestMainEntry:
         p.write_text(json.dumps(cfg))
         code = main(["--config", str(p), "--out", str(tmp_path / "o"), "audit"])
         assert code == 0
+        details = json.loads((tmp_path / "o" / "manifest.json").read_text())["audit_details"]
+        for tag in ("K3_m1", "K3_m2"):
+            # every redraw is rank-audited; the Monte Carlo runs its 30-block floor
+            assert details[tag]["lemma2_trials"] == 20
+            assert details[tag]["mc_trials"] == 30

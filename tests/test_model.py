@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from iasec import model
 from iasec.model import (
+    _TAG_LINK,
     PowerConfig,
+    _sample_gains,
     derive_dims,
     sample_eavesdropper_block,
+    sample_gains,
     sample_network,
     sub_rng,
 )
@@ -104,6 +108,36 @@ class TestSampling:
         row = sample_eavesdropper_block(dims, 7, 0)
         assert all(gains_equal(a, b) for a, b in zip(net.eavesdropper, row))
 
+    def test_gains_are_two_draws_per_link_stream(self):
+        # the law at the seed: real then imaginary parts, F normals each,
+        # from the (seed, link, i, k, block) SeedSequence stream
+        dims = derive_dims(3, 2)
+        seeds = [0, 5, 2**63 - 1]
+        got = sample_gains(dims, seeds, block_index=4)
+        assert got.shape == (3, 3, 3, 5)
+        for t, seed in enumerate(seeds):
+            for i in range(3):
+                for k in range(3):
+                    rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_LINK, i, k, 4]))
+                    want = (rng.standard_normal(5) + 1j * rng.standard_normal(5)) / np.sqrt(2.0)
+                    assert np.array_equal(got[t, i, k], want)
+            net = sample_network(dims, seed, block_index=4)
+            for i in range(3):
+                assert all(np.array_equal(net.gain(i, k), got[t, i, k]) for k in range(3))
+
+    def test_rejected_gains_follow_the_per_stream_loop(self, monkeypatch):
+        # a threshold that rejects about 40% of first draws sends many links
+        # through the redraw-from-start path
+        monkeypatch.setattr(model, "MIN_GAIN_MAGNITUDE", 0.7)
+        dims = derive_dims(3, 1)
+        got = sample_gains(dims, [8, 9])
+        for t, seed in enumerate([8, 9]):
+            for i in range(3):
+                for k in range(3):
+                    want = _sample_gains(sub_rng(seed, _TAG_LINK, i, k, 0), dims.F)
+                    assert np.array_equal(got[t, i, k], want)
+        assert np.all(np.abs(got) >= 0.7)
+
     def test_eavesdropper_blocks_independent_and_deterministic(self):
         dims = derive_dims(3, 1)
         b0 = sample_eavesdropper_block(dims, 11, 0)
@@ -119,6 +153,23 @@ class TestSeedSplitting:
             sub_rng(-1)
         with pytest.raises(ValueError):
             sub_rng(2**64)
+        with pytest.raises(ValueError):
+            sub_rng(3, 1, -1)
+        with pytest.raises(ValueError):
+            sub_rng(3, np.int64(-2))
+
+    def test_stream_is_the_seed_sequence_of_the_list(self):
+        # sub_rng hands SeedSequence the uint32 words of [seed, *path]; the
+        # generator must be the one numpy builds from the list itself
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+        paths = [(), (0,), (1, 0, 2, 0), (2**32,), (2**40 + 3, 0), (2**64 + 5,),
+                 (np.int64(7), np.int64(2**33)), (np.uint64(2**64 - 1), 0)]
+        for seed in seeds:
+            for path in paths:
+                want = np.random.default_rng(np.random.SeedSequence([seed, *path]))
+                got = sub_rng(seed, *path)
+                assert got.bit_generator.state == want.bit_generator.state, (seed, path)
+                assert np.array_equal(got.standard_normal(6), want.standard_normal(6))
 
     def test_path_sensitivity(self):
         a = sub_rng(3, 1, 2).standard_normal(4)
