@@ -9,7 +9,6 @@ the ergodic external-eavesdropper machinery, all under deterministic seeding.
 __version__ = "0.1.0"
 
 from .model import (
-    DiagonalChannel,
     NetworkRealization,
     PowerConfig,
     SystemDims,
@@ -21,7 +20,6 @@ from .model import (
 from .alignment import (
     AlignmentError,
     AlignmentSet,
-    Beamformer,
     GeneratorSet,
     build_beamformers,
     build_generators,

@@ -1,11 +1,17 @@
 """Symbol-extension interference-alignment beamformers and their verification.
 
-The construction works on diagonal F x F channels. Ratio matrices taken
-around user 0 commute (all diagonal), and power products of the normalized
-generators applied to a fixed start vector give user 0 a basis of (m+1)^M
-columns while every other user reuses a shifted m^M-column block. That makes
-all interference at each receiver collapse into an F - m_i dimensional
-subspace, leaving the intended streams linearly independent of it.
+The construction works on diagonal F x F channels, read from a network's
+(K, K, F) gain array. Ratio matrices taken around user 0 commute (all
+diagonal), and power products of the normalized generators applied to a
+fixed start vector give user 0 a basis of (m+1)^M columns while every other
+user reuses a shifted m^M-column block. That makes all interference at each
+receiver collapse into an F - m_i dimensional subspace, leaving the intended
+streams linearly independent of it.
+
+The result is one F x m_k beam matrix V_k per user, held by an
+`AlignmentSet`; its `apply` turns a row of diagonals H_k (a receiver's row
+of the gain array, or the eavesdropper row) into the effective gains
+H_k V_k that verification and every mutual information read.
 """
 
 import itertools
@@ -18,7 +24,6 @@ from .model import sample_gains, sub_rng
 __all__ = [
     "AlignmentError",
     "GeneratorSet",
-    "Beamformer",
     "AlignmentSet",
     "AlignmentReport",
     "FullRankAudit",
@@ -55,8 +60,7 @@ class GeneratorSet:
     """The M commuting diagonal generators, stored as diagonal vectors."""
 
     generators: np.ndarray  # M x F: one diagonal per row
-    anchor: tuple  # ordered user pair whose ratio matrix normalizes the rest
-    anchor_ratio: np.ndarray  # diagonal of the anchor ratio matrix
+    anchor_ratio: np.ndarray  # diagonal of the ratio matrix of the anchor pair (1, 2)
     seed_vector: np.ndarray  # row-equilibrated start vector (entrywise nonzero)
 
     @property
@@ -65,27 +69,16 @@ class GeneratorSet:
 
 
 @dataclass
-class Beamformer:
-    """F x m_k precoding matrix for one user."""
-
-    user: int
-    matrix: np.ndarray
-
-    @property
-    def n_streams(self):
-        return self.matrix.shape[1]
-
-
-@dataclass
 class AlignmentSet:
-    """Beamformers for every user plus their power normalizers c_k = tr(V V^H)/F."""
+    """Beams V_k (F x m_k, one per user) plus their power normalizers c_k = tr(V V^H)/F."""
 
     dims: object
-    beamformers: list
+    beams: list
     power_normalizers: np.ndarray
 
-    def matrix(self, k):
-        return self.beamformers[k].matrix
+    def apply(self, row):
+        """Effective gains [H_k V_k for every k], where row[k] is the diagonal of H_k."""
+        return [g[:, None] * v for g, v in zip(row, self.beams)]
 
 
 def build_generators(net):
@@ -102,12 +95,11 @@ def build_generators(net):
     rank collapse as m and the generator count grow.
     """
     dims = net.dims
-    gains = np.array([[ch.gains for ch in row] for row in net.links])
-    gens, s0, w, zero = _generators(gains, dims.m)
+    gens, s0, w, zero = _generators(net.gains, dims.m)
     if zero:
         raise AlignmentError("zero diagonal entry while inverting the channel ratios")
     assert len(gens) == dims.M
-    return GeneratorSet(generators=gens, anchor=(1, 2), anchor_ratio=s0, seed_vector=w)
+    return GeneratorSet(generators=gens, anchor_ratio=s0, seed_vector=w)
 
 
 def _generators(gains, m):
@@ -177,18 +169,17 @@ def build_beamformers(net, gens, verify=True, residual_tol=RESIDUAL_TOL):
     keeping the dynamic range bounded as m grows.
     """
     dims = net.dims
-    rx0 = np.array([net.gain(0, k) for k in range(dims.K)])
-    mats, zero = _beams(rx0, gens.generators, gens.anchor_ratio, gens.seed_vector, dims.m)
+    beams, zero = _beams(
+        net.gains[0], gens.generators, gens.anchor_ratio, gens.seed_vector, dims.m
+    )
     if zero:
         raise AlignmentError("zero diagonal entry while rotating the shared block")
     normalizers = np.empty(dims.K)
-    bf = []
-    for k, mat in enumerate(mats):
-        if mat.shape[1] != dims.streams[k]:
-            raise AlignmentError(f"user {k}: got {mat.shape[1]} columns, want {dims.streams[k]}")
-        bf.append(Beamformer(user=k, matrix=mat))
-        normalizers[k] = np.trace(mat @ mat.conj().T).real / dims.F
-    aset = AlignmentSet(dims=dims, beamformers=bf, power_normalizers=normalizers)
+    for k, v in enumerate(beams):
+        if v.shape[1] != dims.streams[k]:
+            raise AlignmentError(f"user {k}: got {v.shape[1]} columns, want {dims.streams[k]}")
+        normalizers[k] = np.trace(v @ v.conj().T).real / dims.F
+    aset = AlignmentSet(dims=dims, beams=beams, power_normalizers=normalizers)
     if verify:
         report = verify_alignment(net, aset, residual_tol=residual_tol)
         if not report.passed:
@@ -322,8 +313,9 @@ def verify_alignment(net, aset, residual_tol=RESIDUAL_TOL, rank_tol_factor=RANK_
     K, F = dims.K, dims.F
     checks = []
     for i in range(K):
-        own = net.links[i][i].apply(aset.matrix(i))
-        interf_blocks = {k: net.links[i][k].apply(aset.matrix(k)) for k in range(K) if k != i}
+        eff = aset.apply(net.gains[i])
+        own = eff[i]
+        interf_blocks = {k: eff[k] for k in range(K) if k != i}
         stacked = np.hstack(list(interf_blocks.values()))
         residuals = [0.0]
         if i == 0:
@@ -351,11 +343,9 @@ def verify_alignment(net, aset, residual_tol=RESIDUAL_TOL, rank_tol_factor=RANK_
 
 def rank_failures(net, aset, rank_tol_factor=RANK_TOL_FACTOR):
     """All (receiver, transmitter) pairs where H_{i,k} V_k drops below rank m_k."""
-    K = net.dims.K
     bad = []
-    for i in range(K):
-        for k in range(K):
-            mat = net.links[i][k].apply(aset.matrix(k))
+    for i in range(net.dims.K):
+        for k, mat in enumerate(aset.apply(net.gains[i])):
             if numerical_rank(mat, rank_tol_factor) != net.dims.streams[k]:
                 bad.append((i, k))
     return bad

@@ -109,6 +109,11 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def _listed(value):
+    """A grid setting as a list: a list or tuple as given, a scalar as one point."""
+    return list(value) if isinstance(value, (list, tuple)) else [value]
+
+
 @dataclass
 class ExperimentConfig:
     scenario: str = "confidential"
@@ -153,10 +158,10 @@ class ExperimentConfig:
         return self
 
     def k_list(self):
-        return [int(k) for k in (self.K if isinstance(self.K, (list, tuple)) else [self.K])]
+        return [int(k) for k in _listed(self.K)]
 
     def m_list(self):
-        return [int(v) for v in (self.m if isinstance(self.m, (list, tuple)) else [self.m])]
+        return [int(v) for v in _listed(self.m)]
 
     def effective_trials(self, default):
         return int(self.trials) if self.trials is not None else default
@@ -166,11 +171,34 @@ class ExperimentConfig:
             raise ConfigError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.seed is None:
             raise ConfigError("a master seed is mandatory (no wall-clock seeding)")
-        if not 0 <= int(self.seed) < 2**64:
+        whole, real = int, (int, float)
+        typed = {
+            "seed": ([self.seed], whole),
+            "K": (_listed(self.K), whole),
+            "m": (_listed(self.m), whole),
+            "trials": ([] if self.trials is None else [self.trials], whole),
+            "workers": ([self.workers], whole),
+            "rho_grid": (_listed(self.rho_grid), real),
+            "epsilon_margin": ([self.epsilon_margin], real),
+            "tol": ([self.tol], real),
+        }
+        for name, (values, types) in typed.items():
+            if not all(isinstance(v, types) and not isinstance(v, bool) for v in values):
+                kind = "an integer" if types is whole else "a number"
+                raise ConfigError(f"{name} must be {kind}, got {getattr(self, name)!r}")
+        if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in a u64")
-        grid = tuple(float(r) for r in self.rho_grid)
-        if len(grid) < 3 or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError("rho_grid must be strictly increasing with >= 3 points")
+        if not self.tol > 0:
+            raise ConfigError(f"tol must be positive, got {self.tol}")
+        grid = tuple(float(r) for r in _listed(self.rho_grid))
+        if len(grid) < 3 or not all(a < b < math.inf for a, b in zip(grid, grid[1:])):
+            raise ConfigError("rho_grid must be finite and strictly increasing with >= 3 points")
+        if not 0 < self.epsilon_margin < grid[0]:
+            raise ConfigError(
+                f"need 0 < epsilon_margin < rho_grid[0], got {self.epsilon_margin} and {grid[0]}"
+            )
+        if grid[-1] / grid[0] < 1e4:
+            raise ConfigError("rho_grid must span at least 4 decades")
         ks, ms = self.k_list(), self.m_list()
         if not ks or not ms:
             raise ConfigError("K and m grids must be nonempty")
@@ -183,7 +211,10 @@ class ExperimentConfig:
             if K > self.k_cap:
                 raise ConfigError(f"K={K} exceeds cap {self.k_cap}")
             for m in ms:
-                dims = derive_dims(k_eff, m)
+                try:
+                    dims = derive_dims(k_eff, m)
+                except ValueError as exc:
+                    raise ConfigError(str(exc)) from exc
                 if dims.F > self.f_cap:
                     raise ConfigError(f"(K={K}, m={m}) gives F={dims.F} > cap {self.f_cap}")
         if self.workers < 1:
@@ -492,7 +523,8 @@ def audit(cfg):
             tag = f"K{K}_m{m}"
             dims = derive_dims(K, m)
             report, rank_audit = _alignment_audit(cfg, dims, trials)
-            oracle_checks, oracle_detail = _oracle_suite(cfg, K, m, min(trials, 100))
+            oracle_instances = min(trials, 100)
+            oracle_checks, oracle_detail = _oracle_suite(cfg, K, m, oracle_instances)
             checks[f"{tag}_alignment"] = report.passed
             checks[f"{tag}_lemma2"] = rank_audit.passed
             for name, ok in oracle_checks.items():
@@ -506,6 +538,7 @@ def audit(cfg):
                 "lemma2_failures": rank_audit.failures,
                 "lemma2_failing_trials": rank_audit.failing_trials,
                 "mc_trials": mc_trials,
+                "oracle_instances": oracle_instances,
                 **oracle_detail,
             }
             if K <= 4:
@@ -655,8 +688,6 @@ def _json_default(obj):
         return float(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, tuple):
-        return list(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 

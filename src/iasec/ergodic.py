@@ -56,7 +56,7 @@ def _block_permutation(K, seed, block_index):
 
 @dataclass
 class BlockAlignment:
-    """One fading block: role-ordered channels, beamformers, eavesdropper row.
+    """One fading block: the role-ordered network (eavesdropper row included) and its beams.
 
     Role r belongs to user perm[r]; role 0 carries the (m+1)^M streams this
     block. All mutual informations are computed in role coordinates and mapped
@@ -68,17 +68,7 @@ class BlockAlignment:
     perm: np.ndarray
     net_role: NetworkRealization
     aset: object
-    eaves_role: list | None
     attempts: int
-
-    def own_gains(self, role):
-        """Effective gain matrices of all roles at role `role`'s receiver."""
-        K = self.net_role.dims.K
-        return [self.net_role.links[role][s].apply(self.aset.matrix(s)) for s in range(K)]
-
-    def eaves_gains(self):
-        K = self.net_role.dims.K
-        return [self.eaves_role[r].apply(self.aset.matrix(r)) for r in range(K)]
 
 
 def block_network(dims, seed, block_index, perm=None, with_eavesdropper=True, retries=3):
@@ -103,23 +93,17 @@ def block_network(dims, seed, block_index, perm=None, with_eavesdropper=True, re
         if attempt:
             draw_seed = int(sub_rng(seed, _TAG_RETRY, block_index, attempt).integers(0, 2**63))
         net = sample_network(dims, draw_seed, block_index=block_index)
-        links_role = [[net.links[perm[r]][perm[s]] for s in range(K)] for r in range(K)]
-        return NetworkRealization(dims=dims, links=links_role, eavesdropper=None, seed=net.seed)
+        return NetworkRealization(
+            dims=dims, gains=net.gains[np.ix_(perm, perm)], eavesdropper=None, seed=net.seed
+        )
 
     net_role, aset, _, attempts = align_first_valid(
         draw, retries + 1, context=f"block {block_index}: degenerate"
     )
-    eaves_role = None
     if with_eavesdropper:
-        eaves_user = sample_eavesdropper_block(dims, seed, block_index)
-        eaves_role = [eaves_user[perm[r]] for r in range(K)]
+        net_role.eavesdropper = sample_eavesdropper_block(dims, seed, block_index)[perm]
     return BlockAlignment(
-        block_index=block_index,
-        perm=perm,
-        net_role=net_role,
-        aset=aset,
-        eaves_role=eaves_role,
-        attempts=attempts,
+        block_index=block_index, perm=perm, net_role=net_role, aset=aset, attempts=attempts
     )
 
 
@@ -225,11 +209,11 @@ def _block_row(block, loads, audit_sets):
 
     own = np.zeros(len(loads))
     for r in range(K):
-        unit = [g * s for g, s in zip(block.own_gains(r), scale)]
+        unit = [g * s for g, s in zip(block.aset.apply(block.net_role.gains[r]), scale)]
         full, others = log2dets(unit), log2dets(unit[:r] + unit[r + 1 :])
         own += [_mi_bits(a, b) for a, b in zip(full, others)]
     own /= K
-    unit = [g * s for g, s in zip(block.eaves_gains(), scale)]
+    unit = [g * s for g, s in zip(block.aset.apply(block.net_role.eavesdropper), scale)]
     eaves = {frozenset(roles): log2dets([unit[r] for r in roles]) for roles in _user_subsets(K)}
     # with no noise users left, each eavesdropper MI is its log-det alone
     eav = eaves[frozenset(range(K))]
@@ -315,10 +299,6 @@ def ergodic_rates(pass_, rho):
 class BudgetReport:
     entries: list  # (subset, lhs bits/slot, rhs mean bits/slot, paired ci_half, slack)
     passed: bool
-
-    @property
-    def tightest(self):
-        return min(self.entries, key=lambda e: e[4])
 
 
 def eavesdropper_budget_check(pass_, rx_rate):
@@ -425,13 +405,6 @@ def augment_with_virtual_user(aug_dims, net):
         raise ValueError("augmentation needs the eavesdropper row (known-CSI regime)")
     if net.dims != aug_dims:
         raise ValueError("network must be sampled at the augmented dimensions")
-    K = aug_dims.K
-    links = [list(row) for row in net.links]
-    links[K - 1] = [net.eavesdropper[k] for k in range(K - 1)] + [net.links[K - 1][K - 1]]
-    return NetworkRealization(
-        dims=aug_dims,
-        links=links,
-        eavesdropper=None,
-        seed=net.seed,
-        distribution=net.distribution + "+virtual",
-    )
+    gains = net.gains.copy()
+    gains[-1, :-1] = net.eavesdropper[:-1]
+    return NetworkRealization(dims=aug_dims, gains=gains, eavesdropper=None, seed=net.seed)

@@ -54,9 +54,7 @@ class SlopeEstimate:
 
     slope: float
     intercept: float
-    grid: tuple
     residual: float
-    points_used: int
 
 
 @dataclass
@@ -74,8 +72,7 @@ class McEstimate:
 
 def receiver_gains(net, aset, receiver):
     """Effective gain matrices H_{i,k} V_k for every transmitter at one receiver."""
-    K = net.dims.K
-    return [net.links[receiver][k].apply(aset.matrix(k)) for k in range(K)]
+    return aset.apply(net.gains[receiver])
 
 
 def _squared_singular_values(blocks):
@@ -231,13 +228,7 @@ def estimate_slope(f, grid=DEFAULT_RHO_GRID):
     (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
     fit = design @ np.array([slope, intercept])
     residual = float(np.sqrt(np.mean((y - fit) ** 2)))
-    return SlopeEstimate(
-        slope=float(slope),
-        intercept=float(intercept),
-        grid=grid,
-        residual=residual,
-        points_used=len(x),
-    )
+    return SlopeEstimate(slope=float(slope), intercept=float(intercept), residual=residual)
 
 
 def expectation(draw, statistic, trials, workers=1):

@@ -1,5 +1,9 @@
 """Channel dimensioning, random network generation, and seed bookkeeping.
 
+A network is stored as gain arrays: every link of the F-slot extension is a
+diagonal F x F matrix, stored as its diagonal, so the K x K grid of links is
+one (K, K, F) array and the eavesdropper row one (K, F) array.
+
 Everything downstream (beamformers, mutual informations, rate sweeps) is a
 pure function of a :class:`SystemDims`, a master seed, and optionally a block
 index, so identical inputs reproduce identical numbers bit for bit.
@@ -11,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "SystemDims",
-    "DiagonalChannel",
     "NetworkRealization",
     "PowerConfig",
     "derive_dims",
@@ -98,26 +101,6 @@ def derive_dims(K, m):
     return SystemDims(K=K, m=m, M=M, F=big + small, streams=streams)
 
 
-@dataclass
-class DiagonalChannel:
-    """One link of the extended channel: F complex gains on a diagonal."""
-
-    gains: np.ndarray
-
-    def __post_init__(self):
-        self.gains = np.asarray(self.gains, dtype=complex)
-        if self.gains.ndim != 1:
-            raise ValueError("gains must be a vector (the diagonal)")
-
-    @property
-    def F(self):
-        return self.gains.shape[0]
-
-    def apply(self, mat):
-        """Left-multiply a matrix by this diagonal."""
-        return self.gains[:, None] * mat
-
-
 def _sample_gains(rng, F):
     """i.i.d. CN(0,1) gains with near-zero magnitudes rejected."""
     z = rng.standard_normal(2 * F)
@@ -154,24 +137,26 @@ def sample_gains(dims, seeds, block_index=0):
 
 @dataclass
 class NetworkRealization:
-    """A full draw of the network: K x K diagonal links, optional eavesdropper row."""
+    """A full draw of the network as diagonal gain arrays.
+
+    `gains[i, k]` is the diagonal from transmitter k to receiver i, so
+    `gains` has shape (K, K, F); `eavesdropper[k]` is the diagonal from
+    transmitter k to the eavesdropper, shape (K, F), or None without one.
+    """
 
     dims: SystemDims
-    links: list  # links[i][k]: DiagonalChannel from transmitter k to receiver i
-    eavesdropper: list | None
+    gains: np.ndarray
+    eavesdropper: np.ndarray | None
     seed: int
-    distribution: str = "cn01"
 
     def __post_init__(self):
-        K = self.dims.K
-        if len(self.links) != K or any(len(row) != K for row in self.links):
-            raise ValueError("links must form a complete K x K grid")
-        if self.eavesdropper is not None and len(self.eavesdropper) != K:
-            raise ValueError("eavesdropper row must have one channel per transmitter")
-
-    def gain(self, i, k):
-        """Diagonal gain vector from transmitter k to receiver i."""
-        return self.links[i][k].gains
+        K, F = self.dims.K, self.dims.F
+        if np.shape(self.gains) != (K, K, F):
+            raise ValueError(f"gains must have shape {(K, K, F)}, got {np.shape(self.gains)}")
+        if self.eavesdropper is not None and np.shape(self.eavesdropper) != (K, F):
+            raise ValueError(
+                f"eavesdropper must have shape {(K, F)}, got {np.shape(self.eavesdropper)}"
+            )
 
 
 def sample_network(dims, seed, with_eavesdropper=False, block_index=0):
@@ -181,19 +166,17 @@ def sample_network(dims, seed, with_eavesdropper=False, block_index=0):
     pure function of (dims, seed, block_index) regardless of evaluation order.
     """
     gains = sample_gains(dims, [seed], block_index)[0]
-    links = [[DiagonalChannel(gains[i, k]) for k in range(dims.K)] for i in range(dims.K)]
     eaves = None
     if with_eavesdropper:
         eaves = sample_eavesdropper_block(dims, seed, block_index)
-    return NetworkRealization(dims=dims, links=links, eavesdropper=eaves, seed=int(seed))
+    return NetworkRealization(dims=dims, gains=gains, eavesdropper=eaves, seed=int(seed))
 
 
 def sample_eavesdropper_block(dims, seed, block_index):
-    """Fresh eavesdropper row H_e for one fading block: K diagonal channels."""
-    return [
-        DiagonalChannel(_sample_gains(sub_rng(seed, _TAG_EAVES, k, block_index), dims.F))
-        for k in range(dims.K)
-    ]
+    """Fresh eavesdropper row H_e for one fading block, as a (K, F) gain array."""
+    return np.array(
+        [_sample_gains(sub_rng(seed, _TAG_EAVES, k, block_index), dims.F) for k in range(dims.K)]
+    )
 
 
 @dataclass(frozen=True)

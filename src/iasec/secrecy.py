@@ -180,7 +180,6 @@ class EquivocationReport:
     delta_hat: float
     num_slope: float
     den_slope: float
-    delta_hat_at_top: float
     degenerate: bool
 
 
@@ -219,6 +218,5 @@ def equivocation_deficit(curve):
         delta_hat=num_fit.slope / den_fit.slope if not degenerate else float("nan"),
         num_slope=num_fit.slope,
         den_slope=den_fit.slope,
-        delta_hat_at_top=points[-1].delta_hat,
         degenerate=degenerate,
     )

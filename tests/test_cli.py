@@ -198,6 +198,40 @@ class TestMainEntry:
     def test_missing_seed_is_config_error(self, tmp_path):
         assert main(["--out", str(tmp_path), "rates"]) == 2
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"rho_grid": [10, 100, 1000]},  # spans 2 decades
+            {"epsilon_margin": 20000},  # above rho_grid[0] = 1e4
+            {"epsilon_margin": 0},
+            {"m": 0},
+            {"seed": 1.5},
+            {"seed": True},
+            {"K": 3.7},
+            {"m": [1, 2.5]},
+            {"trials": 2.5},
+            {"workers": True},
+            {"rho_grid": 5},
+            {"epsilon_margin": "1"},
+            {"epsilon_margin": True},
+            {"tol": "x"},
+            {"tol": -1},
+            {"rho_grid": [1e4, float("nan"), 1e8, 1e12]},
+        ],
+        ids=[
+            "grid-2-decades", "eps-above-grid", "eps-zero", "m-zero", "seed-float",
+            "seed-bool", "K-float", "m-list-float", "trials-float", "workers-bool",
+            "grid-scalar", "eps-string", "eps-bool", "tol-string", "tol-negative",
+            "grid-nan",
+        ],
+    )
+    def test_bad_config_exits_two_without_records(self, tmp_path, fields):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"K": 3, "m": 1, "seed": SEED, **fields}))
+        out = tmp_path / "o"
+        assert main(["--config", str(p), "--out", str(out), "dof-sweep"]) == 2
+        assert not (out / "records.csv").exists()
+
     def test_rates_roundtrip(self, tmp_path):
         code = main(["--seed", str(SEED), "--out", str(tmp_path), "rates"])
         assert code == 0
@@ -298,3 +332,4 @@ class TestMainEntry:
             # every redraw is rank-audited; the Monte Carlo runs its 30-block floor
             assert details[tag]["lemma2_trials"] == 20
             assert details[tag]["mc_trials"] == 30
+            assert details[tag]["oracle_instances"] == 20

@@ -55,7 +55,7 @@ class TestBlockNetwork:
         aset = build_beamformers(net, build_generators(net))
         assert block.attempts == 0
         for k in range(3):
-            assert np.allclose(block.aset.matrix(k), aset.matrix(k))
+            assert np.allclose(block.aset.beams[k], aset.beams[k])
 
     def test_role_rotation_frequency(self):
         large_role_user = np.array([_block_permutation(3, 4, b)[0] for b in range(3000)])
@@ -71,8 +71,8 @@ class TestBlockNetwork:
             for r in range(K):
                 stacked = np.hstack(
                     [
-                        block.net_role.links[r][s].apply(block.aset.matrix(s))
-                        for s in range(K)
+                        g
+                        for s, g in enumerate(block.aset.apply(block.net_role.gains[r]))
                         if s != r
                     ]
                 )
@@ -204,11 +204,12 @@ def _reference_rows(dims, powers, trials):
     rates, budget, lemma4, lemma3 = [], [], [], 0
     for t in range(trials):
         block = block_network(dims, SEED, t)
-        eg = block.eaves_gains()
+        eg = block.aset.apply(block.net_role.eavesdropper)
+        rg = [block.aset.apply(g) for g in block.net_role.gains]
         row = []
         for power in powers:
             p = stream_power(block.aset, power)
-            own = np.mean([mi_from_gains(block.own_gains(r), p, {r}).bits for r in range(K)])
+            own = np.mean([mi_from_gains(rg[r], p, {r}).bits for r in range(K)])
             eav = mi_from_gains(eg, p, range(K)).bits
             p_up = np.array([dims.streams[r] * p[r] for r in range(K)])
             eav_up = mi_from_gains(eg, p_up, range(K)).bits
@@ -282,11 +283,11 @@ class TestAugmentation:
         assert aug.eavesdropper is None
         # last receiver now listens through the eavesdropper row
         for k in range(2):
-            assert np.array_equal(aug.links[2][k].gains, net.eavesdropper[k].gains)
+            assert np.array_equal(aug.gains[2, k], net.eavesdropper[k])
         # the virtual transmitter's links stay freshly sampled
-        assert np.array_equal(aug.links[2][2].gains, net.links[2][2].gains)
-        assert np.array_equal(aug.links[0][2].gains, net.links[0][2].gains)
-        assert not np.array_equal(aug.links[2][0].gains, net.links[2][0].gains)
+        assert np.array_equal(aug.gains[2, 2], net.gains[2, 2])
+        assert np.array_equal(aug.gains[0, 2], net.gains[0, 2])
+        assert not np.array_equal(aug.gains[2, 0], net.gains[2, 0])
 
     def test_augmented_network_aligns(self):
         aug_dims = derive_dims(3, 2)
@@ -294,7 +295,7 @@ class TestAugmentation:
             net = sample_network(aug_dims, seed, with_eavesdropper=True)
             aug = augment_with_virtual_user(aug_dims, net)
             aset = build_beamformers(aug, build_generators(aug))
-            assert aset.matrix(0).shape == (5, 3)
+            assert aset.beams[0].shape == (5, 3)
 
     def test_requires_eavesdropper_row(self):
         aug_dims = derive_dims(3, 1)

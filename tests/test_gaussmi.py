@@ -91,8 +91,7 @@ class TestEngine:
 
         def slope_with_scale(scale):
             scaled = build_beamformers(net, build_generators(net))
-            for bf in scaled.beamformers:
-                bf.matrix = bf.matrix * scale
+            scaled.beams = [v * scale for v in scaled.beams]
             scaled.power_normalizers = scaled.power_normalizers * scale**2
 
             def f(rho):
@@ -238,7 +237,7 @@ class TestExpectation:
             return sample_network(dims, 121, block_index=t)
 
         def stat(net):
-            g = np.concatenate([net.links[i][k].gains for i in range(3) for k in range(3)])
+            g = np.concatenate([net.gains[i, k] for i in range(3) for k in range(3)])
             return float(np.mean(np.abs(g) ** 2))
 
         est = expectation(draw, stat, 400)

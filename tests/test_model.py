@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from iasec import model
 from iasec.model import (
     _TAG_LINK,
+    NetworkRealization,
     PowerConfig,
     _sample_gains,
     derive_dims,
@@ -13,10 +14,6 @@ from iasec.model import (
     sample_network,
     sub_rng,
 )
-
-
-def gains_equal(a, b):
-    return np.array_equal(a.gains, b.gains)
 
 
 class TestDeriveDims:
@@ -59,26 +56,23 @@ class TestSampling:
         b = sample_network(dims, 1234)
         for i in range(3):
             for k in range(3):
-                assert gains_equal(a.links[i][k], b.links[i][k])
+                assert np.array_equal(a.gains[i, k], b.gains[i, k])
 
     def test_shapes(self):
         dims = derive_dims(3, 1)
         net = sample_network(dims, 5)
-        assert len(net.links) == 3 and all(len(r) == 3 for r in net.links)
-        assert all(ch.F == 3 for row in net.links for ch in row)
+        assert net.gains.shape == (3, 3, 3)
         assert net.eavesdropper is None
 
     def test_distinct_links_distinct_gains(self):
         dims = derive_dims(3, 2)
         net = sample_network(dims, 5)
-        assert not gains_equal(net.links[0][0], net.links[0][1])
+        assert not np.array_equal(net.gains[0, 0], net.gains[0, 1])
 
     def test_all_gains_nonzero(self):
         dims = derive_dims(4, 1)
         net = sample_network(dims, 99)
-        for row in net.links:
-            for ch in row:
-                assert np.all(np.abs(ch.gains) > 0)
+        assert np.all(np.abs(net.gains) > 0)
 
     def test_unit_second_moment(self):
         # Monte Carlo moment oracle: E|g|^2 = 1 for the sampler's law.
@@ -88,7 +82,7 @@ class TestSampling:
             net = sample_network(dims, seed)
             for i in range(3):
                 for k in range(3):
-                    mags.append(np.abs(net.links[i][k].gains) ** 2)
+                    mags.append(np.abs(net.gains[i, k]) ** 2)
         mags = np.concatenate(mags)
         assert mags.size >= 10_000
         assert abs(mags.mean() - 1.0) < 0.05
@@ -97,16 +91,15 @@ class TestSampling:
         dims = derive_dims(3, 1)
         a = sample_network(dims, 7, block_index=0)
         b = sample_network(dims, 7, block_index=1)
-        assert not gains_equal(a.links[0][0], b.links[0][0])
+        assert not np.array_equal(a.gains[0, 0], b.gains[0, 0])
 
     def test_eavesdropper_row(self):
         dims = derive_dims(3, 1)
         net = sample_network(dims, 7, with_eavesdropper=True)
-        assert len(net.eavesdropper) == 3
-        assert all(ch.F == 3 for ch in net.eavesdropper)
+        assert net.eavesdropper.shape == (3, 3)
         # the row matches the standalone block sampler at the same block
         row = sample_eavesdropper_block(dims, 7, 0)
-        assert all(gains_equal(a, b) for a, b in zip(net.eavesdropper, row))
+        assert np.array_equal(net.eavesdropper, row)
 
     def test_gains_are_two_draws_per_link_stream(self):
         # the law at the seed: real then imaginary parts, F normals each,
@@ -123,7 +116,7 @@ class TestSampling:
                     assert np.array_equal(got[t, i, k], want)
             net = sample_network(dims, seed, block_index=4)
             for i in range(3):
-                assert all(np.array_equal(net.gain(i, k), got[t, i, k]) for k in range(3))
+                assert all(np.array_equal(net.gains[i, k], got[t, i, k]) for k in range(3))
 
     def test_rejected_gains_follow_the_per_stream_loop(self, monkeypatch):
         # a threshold that rejects about 40% of first draws sends many links
@@ -143,8 +136,8 @@ class TestSampling:
         b0 = sample_eavesdropper_block(dims, 11, 0)
         b0_again = sample_eavesdropper_block(dims, 11, 0)
         b1 = sample_eavesdropper_block(dims, 11, 1)
-        assert all(gains_equal(a, b) for a, b in zip(b0, b0_again))
-        assert not gains_equal(b0[0], b1[0])
+        assert np.array_equal(b0, b0_again)
+        assert not np.array_equal(b0[0], b1[0])
 
 
 class TestSeedSplitting:
@@ -185,3 +178,27 @@ class TestPowerConfig:
     def test_margin_must_sit_inside_budget(self, rho, eps):
         with pytest.raises(ValueError):
             PowerConfig(rho=rho, epsilon_margin=eps)
+
+
+class TestNetworkRealization:
+    @pytest.mark.parametrize(
+        "gains_shape, eaves_shape",
+        [
+            ((3, 3, 4), None),
+            ((5, 3, 3), None),
+            ((3, 5), None),
+            ((3, 3, 5), (5, 3)),
+            ((3, 3, 5), (3, 4)),
+            ((3, 3, 5), (3, 3, 5)),
+        ],
+    )
+    def test_rejects_arrays_of_the_wrong_shape(self, gains_shape, eaves_shape):
+        # K=3, F=5: gains must be (3, 3, 5) and the eavesdropper row (3, 5)
+        eaves = None if eaves_shape is None else np.ones(eaves_shape, dtype=complex)
+        with pytest.raises(ValueError):
+            NetworkRealization(
+                dims=derive_dims(3, 2),
+                gains=np.ones(gains_shape, dtype=complex),
+                eavesdropper=eaves,
+                seed=0,
+            )

@@ -8,7 +8,9 @@ digits in each log; the logs themselves come from mpmath at DIGITS digits.
 Each user's Gram is built once per receiver and reused for every set and rho.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -121,3 +123,15 @@ def test_terms_match_high_precision_reference(K, m):
                     if err > worst[0]:
                         worst = (err, f"{path} rx{i} {name} rho={rho:g}")
     assert worst[0] <= REL_TOL, worst
+
+
+def test_benchmark_probe_runs_on_the_public_api():
+    """perfbench/probe.py drives sample_network, build_generators, build_beamformers,
+    receiver_gains, stream_power and mi_from_gains; it must keep running on them."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "probe.py"
+    spec = importlib.util.spec_from_file_location("perfbench_probe", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    worst = module.probe(SEED, [(3, 1)])
+    assert worst["terms"] == 30  # 3 receivers x (own, cross) x 5 grid points
+    assert worst["max"] < 1e-12, worst
