@@ -72,7 +72,6 @@ class GeneratorSet:
 class AlignmentSet:
     """Beams V_k (F x m_k, one per user) plus their power normalizers c_k = tr(V V^H)/F."""
 
-    dims: object
     beams: list
     power_normalizers: np.ndarray
 
@@ -179,7 +178,7 @@ def build_beamformers(net, gens, verify=True, residual_tol=RESIDUAL_TOL):
         if v.shape[1] != dims.streams[k]:
             raise AlignmentError(f"user {k}: got {v.shape[1]} columns, want {dims.streams[k]}")
         normalizers[k] = np.trace(v @ v.conj().T).real / dims.F
-    aset = AlignmentSet(dims=dims, beams=beams, power_normalizers=normalizers)
+    aset = AlignmentSet(beams=beams, power_normalizers=normalizers)
     if verify:
         report = verify_alignment(net, aset, residual_tol=residual_tol)
         if not report.passed:
@@ -211,19 +210,19 @@ def align_first_valid(draw, attempts, residual_tol=RESIDUAL_TOL, context="alignm
     raise AlignmentError(f"{context} beyond retry budget: {last}")
 
 
-def numerical_rank(mat, factor=RANK_TOL_FACTOR):
+def numerical_rank(mat):
     """Rank by SVD with the documented tolerance rule."""
     if mat.size == 0:
         return 0
-    return int(_rank(np.linalg.svd(mat, compute_uv=False), mat.shape, factor))
+    return int(_rank(np.linalg.svd(mat, compute_uv=False), mat.shape))
 
 
-def _rank(s, shape, factor):
+def _rank(s, shape):
     """Ranks from stacked singular values s[..., :] of matrices of `shape`[-2:].
 
-    The rule: singular values above max(shape) * sigma_max * factor count.
+    The rule: singular values above max(shape) * sigma_max * RANK_TOL_FACTOR count.
     """
-    return np.count_nonzero(s > max(shape[-2:]) * s[..., :1] * factor, axis=-1)
+    return np.count_nonzero(s > max(shape[-2:]) * s[..., :1] * RANK_TOL_FACTOR, axis=-1)
 
 
 def _containment_residual(cols, basis):
@@ -259,7 +258,6 @@ class ReceiverCheck:
 class AlignmentReport:
     receivers: list
     residual_tol: float
-    rank_tol_factor: float
 
     @property
     def worst_residual(self):
@@ -284,7 +282,7 @@ class AlignmentReport:
             "passed": bool(self.passed),
             "worst_residual": float(self.worst_residual),
             "residual_tol": self.residual_tol,
-            "rank_tol_factor": self.rank_tol_factor,
+            "rank_tol_factor": RANK_TOL_FACTOR,
             "receivers": [
                 {
                     "receiver": r.receiver,
@@ -300,7 +298,7 @@ class AlignmentReport:
         }
 
 
-def verify_alignment(net, aset, residual_tol=RESIDUAL_TOL, rank_tol_factor=RANK_TOL_FACTOR):
+def verify_alignment(net, aset, residual_tol=RESIDUAL_TOL):
     """Check the three alignment conditions at every receiver.
 
     Per receiver i: the stacked interference must occupy exactly F - m_i
@@ -330,23 +328,23 @@ def verify_alignment(net, aset, residual_tol=RESIDUAL_TOL, rank_tol_factor=RANK_
         checks.append(
             ReceiverCheck(
                 receiver=i,
-                interference_dim=numerical_rank(stacked, rank_tol_factor),
+                interference_dim=numerical_rank(stacked),
                 expected_interference_dim=F - dims.streams[i],
-                own_rank=numerical_rank(own, rank_tol_factor),
+                own_rank=numerical_rank(own),
                 expected_own_rank=dims.streams[i],
-                concat_rank=numerical_rank(np.hstack([own, stacked]), rank_tol_factor),
+                concat_rank=numerical_rank(np.hstack([own, stacked])),
                 worst_residual=float(max(residuals)),
             )
         )
-    return AlignmentReport(receivers=checks, residual_tol=residual_tol, rank_tol_factor=rank_tol_factor)
+    return AlignmentReport(receivers=checks, residual_tol=residual_tol)
 
 
-def rank_failures(net, aset, rank_tol_factor=RANK_TOL_FACTOR):
+def rank_failures(net, aset):
     """All (receiver, transmitter) pairs where H_{i,k} V_k drops below rank m_k."""
     bad = []
     for i in range(net.dims.K):
         for k, mat in enumerate(aset.apply(net.gains[i])):
-            if numerical_rank(mat, rank_tol_factor) != net.dims.streams[k]:
+            if numerical_rank(mat) != net.dims.streams[k]:
                 bad.append((i, k))
     return bad
 
@@ -356,14 +354,13 @@ class FullRankAudit:
     trials: int
     failures: int
     failing_trials: list
-    rank_tol_factor: float
 
     @property
     def passed(self):
         return self.failures == 0
 
 
-def check_full_rank(dims, trials, seed, rank_tol_factor=RANK_TOL_FACTOR):
+def check_full_rank(dims, trials, seed):
     """Re-draw the channel `trials` times and count any rank deficiency.
 
     Full rank of every effective gain matrix holds with probability one for
@@ -384,17 +381,12 @@ def check_full_rank(dims, trials, seed, rank_tol_factor=RANK_TOL_FACTOR):
     failing = []
     for start in range(0, trials, chunk):
         gains = sample_gains(dims, seeds[start : start + chunk])
-        failed = _rank_deficient(gains, dims.m, rank_tol_factor)
+        failed = _rank_deficient(gains, dims.m)
         failing += (start + np.flatnonzero(failed)).tolist()
-    return FullRankAudit(
-        trials=trials,
-        failures=len(failing),
-        failing_trials=failing,
-        rank_tol_factor=rank_tol_factor,
-    )
+    return FullRankAudit(trials=trials, failures=len(failing), failing_trials=failing)
 
 
-def _rank_deficient(gains, m, rank_tol_factor):
+def _rank_deficient(gains, m):
     """Per network of gains[T, K, K, F]: is its construction or any H_ik V_k rank short?"""
     gens, s0, w, zero = _generators(gains, m)
     beams, zero_rot = _beams(gains[:, 0], gens, s0, w, m)
@@ -407,7 +399,7 @@ def _rank_deficient(gains, m, rank_tol_factor):
         for k, v in enumerate(beams):
             eff = gains[:, i, k, :, None] * v
             s = np.linalg.svd(eff, compute_uv=False)
-            short |= _rank(s, eff.shape, rank_tol_factor) != v.shape[-1]
+            short |= _rank(s, eff.shape) != v.shape[-1]
     failed[built] = short
     return failed
 

@@ -7,7 +7,6 @@ across scenarios so downstream tooling never has to branch on shape.
 
 import argparse
 import csv
-import functools
 import hashlib
 import json
 import math
@@ -65,35 +64,16 @@ __all__ = [
 SCENARIOS = ("confidential", "external-known-csi", "external-ergodic")
 
 CSV_COLUMNS = [
-    "scenario",
-    "K",
-    "m",
-    "M",
-    "F",
-    "rho",
-    "trials",
-    "seed",
-    "R_bits_per_slot",
-    "Rx_bits_per_slot",
-    "eta_measured",
-    "eta_target",
-    "delta_hat",
-    "clamped",
-    "checks_passed",
+    "scenario", "K", "m", "M", "F", "rho", "trials", "seed", "R_bits_per_slot",
+    "Rx_bits_per_slot", "eta_measured", "eta_target", "delta_hat", "clamped", "checks_passed",
 ]
 
+ETA_COLUMNS = ["K", "m", "eta_measured", "eta_target", "eta_asymptote"]
+
+DELTA_COLUMNS = ["K", "m", "log2_rho", "delta_hat", "delta_reference"]
+
 ERGODIC_DETAIL_COLUMNS = [
-    "K",
-    "m",
-    "rho",
-    "trials",
-    "R",
-    "Rx",
-    "slope_R",
-    "ci_low",
-    "ci_high",
-    "lemma4_pass",
-    "lemma5_pass",
+    "K", "m", "rho", "trials", "R", "Rx", "slope_R", "ci_low", "ci_high", "lemma4_pass", "lemma5_pass",
 ]
 
 EXIT_OK = 0
@@ -101,8 +81,17 @@ EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
 
+# what a grid point raises when its draws or numerics fail: exit code 3
+_NUMERICAL_ERRORS = (NumericalError, AlignmentError, np.linalg.LinAlgError)
+
 _RETRY_BUDGET = 3
 _TAG_AUDIT_SEED = 23
+
+# Size guards: at most this many (K, m) points, K users and F symbol
+# extensions (every point takes dense F-row SVDs).
+_GRID_CAP = 64
+_K_CAP = 5
+_F_CAP = 4100
 
 
 class ConfigError(ValueError):
@@ -126,9 +115,6 @@ class ExperimentConfig:
     tol: float = 1e-8
     out: str = "results"
     workers: int = 1
-    grid_cap: int = 64
-    k_cap: int = 5
-    f_cap: int = 4100
 
     @staticmethod
     def from_file(path):
@@ -147,14 +133,9 @@ class ExperimentConfig:
         return ExperimentConfig(**data)
 
     def override(self, seed=None, out=None, trials=None, tol=None):
-        if seed is not None:
-            self.seed = seed
-        if out is not None:
-            self.out = out
-        if trials is not None:
-            self.trials = trials
-        if tol is not None:
-            self.tol = tol
+        for name, value in {"seed": seed, "out": out, "trials": trials, "tol": tol}.items():
+            if value is not None:
+                setattr(self, name, value)
         return self
 
     def k_list(self):
@@ -202,21 +183,21 @@ class ExperimentConfig:
         ks, ms = self.k_list(), self.m_list()
         if not ks or not ms:
             raise ConfigError("K and m grids must be nonempty")
-        if len(ks) * len(ms) > self.grid_cap:
-            raise ConfigError(f"grid size {len(ks) * len(ms)} exceeds cap {self.grid_cap}")
+        if len(ks) * len(ms) > _GRID_CAP:
+            raise ConfigError(f"grid size {len(ks) * len(ms)} exceeds cap {_GRID_CAP}")
         for K in ks:
             k_eff = K + 1 if self.scenario == "external-known-csi" else K
             if k_eff < 3:
                 raise ConfigError(f"K={K}: pipeline needs at least 3 aligned users")
-            if K > self.k_cap:
-                raise ConfigError(f"K={K} exceeds cap {self.k_cap}")
+            if K > _K_CAP:
+                raise ConfigError(f"K={K} exceeds cap {_K_CAP}")
             for m in ms:
                 try:
                     dims = derive_dims(k_eff, m)
                 except ValueError as exc:
                     raise ConfigError(str(exc)) from exc
-                if dims.F > self.f_cap:
-                    raise ConfigError(f"(K={K}, m={m}) gives F={dims.F} > cap {self.f_cap}")
+                if dims.F > _F_CAP:
+                    raise ConfigError(f"(K={K}, m={m}) gives F={dims.F} > cap {_F_CAP}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.trials is not None:
@@ -257,7 +238,7 @@ def eta_asymptote(scenario, K):
 
 
 def _confidential_tables(net, aset, cfg):
-    """Rates, checks, and the deficit report across the rho grid.
+    """Per-rho rows, the deficit report and the hard-check aggregate across the rho grid.
 
     Decodability of the clamped zero-R assignment is not covered by the rate
     rule's guarantee, so clamped grid points are reported but excluded from
@@ -286,65 +267,60 @@ def _confidential_tables(net, aset, cfg):
                 "worst_slack": dec.worst_slack,
             }
         )
+    return rows, equivocation_deficit(curve), all_checks
+
+
+def _record(cfg, K, dims, rows, trials, eta_target, delta_hat, checks, detail):
+    """One grid point's record, read at the top rho; eta_measured is R's slope over the rows."""
     by_rho = {row["rho"]: row["R"] for row in rows}
     fit = estimate_slope(lambda r: by_rho[r], cfg.rho_grid)
-    deficit = equivocation_deficit(curve)
-    return rows, fit, deficit, all_checks
-
-
-def _record(scenario, K, dims, seed, rho, trials, R, Rx, eta_measured, eta_target,
-            delta_hat, clamped, checks_passed, detail):
+    top = rows[-1]
     return {
-        "scenario": scenario,
+        "scenario": cfg.scenario,
         "K": K,
         "m": dims.m,
         "M": dims.M,
         "F": dims.F,
-        "rho": rho,
+        "rho": top["rho"],
         "trials": trials,
-        "seed": seed,
-        "R_bits_per_slot": R,
-        "Rx_bits_per_slot": Rx,
-        "eta_measured": eta_measured,
+        "seed": cfg.seed,
+        "R_bits_per_slot": top["R"],
+        "Rx_bits_per_slot": top["Rx"],
+        "eta_measured": fit.slope,
         "eta_target": eta_target,
         "delta_hat": delta_hat,
-        "clamped": clamped,
-        "checks_passed": checks_passed,
-        "detail": detail,
+        "clamped": top["clamped"],
+        "checks_passed": checks,
+        "detail": {
+            "per_rho": rows,
+            "slope_residual": fit.residual,
+            "eta_asymptote": eta_asymptote(cfg.scenario, K),
+            **detail,
+        },
     }
 
 
-def _draw_confidential(dims, seed, attempt):
-    return sample_network(dims, seed, block_index=attempt)
-
-
-def _draw_known_csi(dims, seed, attempt):
-    """A network sampled with its eavesdropper row, which becomes the last receiver."""
-    net = sample_network(dims, seed, with_eavesdropper=True, block_index=attempt)
-    return augment_with_virtual_user(dims, net)
-
-
-def _run_confidential_point(cfg, K, m, scenario="confidential", draw=_draw_confidential):
+def _run_confidential_point(cfg, K, m):
     """One point of the confidential pipeline.
 
-    The known-CSI scenario runs it on K+1 aligned users: `_draw_known_csi`
-    folds the eavesdropper in as a virtual user, and the record keeps the K
-    real users.
+    The known-CSI scenario runs it on K+1 aligned users: each draw folds the
+    eavesdropper in as a virtual last user, and the record keeps the K real
+    users.
     """
-    aligned_K = K + 1 if scenario == "external-known-csi" else K
+    known_csi = cfg.scenario == "external-known-csi"
+    aligned_K = K + 1 if known_csi else K
     dims = derive_dims(aligned_K, m)
+
+    def draw(attempt):
+        net = sample_network(dims, cfg.seed, with_eavesdropper=known_csi, block_index=attempt)
+        return augment_with_virtual_user(dims, net) if known_csi else net
+
     try:
-        net, aset, report, attempts = align_first_valid(
-            lambda attempt: draw(dims, cfg.seed, attempt), _RETRY_BUDGET, residual_tol=cfg.tol
-        )
+        net, aset, report, attempts = align_first_valid(draw, _RETRY_BUDGET, residual_tol=cfg.tol)
     except AlignmentError as exc:
         raise NumericalError(str(exc)) from exc
-    rows, fit, deficit, checks = _confidential_tables(net, aset, cfg)
-    top = rows[-1]
-    delta = deficit.delta_hat if not deficit.degenerate else None
+    rows, deficit, checks = _confidential_tables(net, aset, cfg)
     detail = {
-        "per_rho": rows,
-        "slope_residual": fit.residual,
         "alignment": report.as_dict(),
         "attempts": attempts,
         "delta_points": [
@@ -352,15 +328,12 @@ def _run_confidential_point(cfg, K, m, scenario="confidential", draw=_draw_confi
             for p in deficit.points
         ],
         "delta_slope_parts": {"num": deficit.num_slope, "den": deficit.den_slope},
-        "eta_asymptote": eta_asymptote(scenario, K),
     }
-    if aligned_K != K:
+    if known_csi:
         detail["augmented_K"] = aligned_K
-    return _record(
-        scenario, K, dims, cfg.seed, top["rho"], None, top["R"], top["Rx"],
-        fit.slope, max(0.0, eta_target_confidential(aligned_K, m)), delta, top["clamped"],
-        checks, detail,
-    )
+    delta = deficit.delta_hat if not deficit.degenerate else None
+    eta_target = max(0.0, eta_target_confidential(aligned_K, m))
+    return _record(cfg, K, dims, rows, None, eta_target, delta, checks, detail)
 
 
 def _run_ergodic_point(cfg, K, m):
@@ -381,24 +354,11 @@ def _run_ergodic_point(cfg, K, m):
                 "ci_high": est.R_ci[1],
             }
         )
-    by_rho = {row["rho"]: row["R"] for row in rows}
-    fit = estimate_slope(lambda r: by_rho[r], cfg.rho_grid)
     budget = eavesdropper_budget_check(pass_, rows[-1]["Rx"])
-    checks = budget.passed
-    if K <= 4:  # disjoint-pair enumeration is exhaustive only up to K=4
-        ineq = mi_inequality_audit(pass_)
-        checks = checks and ineq.passed
-        lemma3_violations = ineq.lemma3_violations
-        lemma4_passed = ineq.lemma4_passed
-        symmetry_passed = ineq.symmetry_passed
-    else:
-        lemma3_violations = None
-        lemma4_passed = None
-        symmetry_passed = None
-    top = rows[-1]
+    # disjoint-pair enumeration is exhaustive only up to K=4
+    ineq = mi_inequality_audit(pass_) if K <= 4 else None
+    checks = budget.passed and (ineq is None or ineq.passed)
     detail = {
-        "per_rho": rows,
-        "slope_residual": fit.residual,
         "lemma5": {
             "passed": budget.passed,
             "entries": [
@@ -406,30 +366,17 @@ def _run_ergodic_point(cfg, K, m):
                 for s, lhs, rhs, h, sl in budget.entries
             ],
         },
-        "lemma3_violations": lemma3_violations,
-        "lemma4_passed": lemma4_passed,
-        "symmetry_passed": symmetry_passed,
-        "eta_asymptote": eta_asymptote("external-ergodic", K),
-        "slope_R": fit.slope,
+        "lemma3_violations": getattr(ineq, "lemma3_violations", None),
+        "lemma4_passed": getattr(ineq, "lemma4_passed", None),
+        "symmetry_passed": getattr(ineq, "symmetry_passed", None),
         "resampled_blocks": pass_.resampled_blocks,
     }
-    return _record(
-        "external-ergodic", K, dims, cfg.seed, top["rho"], trials, top["R"], top["Rx"],
-        fit.slope, eta_target_ergodic(K, m), None, top["clamped"], checks, detail,
-    )
+    record = _record(cfg, K, dims, rows, trials, eta_target_ergodic(K, m), None, checks, detail)
+    record["detail"]["slope_R"] = record["eta_measured"]
+    return record
 
 
-_POINT_RUNNERS = {
-    "confidential": _run_confidential_point,
-    "external-known-csi": functools.partial(
-        _run_confidential_point, scenario="external-known-csi", draw=_draw_known_csi
-    ),
-    "external-ergodic": _run_ergodic_point,
-}
-
-
-def _manifest(cfg, records, checks, timings):
-    passed = all(r["checks_passed"] for r in records) and all(checks.values())
+def _manifest(cfg, records, checks, t0):
     return {
         "artifact_version": __version__,
         "config": cfg.as_dict(),
@@ -438,34 +385,68 @@ def _manifest(cfg, records, checks, timings):
         "scenario": cfg.scenario,
         "records": records,
         "checks": checks,
-        "timings": timings,
-        "passed": passed,
+        "failed_points": [],
+        "timings": {"wall_s": time.perf_counter() - t0},
+        "passed": all(r["checks_passed"] for r in records) and all(checks.values()),
     }
+
+
+def _grid(cfg):
+    """Validate the config and return its (K, m) points in lexicographic order."""
+    cfg.validate()
+    return [(K, m) for K in sorted(cfg.k_list()) for m in sorted(cfg.m_list())]
 
 
 def run(cfg):
     """Execute the scenario pipeline for a single (K, m) point."""
-    cfg.validate()
-    if len(cfg.k_list()) != 1 or len(cfg.m_list()) != 1:
+    if len(_grid(cfg)) != 1:
         raise ConfigError("run expects scalar K and m; use sweep for grids")
-    t0 = time.perf_counter()
-    record = _POINT_RUNNERS[cfg.scenario](cfg, cfg.k_list()[0], cfg.m_list()[0])
-    return _manifest(cfg, [record], {}, {"run_s": time.perf_counter() - t0})
+    return sweep(cfg)
 
 
 def sweep(cfg):
-    """One record per (K, m) grid point, in lexicographic order."""
-    cfg.validate()
+    """One record per (K, m) grid point, in lexicographic order.
+
+    A point that fails alignment or its numerics is listed in the manifest's
+    `failed_points`, fails the manifest, and does not stop the sweep.
+    """
+    points = _grid(cfg)
     t0 = time.perf_counter()
-    records = []
-    for K in sorted(cfg.k_list()):
-        for m in sorted(cfg.m_list()):
-            records.append(_POINT_RUNNERS[cfg.scenario](cfg, K, m))
-    return _manifest(cfg, records, {}, {"sweep_s": time.perf_counter() - t0})
+    runner = _run_ergodic_point if cfg.scenario == "external-ergodic" else _run_confidential_point
+    records, failed = [], []
+    for K, m in points:
+        try:
+            records.append(runner(cfg, K, m))
+        except _NUMERICAL_ERRORS as exc:
+            failed.append({"K": K, "m": m, "error": str(exc)})
+    manifest = _manifest(cfg, records, {}, t0)
+    if failed:
+        manifest.update(failed_points=failed, passed=False)
+    return manifest
 
 
-def _oracle_suite(cfg, K, m, instances):
-    """Chain-rule, Schur, monotonicity, and scalar-slope identities."""
+def _alignment_suite(cfg, K, m, trials):
+    """Verification of the point sampled at the master seed, and the Lemma 2 full-rank audit.
+
+    The beamformers are built unverified: a failure is a finding, never an
+    exception.
+    """
+    dims = derive_dims(K, m)
+    net = sample_network(dims, cfg.seed)
+    aset = build_beamformers(net, build_generators(net), verify=False)
+    report = verify_alignment(net, aset, residual_tol=cfg.tol)
+    rank_audit = check_full_rank(dims, trials, cfg.seed)
+    return {"alignment": report.passed, "lemma2": rank_audit.passed}, {
+        "alignment": report.as_dict(),
+        "lemma2_trials": rank_audit.trials,
+        "lemma2_failures": rank_audit.failures,
+        "lemma2_failing_trials": rank_audit.failing_trials,
+    }
+
+
+def _oracle_suite(cfg, K, m, trials):
+    """Chain-rule, Schur, monotonicity, and scalar-slope identities on min(trials, 100) instances."""
+    instances = min(trials, 100)
     dims = derive_dims(K, m)
     worst_chain = 0.0
     worst_schur = 0.0
@@ -496,65 +477,56 @@ def _oracle_suite(cfg, K, m, instances):
         "oracle_monotonicity": mono_ok,
         "oracle_lemma3_instances": lemma3_ok,
         "oracle_scalar_slope": abs(scalar.slope - 1.0) < 1e-3,
-    }, {"worst_chain_rel": worst_chain, "worst_schur_rel": worst_schur}
+    }, {
+        "oracle_instances": instances,
+        "worst_chain_rel": worst_chain,
+        "worst_schur_rel": worst_schur,
+    }
 
 
-def _alignment_audit(cfg, dims, trials):
-    """Verification and full-rank audit of the point sampled at the master seed.
+def _monte_carlo_suite(cfg, K, m, trials):
+    """Lemmas 3-5 and user symmetry at the top rho, on max(30, min(trials, 100)) fading blocks.
 
-    The beamformers are built unverified: a failure is a finding, never an
-    exception.
+    Disjoint-pair enumeration is exhaustive only up to K=4, so larger K runs
+    no blocks.
     """
-    net = sample_network(dims, cfg.seed)
-    aset = build_beamformers(net, build_generators(net), verify=False)
-    report = verify_alignment(net, aset, residual_tol=cfg.tol)
-    return report, check_full_rank(dims, trials, cfg.seed)
+    if K > 4:
+        return {}, {"mc_trials": 0}
+    mc_trials = max(30, min(trials, 100))
+    power = PowerConfig(rho=cfg.rho_grid[-1], epsilon_margin=cfg.epsilon_margin)
+    pass_ = ergodic_pass(derive_dims(K, m), [power], mc_trials, cfg.seed, workers=cfg.workers)
+    budget = eavesdropper_budget_check(pass_, ergodic_rates(pass_, power.rho).Rx)
+    ineq = mi_inequality_audit(pass_)
+    return {
+        "lemma3": ineq.lemma3_violations == 0,
+        "lemma4": ineq.lemma4_passed,
+        "lemma5": budget.passed,
+        "symmetry": ineq.symmetry_passed,
+    }, {"mc_trials": mc_trials, "lemma3_violations": ineq.lemma3_violations}
 
 
-def audit(cfg):
-    """Lemma and oracle audit suite over the configured (K, m) grid."""
-    cfg.validate()
+def _check_grid(cfg, suites):
+    """Run every suite at each grid point: checks keyed K{K}_m{m}_{name}, details per point."""
+    points = _grid(cfg)
     t0 = time.perf_counter()
     trials = cfg.effective_trials(100)
     checks = {}
     details = {}
-    for K in sorted(cfg.k_list()):
-        for m in sorted(cfg.m_list()):
-            tag = f"K{K}_m{m}"
-            dims = derive_dims(K, m)
-            report, rank_audit = _alignment_audit(cfg, dims, trials)
-            oracle_instances = min(trials, 100)
-            oracle_checks, oracle_detail = _oracle_suite(cfg, K, m, oracle_instances)
-            checks[f"{tag}_alignment"] = report.passed
-            checks[f"{tag}_lemma2"] = rank_audit.passed
-            for name, ok in oracle_checks.items():
-                checks[f"{tag}_{name}"] = ok
-            # the Monte Carlo audit runs at K <= 4 only, on at most 100 blocks
-            # whatever `trials` says
-            mc_trials = max(30, min(trials, 100)) if K <= 4 else 0
-            detail = {
-                "alignment": report.as_dict(),
-                "lemma2_trials": rank_audit.trials,
-                "lemma2_failures": rank_audit.failures,
-                "lemma2_failing_trials": rank_audit.failing_trials,
-                "mc_trials": mc_trials,
-                "oracle_instances": oracle_instances,
-                **oracle_detail,
-            }
-            if K <= 4:
-                power = PowerConfig(rho=cfg.rho_grid[-1], epsilon_margin=cfg.epsilon_margin)
-                pass_ = ergodic_pass(dims, [power], mc_trials, cfg.seed, workers=cfg.workers)
-                budget = eavesdropper_budget_check(pass_, ergodic_rates(pass_, power.rho).Rx)
-                ineq = mi_inequality_audit(pass_)
-                checks[f"{tag}_lemma3"] = ineq.lemma3_violations == 0
-                checks[f"{tag}_lemma4"] = ineq.lemma4_passed
-                checks[f"{tag}_lemma5"] = budget.passed
-                checks[f"{tag}_symmetry"] = ineq.symmetry_passed
-                detail["lemma3_violations"] = ineq.lemma3_violations
-            details[tag] = detail
-    manifest = _manifest(cfg, [], checks, {"audit_s": time.perf_counter() - t0})
+    for K, m in points:
+        tag = f"K{K}_m{m}"
+        details[tag] = {}
+        for suite in suites:
+            suite_checks, detail = suite(cfg, K, m, trials)
+            checks.update((f"{tag}_{name}", ok) for name, ok in suite_checks.items())
+            details[tag].update(detail)
+    manifest = _manifest(cfg, [], checks, t0)
     manifest["audit_details"] = details
     return manifest
+
+
+def audit(cfg):
+    """Lemma and oracle audit suite over the configured (K, m) grid."""
+    return _check_grid(cfg, (_alignment_suite, _oracle_suite, _monte_carlo_suite))
 
 
 def _fmt_cell(value):
@@ -581,73 +553,52 @@ def _write_csv(path, columns, rows):
 
 
 def emit_report(manifest, out_dir):
-    """Write records.csv, plot-data files, and a human-readable summary."""
+    """Write records.csv, plot-data files, and a human-readable summary.
+
+    records.csv and plot_eta_vs_m.csv are always written; the delta and
+    ergodic tables only when they have rows.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = manifest["records"]
-    written = []
-
-    records_path = out / "records.csv"
-    _write_csv(records_path, CSV_COLUMNS, records)
-    written.append(records_path)
-
-    eta_rows = [
+    eta_rows = [{**r, "eta_asymptote": r["detail"].get("eta_asymptote")} for r in records]
+    delta_rows = [
         {
             "K": r["K"],
             "m": r["m"],
-            "eta_measured": r["eta_measured"],
-            "eta_target": r["eta_target"],
-            "eta_asymptote": r["detail"].get("eta_asymptote"),
+            "log2_rho": math.log2(point["rho"]),
+            "delta_hat": point["delta_hat"],
+            "delta_reference": 0.0,
         }
         for r in records
+        for point in r["detail"].get("delta_points", [])
     ]
-    eta_path = out / "plot_eta_vs_m.csv"
-    _write_csv(eta_path, ["K", "m", "eta_measured", "eta_target", "eta_asymptote"], eta_rows)
-    written.append(eta_path)
-
-    delta_rows = []
-    for r in records:
-        for point in r["detail"].get("delta_points", []):
-            delta_rows.append(
-                {
-                    "K": r["K"],
-                    "m": r["m"],
-                    "log2_rho": math.log2(point["rho"]),
-                    "delta_hat": point["delta_hat"],
-                    "delta_reference": 0.0,
-                }
-            )
-    if delta_rows:
-        delta_path = out / "plot_delta_vs_rho.csv"
-        _write_csv(
-            delta_path, ["K", "m", "log2_rho", "delta_hat", "delta_reference"], delta_rows
-        )
-        written.append(delta_path)
-
-    ergodic_rows = []
-    for r in records:
-        if r["scenario"] != "external-ergodic":
-            continue
-        for row in r["detail"]["per_rho"]:
-            ergodic_rows.append(
-                {
-                    "K": r["K"],
-                    "m": r["m"],
-                    "rho": row["rho"],
-                    "trials": r["trials"],
-                    "R": row["R"],
-                    "Rx": row["Rx"],
-                    "slope_R": r["detail"]["slope_R"],
-                    "ci_low": row["ci_low"],
-                    "ci_high": row["ci_high"],
-                    "lemma4_pass": r["detail"]["lemma4_passed"],
-                    "lemma5_pass": r["detail"]["lemma5"]["passed"],
-                }
-            )
-    if ergodic_rows:
-        erg_path = out / "ergodic_details.csv"
-        _write_csv(erg_path, ERGODIC_DETAIL_COLUMNS, ergodic_rows)
-        written.append(erg_path)
+    ergodic_rows = [
+        {
+            **row,
+            "K": r["K"],
+            "m": r["m"],
+            "trials": r["trials"],
+            "slope_R": r["detail"]["slope_R"],
+            "lemma4_pass": r["detail"]["lemma4_passed"],
+            "lemma5_pass": r["detail"]["lemma5"]["passed"],
+        }
+        for r in records
+        if r["scenario"] == "external-ergodic"
+        for row in r["detail"]["per_rho"]
+    ]
+    tables = [
+        ("records.csv", CSV_COLUMNS, records, True),
+        ("plot_eta_vs_m.csv", ETA_COLUMNS, eta_rows, True),
+        ("plot_delta_vs_rho.csv", DELTA_COLUMNS, delta_rows, False),
+        ("ergodic_details.csv", ERGODIC_DETAIL_COLUMNS, ergodic_rows, False),
+    ]
+    written = []
+    for name, columns, rows, always in tables:
+        if always or rows:
+            path = out / name
+            _write_csv(path, columns, rows)
+            written.append(path)
 
     lines = [
         f"scenario: {manifest['scenario']}  seed: {manifest['seed']}  "
@@ -663,6 +614,8 @@ def emit_report(manifest, out_dir):
             f" at rho {_fmt_cell(r['rho'])}"
             f" delta_hat {_fmt_cell(r['delta_hat'])} checks {r['checks_passed']}"
         )
+    for point in manifest.get("failed_points", []):
+        lines.append(f"  K={point['K']} m={point['m']} FAILED: {point['error']}")
     for name, ok in manifest.get("checks", {}).items():
         lines.append(f"  check {name}: {'pass' if ok else 'FAIL'}")
     summary_path = out / "summary.txt"
@@ -680,13 +633,7 @@ def _write_manifest(manifest, out_dir):
 
 
 def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):  # numpy scalars and arrays
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
@@ -718,26 +665,6 @@ def _load_config(args):
     return cfg
 
 
-def _align_verify(cfg):
-    cfg.validate()
-    t0 = time.perf_counter()
-    trials = cfg.effective_trials(100)
-    checks = {}
-    details = {}
-    for K in sorted(cfg.k_list()):
-        for m in sorted(cfg.m_list()):
-            report, rank_audit = _alignment_audit(cfg, derive_dims(K, m), trials)
-            checks[f"K{K}_m{m}_alignment"] = report.passed
-            checks[f"K{K}_m{m}_full_rank"] = rank_audit.passed
-            details[f"K{K}_m{m}"] = {
-                "alignment": report.as_dict(),
-                "rank_failures": rank_audit.failures,
-            }
-    manifest = _manifest(cfg, [], checks, {"align_verify_s": time.perf_counter() - t0})
-    manifest["audit_details"] = details
-    return manifest
-
-
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
@@ -753,7 +680,7 @@ def main(argv=None):
 
         cfg = _load_config(args)
         if args.command == "align-verify":
-            manifest = _align_verify(cfg)
+            manifest = _check_grid(cfg, (_alignment_suite,))
         elif args.command == "rates":
             manifest = run(cfg)
         elif args.command == "dof-sweep":
@@ -767,11 +694,16 @@ def main(argv=None):
             raise ConfigError(f"unknown command {args.command}")
         _write_manifest(manifest, cfg.out)
         emit_report(manifest, cfg.out)
+        for point in manifest["failed_points"]:
+            print(f"numerical error at K={point['K']} m={point['m']}: {point['error']}",
+                  file=sys.stderr)
+        if manifest["failed_points"]:
+            return EXIT_NUMERICAL_ERROR
         return EXIT_OK if manifest["passed"] else EXIT_CHECK_FAILURE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (NumericalError, AlignmentError, np.linalg.LinAlgError) as exc:
+    except _NUMERICAL_ERRORS as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
 

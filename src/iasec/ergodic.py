@@ -167,7 +167,6 @@ class ErgodicPass:
             mean=est.mean[cols],
             ci_low=est.ci_low[cols],
             ci_high=est.ci_high[cols],
-            std_err=est.std_err[cols],
             trials=est.trials,
         )
 
@@ -262,7 +261,6 @@ class ErgodicEstimate:
     eaves_mean: float
     eaves_upper_mean: float
     R_ci: tuple
-    Rx_ci: tuple
     trials: int
 
 
@@ -290,7 +288,6 @@ def ergodic_rates(pass_, rho):
         eaves_mean=eav_m,
         eaves_upper_mean=up_m,
         R_ci=(float(est.ci_low[3]), float(est.ci_high[3])),
-        Rx_ci=(float(est.ci_low[4]), float(est.ci_high[4])),
         trials=pass_.trials,
     )
 
@@ -329,7 +326,6 @@ def eavesdropper_budget_check(pass_, rx_rate):
 
 @dataclass
 class InequalityAuditReport:
-    lemma3_pairs: int
     lemma3_violations: int
     lemma4_entries: list  # (subset, mean of lhs - rhs, its ci_half)
     lemma4_passed: bool
@@ -356,7 +352,7 @@ def mi_inequality_audit(pass_):
         raise ValueError("disjoint-pair enumeration is exhaustive only up to K=4")
     if pass_.trials < 30:
         raise ValueError("audits need at least 30 trials")
-    pairs, strict, sym_conds = _audit_sets(K)
+    _, strict, sym_conds = _audit_sets(K)
     est = pass_.audit()
     idx = 0
     lemma3_viol = int(round(float(est.mean[idx] * pass_.trials)))
@@ -383,7 +379,6 @@ def mi_inequality_audit(pass_):
                 if abs(means[a] - means[b]) > halves[a] + halves[b]:
                     sym_ok = False
     return InequalityAuditReport(
-        lemma3_pairs=len(pairs),
         lemma3_violations=lemma3_viol,
         lemma4_entries=lemma4_entries,
         lemma4_passed=lemma4_ok,

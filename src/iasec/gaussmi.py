@@ -53,7 +53,6 @@ class SlopeEstimate:
     """High-SNR slope in bits per log2(rho), fit on the top half of the grid."""
 
     slope: float
-    intercept: float
     residual: float
 
 
@@ -62,7 +61,6 @@ class McEstimate:
     mean: np.ndarray
     ci_low: np.ndarray
     ci_high: np.ndarray
-    std_err: np.ndarray
     trials: int
 
     @property
@@ -225,10 +223,9 @@ def estimate_slope(f, grid=DEFAULT_RHO_GRID):
     x = np.log2(grid[lo:])
     y = values[lo:]
     design = np.vstack([x, np.ones_like(x)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
-    fit = design @ np.array([slope, intercept])
-    residual = float(np.sqrt(np.mean((y - fit) ** 2)))
-    return SlopeEstimate(slope=float(slope), intercept=float(intercept), residual=residual)
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    residual = float(np.sqrt(np.mean((y - design @ coef) ** 2)))
+    return SlopeEstimate(slope=float(coef[0]), residual=residual)
 
 
 def expectation(draw, statistic, trials, workers=1):
@@ -254,12 +251,10 @@ def expectation(draw, statistic, trials, workers=1):
                 data = np.empty((trials, row.size))
             data[t] = row
     mean = data.mean(axis=0)
-    std_err = data.std(axis=0, ddof=1) / np.sqrt(trials)
-    half = 1.96 * std_err
+    half = 1.96 * (data.std(axis=0, ddof=1) / np.sqrt(trials))
     return McEstimate(
         mean=mean,
         ci_low=mean - half,
         ci_high=mean + half,
-        std_err=std_err,
         trials=trials,
     )

@@ -120,7 +120,6 @@ class TestVerifyAlignment:
     def test_zero_beamformer_fails_rank_check(self):
         net, aset = aligned_instance(3, 1, seed=9)
         broken = AlignmentSet(
-            dims=aset.dims,
             beams=[np.zeros_like(aset.beams[0]), *aset.beams[1:]],
             power_normalizers=aset.power_normalizers,
         )
@@ -228,7 +227,7 @@ class TestFullRank:
 
 class TestStreamPower:
     def test_arithmetic_example(self):
-        aset = AlignmentSet(dims=None, beams=[], power_normalizers=np.array([2 / 3]))
+        aset = AlignmentSet(beams=[], power_normalizers=np.array([2 / 3]))
         p = stream_power(aset, PowerConfig(rho=7.0, epsilon_margin=1.0))
         assert np.allclose(p, [9.0])
 

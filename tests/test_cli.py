@@ -53,7 +53,7 @@ class TestConfig:
 
     def test_grid_cap(self):
         with pytest.raises(ConfigError):
-            make_cfg(K=[3, 4], m=list(range(1, 40)), grid_cap=10).validate()
+            make_cfg(K=[3, 4], m=list(range(1, 40))).validate()  # 78 points, cap 64
 
     def test_k_cap(self):
         with pytest.raises(ConfigError):
@@ -228,9 +228,10 @@ class TestMainEntry:
     def test_bad_config_exits_two_without_records(self, tmp_path, fields):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"K": 3, "m": 1, "seed": SEED, **fields}))
-        out = tmp_path / "o"
-        assert main(["--config", str(p), "--out", str(out), "dof-sweep"]) == 2
-        assert not (out / "records.csv").exists()
+        for command in ("rates", "dof-sweep", "ergodic", "audit", "align-verify"):
+            out = tmp_path / command
+            assert main(["--config", str(p), "--out", str(out), command]) == 2, command
+            assert not (out / "records.csv").exists()
 
     def test_rates_roundtrip(self, tmp_path):
         code = main(["--seed", str(SEED), "--out", str(tmp_path), "rates"])
@@ -276,10 +277,21 @@ class TestMainEntry:
         assert manifest["checks"] and all(manifest["checks"].values())
 
     def test_align_verify_command(self, tmp_path):
-        code = main(
-            ["--seed", str(SEED), "--out", str(tmp_path), "--trials", "20", "align-verify"]
-        )
-        assert code == 0
+        manifests = {}
+        for command in ("align-verify", "audit"):
+            out = tmp_path / command
+            assert main(["--seed", str(SEED), "--out", str(out), "--trials", "20", command]) == 0
+            manifests[command] = json.loads((out / "manifest.json").read_text())
+        verify, full = manifests["align-verify"], manifests["audit"]
+        # align-verify is the audit's alignment suite alone, under the audit's names
+        assert verify["checks"] == {
+            name: full["checks"][name] for name in ("K3_m2_alignment", "K3_m2_lemma2")
+        }
+        detail = verify["audit_details"]["K3_m2"]
+        assert set(detail) == {
+            "alignment", "lemma2_trials", "lemma2_failures", "lemma2_failing_trials"
+        }
+        assert detail == {key: full["audit_details"]["K3_m2"][key] for key in detail}
 
     def test_tight_tolerance_reported_not_crashed(self, tmp_path):
         code = main(
@@ -304,6 +316,21 @@ class TestMainEntry:
             ["--seed", str(SEED), "--out", str(tmp_path), "--tol", "1e-18", "rates"]
         )
         assert code == 3
+
+    def test_sweep_keeps_the_points_before_a_failed_one(self, tmp_path):
+        # every m=18 draw fails verification (concat rank short of F=37)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"K": 3, "m": [2, 18], "seed": SEED}))
+        out = tmp_path / "o"
+        assert main(["--config", str(p), "--out", str(out), "dof-sweep"]) == 3
+        rows = (out / "records.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("confidential,3,2,")
+        manifest = json.loads((out / "manifest.json").read_text())
+        [failed] = manifest["failed_points"]
+        assert (failed["K"], failed["m"]) == (3, 18)
+        assert "retry budget" in failed["error"]
+        assert not manifest["passed"]
+        assert "K=3 m=18 FAILED" in (out / "summary.txt").read_text()
 
     def test_report_failed_manifest_exits_one(self, tmp_path):
         path = tmp_path / "manifest.json"
