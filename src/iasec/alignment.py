@@ -15,7 +15,7 @@ H_k V_k that verification and every mutual information read.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -268,14 +268,12 @@ class AlignmentReport:
         return all(r.passed_dims for r in self.receivers) and self.worst_residual < self.residual_tol
 
     def summary(self):
-        parts = []
-        for r in self.receivers:
-            parts.append(
-                f"rx{r.receiver}: interf {r.interference_dim}/{r.expected_interference_dim}"
-                f" own {r.own_rank}/{r.expected_own_rank} concat {r.concat_rank}"
-                f" resid {r.worst_residual:.2e}"
-            )
-        return "; ".join(parts)
+        return "; ".join(
+            f"rx{r.receiver}: interf {r.interference_dim}/{r.expected_interference_dim}"
+            f" own {r.own_rank}/{r.expected_own_rank} concat {r.concat_rank}"
+            f" resid {r.worst_residual:.2e}"
+            for r in self.receivers
+        )
 
     def as_dict(self):
         return {
@@ -283,18 +281,7 @@ class AlignmentReport:
             "worst_residual": float(self.worst_residual),
             "residual_tol": self.residual_tol,
             "rank_tol_factor": RANK_TOL_FACTOR,
-            "receivers": [
-                {
-                    "receiver": r.receiver,
-                    "interference_dim": r.interference_dim,
-                    "expected_interference_dim": r.expected_interference_dim,
-                    "own_rank": r.own_rank,
-                    "expected_own_rank": r.expected_own_rank,
-                    "concat_rank": r.concat_rank,
-                    "worst_residual": float(r.worst_residual),
-                }
-                for r in self.receivers
-            ],
+            "receivers": [asdict(r) for r in self.receivers],
         }
 
 
@@ -341,12 +328,8 @@ def verify_alignment(net, aset, residual_tol=RESIDUAL_TOL):
 
 def rank_failures(net, aset):
     """All (receiver, transmitter) pairs where H_{i,k} V_k drops below rank m_k."""
-    bad = []
-    for i in range(net.dims.K):
-        for k, mat in enumerate(aset.apply(net.gains[i])):
-            if numerical_rank(mat) != net.dims.streams[k]:
-                bad.append((i, k))
-    return bad
+    short = _short_links(net.gains[None], [v[None] for v in aset.beams])[0]
+    return [(int(i), int(k)) for i, k in np.argwhere(short)]
 
 
 @dataclass
@@ -394,14 +377,22 @@ def _rank_deficient(gains, m):
     built = ~failed
     if not built.all():
         gains, beams = gains[built], [b[built] for b in beams]
-    short = np.zeros(len(gains), dtype=bool)
+    failed[built] = _short_links(gains, beams).any(axis=(1, 2))
+    return failed
+
+
+def _short_links(gains, beams):
+    """Mask [T, K, K] of the products H_ik V_k below rank m_k, per network of gains[T, K, K, F].
+
+    `beams[k]` holds the networks' V_k as [T, F, m_k]; each (i, k) takes one
+    stacked singular-value call.
+    """
+    short = np.zeros(gains.shape[:3], dtype=bool)
     for i in range(gains.shape[1]):
         for k, v in enumerate(beams):
             eff = gains[:, i, k, :, None] * v
-            s = np.linalg.svd(eff, compute_uv=False)
-            short |= _rank(s, eff.shape) != v.shape[-1]
-    failed[built] = short
-    return failed
+            short[:, i, k] = _rank(np.linalg.svd(eff, compute_uv=False), eff.shape) != v.shape[-1]
+    return short
 
 
 def stream_power(aset, power):

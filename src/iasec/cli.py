@@ -340,7 +340,7 @@ def _run_ergodic_point(cfg, K, m):
     dims = derive_dims(K, m)
     trials = cfg.effective_trials(200)
     powers = [PowerConfig(rho=rho, epsilon_margin=cfg.epsilon_margin) for rho in cfg.rho_grid]
-    pass_ = ergodic_pass(dims, powers, trials, cfg.seed, workers=cfg.workers)
+    pass_ = ergodic_pass(dims, powers, trials, cfg.seed, cfg.workers, residual_tol=cfg.tol)
     rows = []
     for rho in cfg.rho_grid:
         est = ergodic_rates(pass_, rho)

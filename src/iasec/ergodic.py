@@ -15,13 +15,22 @@ reduces the rows in trial order, and `ergodic_rates`,
 `eavesdropper_budget_check` and `mi_inequality_audit` read that estimate.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import align_first_valid
-from .gaussmi import McEstimate, _log2det, _mi_bits, _squared_singular_values, expectation
+from .alignment import RESIDUAL_TOL, align_first_valid
+from .gaussmi import (
+    McEstimate,
+    _log2det,
+    _log2dets,
+    _set_mi,
+    _set_spectra,
+    _squared_singular_values,
+    _subsets,
+    _unit_factors,
+    expectation,
+)
 from .model import (
     NetworkRealization,
     SystemDims,
@@ -48,6 +57,7 @@ __all__ = [
 
 _TOL = 1e-9
 _RATE_STATS = 5  # own, eav, eav_up, R, Rx at one grid rho
+_BLOCK_ATTEMPTS = 4  # draws per block before a degenerate block aborts the pass
 
 
 def _block_permutation(K, seed, block_index):
@@ -71,22 +81,18 @@ class BlockAlignment:
     attempts: int
 
 
-def block_network(dims, seed, block_index, perm=None, with_eavesdropper=True, retries=3):
-    """Draw and align one fading block under the ordering `perm`.
+def block_network(dims, seed, block_index, residual_tol=RESIDUAL_TOL):
+    """Draw and align one fading block under its drawn ordering perm.
 
     A fresh channel is sampled for the block, the grid is reindexed so that
     user perm[0] takes the large-stream role, and the beamformers are built
-    and verified on the reordered grid. A draw that fails to build or to
-    verify at tolerance (a numerically degenerate realization) is resampled
-    from a derived sub-seed up to `retries` times, keeping long Monte Carlo
+    and verified at `residual_tol` on the reordered grid; the eavesdropper
+    row is drawn and reordered alike. A draw that fails to build or to verify
+    (a numerically degenerate realization) is resampled from a derived
+    sub-seed, up to `_BLOCK_ATTEMPTS` draws in all, keeping long Monte Carlo
     runs total without touching any non-degenerate block.
     """
-    if perm is None:
-        perm = _block_permutation(dims.K, seed, block_index)
-    perm = np.asarray(perm)
-    K = dims.K
-    if sorted(perm.tolist()) != list(range(K)):
-        raise ValueError(f"perm must be a bijection on 0..{K - 1}")
+    perm = _block_permutation(dims.K, seed, block_index)
 
     def draw(attempt):
         draw_seed = seed
@@ -98,33 +104,19 @@ def block_network(dims, seed, block_index, perm=None, with_eavesdropper=True, re
         )
 
     net_role, aset, _, attempts = align_first_valid(
-        draw, retries + 1, context=f"block {block_index}: degenerate"
+        draw, _BLOCK_ATTEMPTS, residual_tol=residual_tol, context=f"block {block_index}: degenerate"
     )
-    if with_eavesdropper:
-        net_role.eavesdropper = sample_eavesdropper_block(dims, seed, block_index)[perm]
+    net_role.eavesdropper = sample_eavesdropper_block(dims, seed, block_index)[perm]
     return BlockAlignment(
         block_index=block_index, perm=perm, net_role=net_role, aset=aset, attempts=attempts
     )
 
 
-def _user_subsets(K, strict=False):
-    upper = K - 1 if strict else K
-    out = []
-    for r in range(1, upper + 1):
-        out.extend(itertools.combinations(range(K), r))
-    return out
-
-
 def _audit_sets(K):
     """Lemma 3 disjoint pairs, Lemma 4 strict subsets, symmetry conditioning sets."""
-    nonempty = _user_subsets(K)
-    pairs = [
-        (m_set, l_set)
-        for m_set in nonempty
-        for l_set in nonempty
-        if not set(m_set) & set(l_set)
-    ]
-    strict = _user_subsets(K, strict=True)
+    nonempty = _subsets(range(K))
+    pairs = [(a, b) for a in nonempty for b in nonempty if not set(a) & set(b)]
+    strict = _subsets(range(K), proper=True)
     sym_conds = [c for c in [()] + strict if len(c) <= K - 2]
     return pairs, strict, sym_conds
 
@@ -171,17 +163,18 @@ class ErgodicPass:
         )
 
 
-def ergodic_pass(dims, powers, trials, seed, workers=1):
+def ergodic_pass(dims, powers, trials, seed, workers=1, residual_tol=RESIDUAL_TOL):
     """Build each of `trials` fading blocks once and reduce one row per block.
 
-    Block t is `block_network(dims, seed, t)`. Its spectra are the squared
-    singular values of the unit-power factors G_k / sqrt(c_k): all roles and
-    the others at each role's receiver (2K), every nonempty role set at the
-    eavesdropper (2^K - 1), and the eavesdropper's inflated set with every
-    role weighted by its stream count (1). Each user loads rho - eps onto its
-    unit-power factor, so each spectrum gives its log-det at every power in
-    `powers` at once. The budget and audit statistics are taken at the last
-    power.
+    Block t is `block_network(dims, seed, t, residual_tol)`. Its spectra are
+    those of the unit-power factors G_k / sqrt(c_k), from the same
+    `gaussmi` layer the confidential rates read: all roles and the others at
+    each role's receiver (2K), every nonempty role set at the eavesdropper
+    (2^K - 1), and the eavesdropper's inflated set with every role weighted
+    by its stream count (1). Each user loads rho - eps onto its unit-power
+    factor, so each spectrum gives its log-det at every power in `powers` at
+    once, and every MI is a difference of two of them. The budget and audit
+    statistics are taken at the last power.
     """
     powers = tuple(powers)
     loads = np.array([p.effective for p in powers])
@@ -193,61 +186,54 @@ def ergodic_pass(dims, powers, trials, seed, workers=1):
             resampled.append(block.block_index)
         return _block_row(block, loads, audit_sets)
 
-    est = expectation(lambda t: block_network(dims, seed, t), statistic, trials, workers=workers)
+    est = expectation(
+        lambda t: block_network(dims, seed, t, residual_tol), statistic, trials, workers=workers
+    )
     return ErgodicPass(dims=dims, powers=powers, estimate=est, resampled_blocks=sorted(resampled))
 
 
 def _block_row(block, loads, audit_sets):
     """One block's statistics: see `ErgodicPass` for the layout."""
-    dims = block.net_role.dims
+    dims, aset = block.net_role.dims, block.aset
     K, F = dims.K, dims.F
-    scale = 1.0 / np.sqrt(block.aset.power_normalizers)
-
-    def log2dets(factors):
-        return _log2det(_squared_singular_values(factors), loads)
-
+    users, nonempty = frozenset(range(K)), _subsets(range(K))
     own = np.zeros(len(loads))
     for r in range(K):
-        unit = [g * s for g, s in zip(block.aset.apply(block.net_role.gains[r]), scale)]
-        full, others = log2dets(unit), log2dets(unit[:r] + unit[r + 1 :])
-        own += [_mi_bits(a, b) for a, b in zip(full, others)]
+        unit = _unit_factors(aset, block.net_role.gains[r])
+        sets = [tuple(range(K)), tuple(s for s in range(K) if s != r)]
+        own += _set_mi(_log2dets(_set_spectra(unit, sets), loads), users, {r})
     own /= K
-    unit = [g * s for g, s in zip(block.aset.apply(block.net_role.eavesdropper), scale)]
-    eaves = {frozenset(roles): log2dets([unit[r] for r in roles]) for roles in _user_subsets(K)}
+    unit = _unit_factors(aset, block.net_role.eavesdropper)
+    eaves = _log2dets(_set_spectra(unit, nonempty), loads)
     # with no noise users left, each eavesdropper MI is its log-det alone
-    eav = eaves[frozenset(range(K))]
-    eav_up = log2dets([np.sqrt(dims.streams[r]) * unit[r] for r in range(K)])
+    eav = eaves[users]
+    inflated = [np.sqrt(dims.streams[r]) * unit[r] for r in range(K)]
+    eav_up = _log2det(_squared_singular_values(inflated), loads)
     rates = np.column_stack([own, eav, eav_up, (K * own - eav_up) / (K * F), eav / (K * F)])
 
     # top-power log-dets keyed by user set: role r belongs to user perm[r]
     perm = block.perm.tolist()
     top = {frozenset(perm[r] for r in roles): v[-1] for roles, v in eaves.items()}
-    top[frozenset()] = 0.0
-    users = frozenset(range(K))
-
-    def mi_users(sig, cond=()):
-        """I(X_sig; Y_e | X_cond, H, H_e) at the top power."""
-        rest = users.difference(cond)
-        return _mi_bits(top[rest], top[rest.difference(sig)])
-
     rx_block = eav[-1] / (K * F)
     vals = []
-    for sub in _user_subsets(K):
-        rhs = mi_users(sub, users.difference(sub)) / F
+    for sub in nonempty:
+        rhs = _set_mi(top, users, sub, users.difference(sub)) / F
         vals.extend([rhs, rhs - len(sub) * rx_block])
     if audit_sets is not None:
         pairs, strict, sym_conds = audit_sets
         viol = 0
         for m_set, l_set in pairs:
-            plain = mi_users(m_set)
-            if plain > mi_users(m_set, l_set) + _TOL * max(1.0, plain):
+            plain = _set_mi(top, users, m_set)
+            if plain > _set_mi(top, users, m_set, l_set) + _TOL * max(1.0, plain):
                 viol += 1
         vals.append(float(viol))
         for sub in strict:
             rest = tuple(u for u in range(K) if u not in sub)
-            vals.append(mi_users(rest) / len(rest) - mi_users(sub, rest) / len(sub))
+            vals.append(
+                _set_mi(top, users, rest) / len(rest) - _set_mi(top, users, sub, rest) / len(sub)
+            )
         for cond in sym_conds:
-            vals.extend(mi_users((u,), cond) for u in range(K) if u not in cond)
+            vals.extend(_set_mi(top, users, (u,), cond) for u in range(K) if u not in cond)
     return np.concatenate([rates.ravel(), vals])
 
 
@@ -311,7 +297,7 @@ def eavesdropper_budget_check(pass_, rx_rate):
     rx_mean = pass_.rates(pass_.powers[-1].rho).mean[4]
     entries = []
     ok = True
-    for idx, sub in enumerate(_user_subsets(pass_.dims.K)):
+    for idx, sub in enumerate(_subsets(range(pass_.dims.K))):
         lhs = len(sub) * rx_rate
         rhs = est.mean[2 * idx]
         # shift the paired slack if the caller's rate differs from this

@@ -4,7 +4,10 @@ All quantities are log-det expressions in bits over the F-slot extension,
 taken from the singular values s_j of a stacked factor B:
 log2 det(I + e B B^H) = sum_j log1p(e s_j^2) / ln 2. Every user loads the same
 scalar e = rho - eps onto its unit-power factor G_k / sqrt(c_k), so one SVD
-per (receiver, user set) gives the log-det at every rho (`spectra_table`).
+per (receiver, user set) gives the log-det at every rho. One layer serves
+both rate rules: the unit-power factors of a row, the spectra of ordered user
+sets, and one rule I(X_S; Y | X_C) = ld(U - C) - ld(U - C - S) over log-dets
+keyed by user set. `spectra_table` and the ergodic pass both read it.
 The eigenvalues of the Gram B B^H would square its condition number (3.2e-4
 relative error at rho = 1e12); the SVD stays within 1.3e-14 of a 60-digit
 reference on every grid rho. A Schur-complement path is kept as an
@@ -21,7 +24,6 @@ __all__ = [
     "NumericalError",
     "MiValue",
     "SlopeEstimate",
-    "ReceiverSpectra",
     "receiver_gains",
     "mi_from_gains",
     "spectra_table",
@@ -123,57 +125,72 @@ def mi_from_gains(gains, powers, signal, conditioned=()):
     return MiValue(bits=_mi_bits(top, bot))
 
 
-@dataclass
-class ReceiverSpectra:
-    """Squared singular values of unit-power factors B_S = [G_k / sqrt(c_k)], k in S.
+def _subsets(items, proper=False):
+    """Nonempty subsets of `items` as sorted tuples, by size, then lexicographic.
 
-    With every user at per-stream power P_k = load / c_k,
-    log2 det(I + Q_S) = sum_j log1p(load s_j^2) / ln 2 over s_j^2 in sets[S].
+    `proper` leaves out the full set.
     """
+    items = sorted(items)
+    sizes = range(1, len(items) if proper else len(items) + 1)
+    return [sub for r in sizes for sub in itertools.combinations(items, r)]
 
-    receiver: int
-    sets: dict  # frozenset of users -> squared singular values
-    inflated: np.ndarray  # all users, every other user's factor weighted by m_k
 
-    def log2det(self, users, load):
-        return _log2det(self.sets[frozenset(users)], load)
+def _unit_factors(aset, row):
+    """Unit-power factors B_k = G_k / sqrt(c_k) of one row of diagonals.
 
-    def mi(self, with_signal, noise, load):
-        """log2 det(I + Q_{with_signal}) - log2 det(I + Q_noise), in bits."""
-        return _mi_bits(self.log2det(with_signal, load), self.log2det(noise, load))
+    With every user at per-stream power P_k = load / c_k, a user set S has
+    log2 det(I + Q_S) = sum_j log1p(load s_j^2) / ln 2 over the squared
+    singular values s_j^2 of its stacked factor [B_k], k in S.
+    """
+    scale = 1.0 / np.sqrt(aset.power_normalizers)
+    return [g * s for g, s in zip(aset.apply(row), scale)]
 
-    def leak_upper(self, load):
-        """The inflated all-users log-det minus the receiver's own, in bits."""
-        return _mi_bits(_log2det(self.inflated, load), self.log2det({self.receiver}, load))
+
+def _set_spectra(factors, sets):
+    """Squared singular values of each ordered user set's stacked factor, keyed by its user set.
+
+    The order of a set is the column order of its stack.
+    """
+    return {frozenset(s): _squared_singular_values([factors[k] for k in s]) for s in sets}
+
+
+def _log2dets(spectra, load):
+    """The log-det of every user set of `spectra` at `load` (or one per load of an array)."""
+    return {users: _log2det(s2, load) for users, s2 in spectra.items()}
+
+
+def _set_mi(ld, users, signal, conditioned=()):
+    """I(X_S; Y | X_C) = ld(U - C) - ld(U - C - S) in bits, U the set `users`.
+
+    `ld` maps user sets to log-dets; the empty set's is zero. Log-dets at an
+    array of loads give one MI per load, each clamped as a scalar's would be.
+    """
+    rest = users.difference(conditioned)
+    noise = rest.difference(signal)
+    top = ld[rest]
+    bot = ld[noise] if noise else 0.0 * top
+    if isinstance(top, np.ndarray):
+        return np.array([_mi_bits(a, b) for a, b in zip(top, bot)])
+    return _mi_bits(top, bot)
 
 
 def spectra_table(net, aset):
     """Every receiver's spectra for the confidential rate rule; rho-independent.
 
-    Per receiver i the sets are {i}, the others, all users, S u {i} for each
-    proper nonempty subset S of the others, and the inflated all-users set
-    (2^(K-1) + 2 SVDs per receiver).
+    Per receiver i, one (sets, inflated) pair. `sets` holds the spectra of
+    {i}, the others and S u {i} for each nonempty subset S of the others,
+    i's columns first. `inflated` is the spectrum of all users with every
+    other user's factor weighted by sqrt(m_k). That is 2^(K-1) + 2 SVDs per
+    receiver.
     """
     K = net.dims.K
-    scale = 1.0 / np.sqrt(aset.power_normalizers)
     table = []
     for i in range(K):
-        unit = [g * s for g, s in zip(receiver_gains(net, aset, i), scale)]
+        unit = _unit_factors(aset, net.gains[i])
         others = tuple(k for k in range(K) if k != i)
-        sets = [(i,), others] + [
-            (i, *sub) for r in range(1, K) for sub in itertools.combinations(others, r)
-        ]
+        sets = [(i,), others] + [(i, *sub) for sub in _subsets(others)]
         inflated = [unit[i]] + [np.sqrt(net.dims.streams[k]) * unit[k] for k in others]
-        table.append(
-            ReceiverSpectra(
-                receiver=i,
-                sets={
-                    frozenset(users): _squared_singular_values([unit[k] for k in users])
-                    for users in sets
-                },
-                inflated=_squared_singular_values(inflated),
-            )
-        )
+        table.append((_set_spectra(unit, sets), _squared_singular_values(inflated)))
     return table
 
 

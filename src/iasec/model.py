@@ -9,6 +9,7 @@ pure function of a :class:`SystemDims`, a master seed, and optionally a block
 index, so identical inputs reproduce identical numbers bit for bit.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +103,7 @@ def derive_dims(K, m):
 
 
 def _sample_gains(rng, F):
-    """i.i.d. CN(0,1) gains with near-zero magnitudes rejected."""
+    """A stream's F gains drawn from its start, near-zero magnitudes redrawn until none is left."""
     z = rng.standard_normal(2 * F)
     g = (z[:F] + 1j * z[F:]) / np.sqrt(2.0)
     bad = np.abs(g) < MIN_GAIN_MAGNITUDE
@@ -113,26 +114,34 @@ def _sample_gains(rng, F):
     return g
 
 
+def _stream_gains(shape, F, stream):
+    """One row of F gains per index of `shape`, drawn from the generator `stream(*index)`.
+
+    The first draw of every stream is made in place and scaled in one pass;
+    a stream with a near-zero gain is drawn again from its start through
+    `_sample_gains`, so its rejection loop is the per-stream one.
+    """
+    z = np.empty((*shape, 2 * F))
+    for idx in itertools.product(*map(range, shape)):
+        stream(*idx).standard_normal(out=z[idx])
+    g = (z[..., :F] + 1j * z[..., F:]) / np.sqrt(2.0)
+    for idx in zip(*np.nonzero((np.abs(g) < MIN_GAIN_MAGNITUDE).any(axis=-1))):
+        g[idx] = _sample_gains(stream(*idx), F)
+    return g
+
+
 def sample_gains(dims, seeds, block_index=0):
     """Link gains of one network per seed, as a (len(seeds), K, K, F) array.
 
     Entry [t, i, k] is the diagonal from transmitter k to receiver i of the
     network `sample_network(dims, seeds[t], block_index=block_index)` draws:
-    each link reads its own (seed, link, block) stream. The first draw of
-    every stream is made in place and scaled in one pass; a stream with a
-    near-zero gain is drawn again from its start through `_sample_gains`, so
-    its rejection loop is the per-stream one.
+    each link reads its own (seed, link, block) stream.
     """
-    K, F = dims.K, dims.F
-    z = np.empty((len(seeds), K, K, 2 * F))
-    for t, seed in enumerate(seeds):
-        for i in range(K):
-            for k in range(K):
-                sub_rng(seed, _TAG_LINK, i, k, block_index).standard_normal(out=z[t, i, k])
-    g = (z[..., :F] + 1j * z[..., F:]) / np.sqrt(2.0)
-    for t, i, k in zip(*np.nonzero((np.abs(g) < MIN_GAIN_MAGNITUDE).any(axis=-1))):
-        g[t, i, k] = _sample_gains(sub_rng(seeds[t], _TAG_LINK, i, k, block_index), F)
-    return g
+    return _stream_gains(
+        (len(seeds), dims.K, dims.K),
+        dims.F,
+        lambda t, i, k: sub_rng(seeds[t], _TAG_LINK, i, k, block_index),
+    )
 
 
 @dataclass
@@ -174,9 +183,7 @@ def sample_network(dims, seed, with_eavesdropper=False, block_index=0):
 
 def sample_eavesdropper_block(dims, seed, block_index):
     """Fresh eavesdropper row H_e for one fading block, as a (K, F) gain array."""
-    return np.array(
-        [_sample_gains(sub_rng(seed, _TAG_EAVES, k, block_index), dims.F) for k in range(dims.K)]
-    )
+    return _stream_gains((dims.K,), dims.F, lambda k: sub_rng(seed, _TAG_EAVES, k, block_index))
 
 
 @dataclass(frozen=True)

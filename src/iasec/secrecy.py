@@ -8,10 +8,9 @@ receiver. The equivocation deficit delta_hat tracks how far the scheme sits
 from perfect secrecy at finite SNR.
 """
 
-import itertools
 from dataclasses import dataclass
 
-from .gaussmi import estimate_slope
+from .gaussmi import _log2det, _log2dets, _set_mi, _subsets, estimate_slope
 
 __all__ = [
     "MAX_ENUM_USERS",
@@ -29,12 +28,6 @@ __all__ = [
 MAX_ENUM_USERS = 6
 
 _SLACK_TOL = 1e-9
-
-
-def _nonempty_subsets(items):
-    items = sorted(items)
-    for r in range(1, len(items) + 1):
-        yield from itertools.combinations(items, r)
 
 
 @dataclass
@@ -81,19 +74,21 @@ def confidential_rates(net, spectra, load):
     K, F = net.dims.K, net.dims.F
     if K > MAX_ENUM_USERS:
         raise ValueError(f"subset enumeration capped at K={MAX_ENUM_USERS}")
-    everyone = range(K)
+    everyone = frozenset(range(K))
     own = []
     cross = []
     leak_upper = []
     subset_bits = {}
-    for i, rx in enumerate(spectra):
-        others = tuple(k for k in everyone if k != i)
-        own.append(rx.mi(everyone, others, load))
-        for sub in _nonempty_subsets(others):
+    for i, (sets, inflated) in enumerate(spectra):
+        ld = _log2dets(sets, load)
+        others = tuple(k for k in range(K) if k != i)
+        own.append(_set_mi(ld, everyone, {i}))
+        for sub in _subsets(others):
             # conditioning on the rest of the others leaves only user i as noise
-            subset_bits[(i, sub)] = rx.mi({i, *sub}, {i}, load)
+            subset_bits[(i, sub)] = _set_mi(ld, everyone, sub, set(others).difference(sub))
         cross.append(subset_bits[(i, others)])
-        leak_upper.append(rx.leak_upper(load))
+        # the cross term with every other user at its whole budget: only ld(all users) changes
+        leak_upper.append(_set_mi({**ld, everyone: _log2det(inflated, load)}, everyone, others))
     r_raw = min(own) / F - max(cross) / ((K - 1) * F)
     binding = min(subset_bits, key=lambda key: subset_bits[key] / len(key[1]))
     rx_raw = subset_bits[binding] / (len(binding[1]) * F)

@@ -317,6 +317,16 @@ class TestMainEntry:
         )
         assert code == 3
 
+    def test_unattainable_tolerance_fails_the_ergodic_point(self, tmp_path):
+        # every block is verified at --tol, so no draw of block 0 aligns
+        argv = ["--seed", str(SEED), "--trials", "30", "--tol", "1e-30", "--out", str(tmp_path)]
+        assert main(argv + ["ergodic"]) == 3
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        [failed] = manifest["failed_points"]
+        assert (failed["K"], failed["m"]) == (3, 2)
+        assert "retry budget" in failed["error"]
+        assert manifest["config"]["tol"] == 1e-30 and not manifest["passed"]
+
     def test_sweep_keeps_the_points_before_a_failed_one(self, tmp_path):
         # every m=18 draw fails verification (concat rank short of F=37)
         p = tmp_path / "cfg.json"

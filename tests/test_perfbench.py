@@ -1,0 +1,51 @@
+"""The names the benchmark reads from the package still exist.
+
+`perfbench/tracer.py` records a function's per-layer metrics only when the
+function is defined in its layer's module and listed in that module's
+`__all__`, so a renamed or unlisted function silently drops them. The
+precision probe calls a handful of functions by name and signature.
+"""
+
+import importlib
+import inspect
+import json
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    """perfbench's modules, imported as its child process imports them."""
+    path = str(ROOT / "perfbench")
+    sys.path.insert(0, path)
+    try:
+        yield {name: importlib.import_module(name) for name in ("tracer", "probe")}
+    finally:
+        sys.path.remove(path)
+
+
+def test_per_layer_metrics_name_traced_functions(perfbench):
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    missing = []
+    for metric in declared:
+        parts = metric["name"].split(".")
+        # <layer>.<function>.<...>; two-part names are counters, not functions
+        if len(parts) < 3 or parts[0] not in perfbench["tracer"].LAYERS:
+            continue
+        module = importlib.import_module(f"iasec.{parts[0]}")
+        fn = getattr(module, parts[1], None)
+        traced = inspect.isfunction(fn) and fn.__module__ == module.__name__
+        if not (traced and parts[1] in module.__all__):
+            missing.append(metric["name"])
+    assert not missing
+
+
+def test_precision_probe_runs(perfbench):
+    result = perfbench["probe"].probe(16, [(3, 1)])
+    assert result["terms"] > 0
+    assert math.isfinite(result["max"]) and result["max"] < 1e-9
