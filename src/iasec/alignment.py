@@ -45,10 +45,16 @@ RESIDUAL_TOL = 1e-8
 
 _TAG_AUDIT = 11
 
-# The stacked arrays of one chunk of full-rank-audit redraws stay near this
-# size. On a 2-core x86-64 host with OpenBLAS, chunks of 1 MiB ran no faster
-# at K=3 or 4 and raised the audit's peak resident memory by about 2 MiB.
-_AUDIT_CHUNK_BYTES = 1 << 18
+# The stacked arrays of one chunk of networks (full-rank-audit redraws or
+# ergodic fading blocks) stay near this size. On a 2-core x86-64 host with
+# OpenBLAS, chunks of 1 MiB ran no faster at K=3 or 4 and raised peak
+# resident memory by 1 to 4 MiB.
+_CHUNK_BYTES = 1 << 18
+
+
+def _chunk(item_bytes):
+    """How many networks of `item_bytes` stacked bytes each fill one chunk."""
+    return max(1, _CHUNK_BYTES // item_bytes)
 
 
 class AlignmentError(RuntimeError):
@@ -70,14 +76,18 @@ class GeneratorSet:
 
 @dataclass
 class AlignmentSet:
-    """Beams V_k (F x m_k, one per user) plus their power normalizers c_k = tr(V V^H)/F."""
+    """Beams V_k (F x m_k, one per user) plus their power normalizers c_k = tr(V V^H)/F.
+
+    A stack of alignments carries leading batch axes: beams [..., F, m_k]
+    and normalizers [..., K].
+    """
 
     beams: list
     power_normalizers: np.ndarray
 
     def apply(self, row):
-        """Effective gains [H_k V_k for every k], where row[k] is the diagonal of H_k."""
-        return [g[:, None] * v for g, v in zip(row, self.beams)]
+        """Effective gains [H_k V_k for every k], where row[..., k, :] is the diagonal of H_k."""
+        return [row[..., k, :, None] * v for k, v in enumerate(self.beams)]
 
 
 def build_generators(net):
@@ -173,12 +183,10 @@ def build_beamformers(net, gens, verify=True, residual_tol=RESIDUAL_TOL):
     )
     if zero:
         raise AlignmentError("zero diagonal entry while rotating the shared block")
-    normalizers = np.empty(dims.K)
     for k, v in enumerate(beams):
         if v.shape[1] != dims.streams[k]:
             raise AlignmentError(f"user {k}: got {v.shape[1]} columns, want {dims.streams[k]}")
-        normalizers[k] = np.trace(v @ v.conj().T).real / dims.F
-    aset = AlignmentSet(beams=beams, power_normalizers=normalizers)
+    aset = AlignmentSet(beams=beams, power_normalizers=_power_normalizers(beams))
     if verify:
         report = verify_alignment(net, aset, residual_tol=residual_tol)
         if not report.passed:
@@ -210,29 +218,42 @@ def align_first_valid(draw, attempts, residual_tol=RESIDUAL_TOL, context="alignm
     raise AlignmentError(f"{context} beyond retry budget: {last}")
 
 
+def _power_normalizers(beams):
+    """c_k = tr(V_k V_k^H) / F for every user, as [..., K] over the beams' batch axes."""
+    F = beams[0].shape[-2]
+    traces = [np.trace(v @ v.conj().swapaxes(-1, -2), axis1=-2, axis2=-1) for v in beams]
+    return np.stack([t.real / F for t in traces], axis=-1)
+
+
+def _align_stack(gains, m, residual_tol):
+    """Build and verify every network of gains[T, K, K, F] at once.
+
+    Returns the stacked beamformers (beams [T, F, m_k], normalizers [T, K])
+    and a mask [T] of the networks that built and passed `verify_alignment`'s
+    rule; the others' beams are meaningless.
+    """
+    gens, s0, w, zero = _generators(gains, m)
+    beams, zero_rot = _beams(gains[:, 0], gens, s0, w, m)
+    passed = ~(zero | zero_rot)
+    built = np.flatnonzero(passed)
+    ranks, worst = _receiver_checks(gains[built], [v[built] for v in beams])
+    passed[built] = _passes(ranks, worst, [v.shape[-1] for v in beams], residual_tol)
+    with np.errstate(invalid="ignore", over="ignore"):
+        normalizers = _power_normalizers(beams)
+    return AlignmentSet(beams=beams, power_normalizers=normalizers), passed
+
+
 def numerical_rank(mat):
-    """Rank by SVD with the documented tolerance rule."""
+    """Rank by SVD: singular values above max(shape) * sigma_max * RANK_TOL_FACTOR count.
+
+    A stack of matrices [..., rows, cols] gives one rank per matrix, from one
+    stacked singular-value call.
+    """
     if mat.size == 0:
         return 0
-    return int(_rank(np.linalg.svd(mat, compute_uv=False), mat.shape))
-
-
-def _rank(s, shape):
-    """Ranks from stacked singular values s[..., :] of matrices of `shape`[-2:].
-
-    The rule: singular values above max(shape) * sigma_max * RANK_TOL_FACTOR count.
-    """
-    return np.count_nonzero(s > max(shape[-2:]) * s[..., :1] * RANK_TOL_FACTOR, axis=-1)
-
-
-def _containment_residual(cols, basis):
-    """Relative spectral norm of the part of `cols` outside span(basis)."""
-    q, _ = np.linalg.qr(basis)
-    resid = cols - q @ (q.conj().T @ cols)
-    denom = np.linalg.norm(cols, 2)
-    if denom == 0:
-        return np.inf
-    return np.linalg.norm(resid, 2) / denom
+    s = np.linalg.svd(mat, compute_uv=False)
+    ranks = np.count_nonzero(s > max(mat.shape[-2:]) * s[..., :1] * RANK_TOL_FACTOR, axis=-1)
+    return int(ranks) if np.ndim(ranks) == 0 else ranks
 
 
 @dataclass
@@ -245,27 +266,16 @@ class ReceiverCheck:
     concat_rank: int
     worst_residual: float
 
-    @property
-    def passed_dims(self):
-        return (
-            self.interference_dim == self.expected_interference_dim
-            and self.own_rank == self.expected_own_rank
-            and self.concat_rank == self.expected_own_rank + self.expected_interference_dim
-        )
-
 
 @dataclass
 class AlignmentReport:
     receivers: list
     residual_tol: float
+    passed: bool
 
     @property
     def worst_residual(self):
         return max(r.worst_residual for r in self.receivers)
-
-    @property
-    def passed(self):
-        return all(r.passed_dims for r in self.receivers) and self.worst_residual < self.residual_tol
 
     def summary(self):
         return "; ".join(
@@ -292,38 +302,85 @@ def verify_alignment(net, aset, residual_tol=RESIDUAL_TOL):
     dimensions, the intended streams must keep rank m_i, the two together
     must fill all F dimensions, and every interferer j not in {0, i} must sit
     inside the span of user 0's interference (receiver 0 instead checks that
-    all interferers share one span).
+    all interferers share one span). The one-network case of
+    `_receiver_checks` and `_passes`.
     """
     dims = net.dims
-    K, F = dims.K, dims.F
-    checks = []
-    for i in range(K):
-        eff = aset.apply(net.gains[i])
-        own = eff[i]
-        interf_blocks = {k: eff[k] for k in range(K) if k != i}
-        stacked = np.hstack(list(interf_blocks.values()))
-        residuals = [0.0]
-        if i == 0:
-            ref = interf_blocks[1]
-            for k in range(2, K):
-                residuals.append(_containment_residual(interf_blocks[k], ref))
-        else:
-            ref = interf_blocks[0]
-            for k, block in interf_blocks.items():
-                if k != 0:
-                    residuals.append(_containment_residual(block, ref))
-        checks.append(
-            ReceiverCheck(
-                receiver=i,
-                interference_dim=numerical_rank(stacked),
-                expected_interference_dim=F - dims.streams[i],
-                own_rank=numerical_rank(own),
-                expected_own_rank=dims.streams[i],
-                concat_rank=numerical_rank(np.hstack([own, stacked])),
-                worst_residual=float(max(residuals)),
-            )
+    ranks, worst = _receiver_checks(net.gains[None], [v[None] for v in aset.beams])
+    checks = [
+        ReceiverCheck(
+            receiver=i,
+            interference_dim=int(ranks[0, i, 0]),
+            expected_interference_dim=dims.F - dims.streams[i],
+            own_rank=int(ranks[0, i, 1]),
+            expected_own_rank=dims.streams[i],
+            concat_rank=int(ranks[0, i, 2]),
+            worst_residual=float(worst[0, i]),
         )
-    return AlignmentReport(receivers=checks, residual_tol=residual_tol)
+        for i in range(dims.K)
+    ]
+    passed = bool(_passes(ranks, worst, dims.streams, residual_tol)[0])
+    return AlignmentReport(receivers=checks, residual_tol=residual_tol, passed=passed)
+
+
+def _receiver_checks(gains, beams):
+    """The verification's numbers for every network of gains[T, K, K, F].
+
+    `beams[k]` holds the networks' V_k as [T, F, m_k]. Per receiver it
+    returns the ranks of the stacked interference, of the own streams and
+    of the two together (ranks [T, K, 3]), each one stacked singular-value
+    call, and `_worst_residual` (worst [T, K]).
+    """
+    T, K = gains.shape[:2]
+    ranks = np.empty((T, K, 3), dtype=int)
+    worst = np.empty((T, K))
+    for i in range(K):
+        eff = [gains[:, i, k, :, None] * v for k, v in enumerate(beams)]
+        interf = np.concatenate([g for k, g in enumerate(eff) if k != i], axis=-1)
+        worst[:, i] = _worst_residual(eff, i)
+        ranks[:, i, 0] = numerical_rank(interf)
+        ranks[:, i, 1] = numerical_rank(eff[i])
+        ranks[:, i, 2] = numerical_rank(np.concatenate([eff[i], interf], axis=-1))
+    return ranks, worst
+
+
+def _worst_residual(eff, i):
+    """Worst containment residual at receiver i over a stack of networks, 0 with none.
+
+    `eff[k]` holds H_ik V_k as [T, F, m_k]. The residual of interferer k is
+    the relative spectral norm of its part outside the span of the reference
+    interferer, user 1 at receiver 0 and user 0 elsewhere; it takes one
+    stacked QR per receiver and two stacked 2-norms per interferer.
+    """
+    ref = 1 if i == 0 else 0
+    q = np.linalg.qr(eff[ref]).Q
+    worst = np.zeros(len(q))
+    for k, cols in enumerate(eff):
+        if k in (i, ref):
+            continue
+        denom = _norm2(cols)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            resid = _norm2(cols - q @ (q.conj().swapaxes(-1, -2) @ cols)) / denom
+        worst = np.fmax(worst, np.where(denom == 0, np.inf, resid))
+    return worst
+
+
+def _norm2(mats):
+    """Spectral norm of each matrix of a stack."""
+    return np.linalg.svd(mats, compute_uv=False).max(axis=-1)
+
+
+def _passes(ranks, worst, streams, residual_tol):
+    """Today's verification rule over `_receiver_checks`' numbers: a mask [T].
+
+    A network passes when every receiver's interference has rank F - m_i,
+    its own streams rank m_i and both together rank F, and its worst
+    residual lies below `residual_tol`.
+    """
+    streams = np.asarray(streams)
+    F = streams[0] + streams[1]
+    expected = np.stack([F - streams, streams, np.full_like(streams, F)], axis=-1)
+    return (ranks == expected).all(axis=(1, 2)) & (worst.max(axis=1) < residual_tol)
 
 
 def rank_failures(net, aset):
@@ -360,7 +417,7 @@ def check_full_rank(dims, trials, seed):
     seeds = [sub_rng(seed, _TAG_AUDIT, t).integers(0, 2**63) for t in range(trials)]
     # bytes per redraw of the chunk's gains, bases and largest effective-channel stack
     per_redraw = 16 * dims.F * (dims.K**2 + sum(dims.streams) + dims.streams[0])
-    chunk = max(1, _AUDIT_CHUNK_BYTES // per_redraw)
+    chunk = _chunk(per_redraw)
     failing = []
     for start in range(0, trials, chunk):
         gains = sample_gains(dims, seeds[start : start + chunk])
@@ -390,8 +447,7 @@ def _short_links(gains, beams):
     short = np.zeros(gains.shape[:3], dtype=bool)
     for i in range(gains.shape[1]):
         for k, v in enumerate(beams):
-            eff = gains[:, i, k, :, None] * v
-            short[:, i, k] = _rank(np.linalg.svd(eff, compute_uv=False), eff.shape) != v.shape[-1]
+            short[:, i, k] = numerical_rank(gains[:, i, k, :, None] * v) != v.shape[-1]
     return short
 
 

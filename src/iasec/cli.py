@@ -10,6 +10,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -376,18 +377,33 @@ def _run_ergodic_point(cfg, K, m):
     return record
 
 
-def _manifest(cfg, records, checks, t0):
+def _environment():
+    """What the numbers depend on besides the config: numpy, its BLAS and the BLAS threads."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        **{name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+    }
+
+
+def _manifest(cfg, records, checks, failed, t0):
+    """The run's manifest; a failed point fails it."""
     return {
         "artifact_version": __version__,
         "config": cfg.as_dict(),
         "config_hash": cfg.digest(),
         "seed": cfg.seed,
         "scenario": cfg.scenario,
+        "environment": _environment(),
         "records": records,
         "checks": checks,
-        "failed_points": [],
+        "failed_points": failed,
         "timings": {"wall_s": time.perf_counter() - t0},
-        "passed": all(r["checks_passed"] for r in records) and all(checks.values()),
+        "passed": not failed
+        and all(r["checks_passed"] for r in records)
+        and all(checks.values()),
     }
 
 
@@ -395,6 +411,21 @@ def _grid(cfg):
     """Validate the config and return its (K, m) points in lexicographic order."""
     cfg.validate()
     return [(K, m) for K in sorted(cfg.k_list()) for m in sorted(cfg.m_list())]
+
+
+def _each_point(cfg, runner):
+    """`runner(K, m)` at every grid point, in order: the (K, m, result) of each and the failures.
+
+    A point that fails alignment or its numerics is listed among the
+    failures, with its error, and does not stop the loop.
+    """
+    done, failed = [], []
+    for K, m in _grid(cfg):
+        try:
+            done.append((K, m, runner(K, m)))
+        except _NUMERICAL_ERRORS as exc:
+            failed.append({"K": K, "m": m, "error": str(exc)})
+    return done, failed
 
 
 def run(cfg):
@@ -410,19 +441,10 @@ def sweep(cfg):
     A point that fails alignment or its numerics is listed in the manifest's
     `failed_points`, fails the manifest, and does not stop the sweep.
     """
-    points = _grid(cfg)
     t0 = time.perf_counter()
     runner = _run_ergodic_point if cfg.scenario == "external-ergodic" else _run_confidential_point
-    records, failed = [], []
-    for K, m in points:
-        try:
-            records.append(runner(cfg, K, m))
-        except _NUMERICAL_ERRORS as exc:
-            failed.append({"K": K, "m": m, "error": str(exc)})
-    manifest = _manifest(cfg, records, {}, t0)
-    if failed:
-        manifest.update(failed_points=failed, passed=False)
-    return manifest
+    done, failed = _each_point(cfg, lambda K, m: runner(cfg, K, m))
+    return _manifest(cfg, [record for _, _, record in done], {}, failed, t0)
 
 
 def _alignment_suite(cfg, K, m, trials):
@@ -506,21 +528,25 @@ def _monte_carlo_suite(cfg, K, m, trials):
 
 
 def _check_grid(cfg, suites):
-    """Run every suite at each grid point: checks keyed K{K}_m{m}_{name}, details per point."""
-    points = _grid(cfg)
+    """Run every suite at each grid point: checks keyed K{K}_m{m}_{name}, details per point.
+
+    A point where a suite fails its numerics is listed in `failed_points`
+    and writes no checks; the other points still run.
+    """
     t0 = time.perf_counter()
-    trials = cfg.effective_trials(100)
-    checks = {}
-    details = {}
-    for K, m in points:
-        tag = f"K{K}_m{m}"
-        details[tag] = {}
+
+    def point(K, m):
+        checks, details = {}, {}
         for suite in suites:
-            suite_checks, detail = suite(cfg, K, m, trials)
-            checks.update((f"{tag}_{name}", ok) for name, ok in suite_checks.items())
-            details[tag].update(detail)
-    manifest = _manifest(cfg, [], checks, t0)
-    manifest["audit_details"] = details
+            suite_checks, detail = suite(cfg, K, m, cfg.effective_trials(100))
+            checks.update((f"K{K}_m{m}_{name}", ok) for name, ok in suite_checks.items())
+            details.update(detail)
+        return checks, details
+
+    done, failed = _each_point(cfg, point)
+    checks = {name: ok for _, _, (point_checks, _) in done for name, ok in point_checks.items()}
+    manifest = _manifest(cfg, [], checks, failed, t0)
+    manifest["audit_details"] = {f"K{K}_m{m}": details for K, m, (_, details) in done}
     return manifest
 
 

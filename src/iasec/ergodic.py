@@ -6,12 +6,14 @@ distributed. Rates are expectations over blocks: the eavesdropper's whole
 multiple-access capacity is spent on randomization messages, split evenly,
 and what remains of each user's own-stream rate is secret.
 
-`ergodic_pass` makes one pass over the blocks of a (K, m) point. Each block is
-built once and its unit-power spectra are taken once; every mutual
-information at every grid rho is a difference of two log-dets read from
-them, so the block yields one row: the rate statistics at each rho, plus the
-budget and inequality-audit statistics at the top rho. One `expectation`
-reduces the rows in trial order, and `ergodic_rates`,
+`ergodic_pass` makes one pass over the blocks of a (K, m) point, a chunk of
+blocks at a time. A chunk's blocks are sampled, built and verified together,
+and their unit-power spectra are taken with one stacked singular-value call
+per role set; a block whose draw does not align is redrawn alone. Every
+mutual information at every grid rho is a difference of two log-dets read
+from the spectra, so each block yields one row: the rate statistics at each
+rho, plus the budget and inequality-audit statistics at the top rho. One
+`expectation` reduces the rows in trial order, and `ergodic_rates`,
 `eavesdropper_budget_check` and `mi_inequality_audit` read that estimate.
 """
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import RESIDUAL_TOL, align_first_valid
+from .alignment import RESIDUAL_TOL, AlignmentSet, _align_stack, _chunk, align_first_valid
 from .gaussmi import (
     McEstimate,
     _log2det,
@@ -37,6 +39,7 @@ from .model import (
     _TAG_PERM,
     _TAG_RETRY,
     sample_eavesdropper_block,
+    sample_gains,
     sample_network,
     sub_rng,
 )
@@ -81,35 +84,87 @@ class BlockAlignment:
     attempts: int
 
 
+@dataclass
+class _Blocks:
+    """Fading blocks stacked along a leading axis; `block(j)` is the j-th as a BlockAlignment."""
+
+    dims: SystemDims
+    index: object  # the blocks' indices, a sequence
+    perm: np.ndarray  # [B, K]
+    gains: np.ndarray  # [B, K, K, F], role-ordered
+    eavesdropper: np.ndarray  # [B, K, F], role-ordered
+    aset: AlignmentSet  # stacked beams and normalizers
+    attempts: np.ndarray  # [B]
+    seeds: list  # the seed each block's aligned draw was sampled at
+
+    def block(self, j):
+        net = NetworkRealization(
+            dims=self.dims, gains=self.gains[j], eavesdropper=self.eavesdropper[j], seed=self.seeds[j]
+        )
+        aset = AlignmentSet(
+            beams=[v[j] for v in self.aset.beams], power_normalizers=self.aset.power_normalizers[j]
+        )
+        return BlockAlignment(
+            block_index=self.index[j], perm=self.perm[j], net_role=net, aset=aset,
+            attempts=int(self.attempts[j]),
+        )
+
+
+def _block_bytes(dims):
+    """Stacked bytes per block of a chunk: gains, beams and the widest spectra inputs."""
+    return 16 * dims.F * (dims.K**2 + dims.K + 2 * sum(dims.streams))
+
+
+def _align_blocks(dims, seed, index, residual_tol):
+    """Draw and align the fading blocks `index` together, each under its drawn ordering perm.
+
+    The blocks' link gains and eavesdropper rows come from one sampler call
+    each, on the same (seed, link, block) streams as a block drawn alone.
+    Each grid is reindexed so that user perm[0] takes the large-stream role,
+    and the beamformers are built and verified at `residual_tol` with
+    stacked calls. A block whose draw fails to build or to verify (a
+    numerically degenerate realization) is redrawn alone: draw a >= 1 is
+    sampled at a seed taken from (seed, block, a), up to `_BLOCK_ATTEMPTS`
+    draws in all, keeping long Monte Carlo runs total without touching any
+    non-degenerate block.
+    """
+    B = len(index)
+    perm = np.array([_block_permutation(dims.K, seed, t) for t in index])
+    rows = np.arange(B)[:, None]
+    gains = sample_gains(dims, [seed] * B, index)[rows[..., None], perm[..., None], perm[:, None]]
+    eavesdropper = sample_eavesdropper_block(dims, seed, index)[rows, perm]
+    aset, passed = _align_stack(gains, dims.m, residual_tol)
+    attempts, seeds = np.zeros(B, dtype=int), [seed] * B
+    for j in np.flatnonzero(~passed):
+        t, order = index[j], perm[j]
+
+        def redraw(attempt):
+            draw_seed = int(sub_rng(seed, _TAG_RETRY, t, attempt + 1).integers(0, 2**63))
+            net = sample_network(dims, draw_seed, block_index=t)
+            net.gains = net.gains[np.ix_(order, order)]
+            return net
+
+        net, one, _, attempt = align_first_valid(
+            redraw, _BLOCK_ATTEMPTS - 1, residual_tol=residual_tol,
+            context=f"block {t}: degenerate",
+        )
+        gains[j], aset.power_normalizers[j] = net.gains, one.power_normalizers
+        for v, beam in zip(aset.beams, one.beams):
+            v[j] = beam
+        attempts[j], seeds[j] = attempt + 1, net.seed
+    return _Blocks(dims, index, perm, gains, eavesdropper, aset, attempts, seeds)
+
+
 def block_network(dims, seed, block_index, residual_tol=RESIDUAL_TOL):
-    """Draw and align one fading block under its drawn ordering perm.
+    """Draw and align one fading block: the one-block case of the pass's chunks.
 
     A fresh channel is sampled for the block, the grid is reindexed so that
     user perm[0] takes the large-stream role, and the beamformers are built
     and verified at `residual_tol` on the reordered grid; the eavesdropper
-    row is drawn and reordered alike. A draw that fails to build or to verify
-    (a numerically degenerate realization) is resampled from a derived
-    sub-seed, up to `_BLOCK_ATTEMPTS` draws in all, keeping long Monte Carlo
-    runs total without touching any non-degenerate block.
+    row is drawn and reordered alike. A degenerate draw is resampled as
+    `ergodic_pass` resamples it.
     """
-    perm = _block_permutation(dims.K, seed, block_index)
-
-    def draw(attempt):
-        draw_seed = seed
-        if attempt:
-            draw_seed = int(sub_rng(seed, _TAG_RETRY, block_index, attempt).integers(0, 2**63))
-        net = sample_network(dims, draw_seed, block_index=block_index)
-        return NetworkRealization(
-            dims=dims, gains=net.gains[np.ix_(perm, perm)], eavesdropper=None, seed=net.seed
-        )
-
-    net_role, aset, _, attempts = align_first_valid(
-        draw, _BLOCK_ATTEMPTS, residual_tol=residual_tol, context=f"block {block_index}: degenerate"
-    )
-    net_role.eavesdropper = sample_eavesdropper_block(dims, seed, block_index)[perm]
-    return BlockAlignment(
-        block_index=block_index, perm=perm, net_role=net_role, aset=aset, attempts=attempts
-    )
+    return _align_blocks(dims, seed, [block_index], residual_tol).block(0)
 
 
 def _audit_sets(K):
@@ -166,75 +221,86 @@ class ErgodicPass:
 def ergodic_pass(dims, powers, trials, seed, workers=1, residual_tol=RESIDUAL_TOL):
     """Build each of `trials` fading blocks once and reduce one row per block.
 
-    Block t is `block_network(dims, seed, t, residual_tol)`. Its spectra are
-    those of the unit-power factors G_k / sqrt(c_k), from the same
-    `gaussmi` layer the confidential rates read: all roles and the others at
-    each role's receiver (2K), every nonempty role set at the eavesdropper
-    (2^K - 1), and the eavesdropper's inflated set with every role weighted
-    by its stream count (1). Each user loads rho - eps onto its unit-power
-    factor, so each spectrum gives its log-det at every power in `powers` at
-    once, and every MI is a difference of two of them. The budget and audit
-    statistics are taken at the last power.
+    Block t is the block `block_network(dims, seed, t, residual_tol)` draws;
+    blocks are drawn, built and verified a chunk at a time, sized so that a
+    chunk's stacked arrays stay near the shared chunk size, and the chunk
+    boundaries never change a row. Each block's spectra are those of the
+    unit-power factors G_k / sqrt(c_k), from the same `gaussmi` layer the
+    confidential rates read: all roles and the others at each role's
+    receiver (2K), every nonempty role set at the eavesdropper (2^K - 1), and
+    the eavesdropper's inflated set with every role weighted by its stream
+    count (1), each one stacked call per chunk. Each user loads rho - eps
+    onto its unit-power factor, so each spectrum gives its log-det at every
+    power in `powers` at once, and every MI is a difference of two of them.
+    The budget and audit statistics are taken at the last power. With
+    `workers` > 1, chunks are evaluated on that many threads; the rows do
+    not depend on it.
     """
     powers = tuple(powers)
     loads = np.array([p.effective for p in powers])
     audit_sets = _audit_sets(dims.K) if dims.K <= 4 else None
     resampled = []
 
-    def statistic(block):
-        if block.attempts:
-            resampled.append(block.block_index)
-        return _block_row(block, loads, audit_sets)
+    def rows(blocks):
+        resampled.extend(t for t, a in zip(blocks.index, blocks.attempts) if a)
+        return _block_rows(blocks, loads, audit_sets)
 
     est = expectation(
-        lambda t: block_network(dims, seed, t, residual_tol), statistic, trials, workers=workers
+        lambda index: _align_blocks(dims, seed, index, residual_tol),
+        rows,
+        trials,
+        workers=workers,
+        batch=_chunk(_block_bytes(dims)),
     )
     return ErgodicPass(dims=dims, powers=powers, estimate=est, resampled_blocks=sorted(resampled))
 
 
-def _block_row(block, loads, audit_sets):
-    """One block's statistics: see `ErgodicPass` for the layout."""
-    dims, aset = block.net_role.dims, block.aset
+def _block_rows(blocks, loads, audit_sets):
+    """One row per block of a chunk: see `ErgodicPass` for the layout."""
+    dims, aset, B = blocks.dims, blocks.aset, len(blocks.index)
     K, F = dims.K, dims.F
-    users, nonempty = frozenset(range(K)), _subsets(range(K))
-    own = np.zeros(len(loads))
-    for r in range(K):
-        unit = _unit_factors(aset, block.net_role.gains[r])
-        sets = [tuple(range(K)), tuple(s for s in range(K) if s != r)]
+    roles = tuple(range(K))
+    users, nonempty = frozenset(roles), _subsets(roles)
+    own = np.zeros((B, len(loads)))
+    for r in roles:
+        unit = _unit_factors(aset, blocks.gains[:, r])
+        sets = [roles, tuple(s for s in roles if s != r)]
         own += _set_mi(_log2dets(_set_spectra(unit, sets), loads), users, {r})
     own /= K
-    unit = _unit_factors(aset, block.net_role.eavesdropper)
+    unit = _unit_factors(aset, blocks.eavesdropper)
     eaves = _log2dets(_set_spectra(unit, nonempty), loads)
     # with no noise users left, each eavesdropper MI is its log-det alone
     eav = eaves[users]
-    inflated = [np.sqrt(dims.streams[r]) * unit[r] for r in range(K)]
+    inflated = [np.sqrt(dims.streams[r]) * unit[r] for r in roles]
     eav_up = _log2det(_squared_singular_values(inflated), loads)
-    rates = np.column_stack([own, eav, eav_up, (K * own - eav_up) / (K * F), eav / (K * F)])
+    rates = np.stack([own, eav, eav_up, (K * own - eav_up) / (K * F), eav / (K * F)], axis=-1)
 
-    # top-power log-dets keyed by user set: role r belongs to user perm[r]
-    perm = block.perm.tolist()
-    top = {frozenset(perm[r] for r in roles): v[-1] for roles, v in eaves.items()}
-    rx_block = eav[-1] / (K * F)
+    # top-power log-dets keyed by user set: role r belongs to user perm[r],
+    # so a role set's users are the bitmask summing 1 << perm[r]
+    top = np.zeros((B, 2**K))
+    for role_set, v in eaves.items():
+        top[np.arange(B), (1 << blocks.perm[:, sorted(role_set)]).sum(axis=-1)] = v[:, -1]
+    ld = {frozenset(s): top[:, sum(1 << u for u in s)] for s in nonempty}
+    rx_block = eav[:, -1] / (K * F)
     vals = []
     for sub in nonempty:
-        rhs = _set_mi(top, users, sub, users.difference(sub)) / F
+        rhs = _set_mi(ld, users, sub, users.difference(sub)) / F
         vals.extend([rhs, rhs - len(sub) * rx_block])
     if audit_sets is not None:
         pairs, strict, sym_conds = audit_sets
-        viol = 0
+        viol = np.zeros(B)
         for m_set, l_set in pairs:
-            plain = _set_mi(top, users, m_set)
-            if plain > _set_mi(top, users, m_set, l_set) + _TOL * max(1.0, plain):
-                viol += 1
-        vals.append(float(viol))
+            plain = _set_mi(ld, users, m_set)
+            viol += plain > _set_mi(ld, users, m_set, l_set) + _TOL * np.fmax(1.0, plain)
+        vals.append(viol)
         for sub in strict:
             rest = tuple(u for u in range(K) if u not in sub)
             vals.append(
-                _set_mi(top, users, rest) / len(rest) - _set_mi(top, users, sub, rest) / len(sub)
+                _set_mi(ld, users, rest) / len(rest) - _set_mi(ld, users, sub, rest) / len(sub)
             )
         for cond in sym_conds:
-            vals.extend(_set_mi(top, users, (u,), cond) for u in range(K) if u not in cond)
-    return np.concatenate([rates.ravel(), vals])
+            vals.extend(_set_mi(ld, users, (u,), cond) for u in range(K) if u not in cond)
+    return np.column_stack([rates.reshape(B, -1), *vals])
 
 
 @dataclass

@@ -76,31 +76,34 @@ def receiver_gains(net, aset, receiver):
 
 
 def _squared_singular_values(blocks):
-    """Squared singular values of the column stack of `blocks` (none: empty)."""
+    """Squared singular values of the column stack of `blocks` (none: empty).
+
+    Blocks with leading batch axes give one stacked singular-value call.
+    """
     if not blocks:
         return np.zeros(0)
-    return np.linalg.svd(np.hstack(blocks), compute_uv=False) ** 2
+    return np.linalg.svd(np.concatenate(blocks, axis=-1), compute_uv=False) ** 2
 
 
 def _log2det(s2, load=1.0):
     """log2 det(I + load B B^H) from the squared singular values s2 of B.
 
     An array of loads gives one log-det per load, each summed as a scalar
-    load's would be.
+    load's would be; spectra stacked along leading axes give one log-det (or
+    one per load, on the last axis) per spectrum.
     """
     bits = np.log1p(np.multiply.outer(load, s2)).sum(axis=-1) / np.log(2.0)
-    return float(bits) if np.ndim(load) == 0 else bits
+    return float(bits) if np.ndim(bits) == 0 else np.moveaxis(bits, 0, -1)
 
 
 def _mi_bits(top, bot):
-    """top - bot for two nested log-dets; the exact value is nonnegative."""
-    bits = top - bot
-    if bits < 0:
-        # only rounding can push it below zero
-        if bits < -1e-6 * max(1.0, abs(top)):
-            raise NumericalError(f"negative mutual information {bits}")
-        bits = 0.0
-    return bits
+    """top - bot for nested log-dets, elementwise; the exact value is nonnegative."""
+    bits = np.subtract(top, bot)
+    # only rounding can push it below zero
+    wrong = bits < -1e-6 * np.fmax(1.0, np.abs(top))
+    if wrong.any():
+        raise NumericalError(f"negative mutual information {np.min(bits)}")
+    return np.where(bits < 0, 0.0, bits)[()]
 
 
 def mi_from_gains(gains, powers, signal, conditioned=()):
@@ -140,10 +143,11 @@ def _unit_factors(aset, row):
 
     With every user at per-stream power P_k = load / c_k, a user set S has
     log2 det(I + Q_S) = sum_j log1p(load s_j^2) / ln 2 over the squared
-    singular values s_j^2 of its stacked factor [B_k], k in S.
+    singular values s_j^2 of its stacked factor [B_k], k in S. A stacked
+    `aset` and row give stacked factors.
     """
-    scale = 1.0 / np.sqrt(aset.power_normalizers)
-    return [g * s for g, s in zip(aset.apply(row), scale)]
+    scale = (1.0 / np.sqrt(aset.power_normalizers)).astype(complex)
+    return [g * scale[..., k, None, None] for k, g in enumerate(aset.apply(row))]
 
 
 def _set_spectra(factors, sets):
@@ -162,16 +166,13 @@ def _log2dets(spectra, load):
 def _set_mi(ld, users, signal, conditioned=()):
     """I(X_S; Y | X_C) = ld(U - C) - ld(U - C - S) in bits, U the set `users`.
 
-    `ld` maps user sets to log-dets; the empty set's is zero. Log-dets at an
-    array of loads give one MI per load, each clamped as a scalar's would be.
+    `ld` maps user sets to log-dets; the empty set's is zero. Arrays of
+    log-dets give one MI per entry, each clamped as a scalar's would be.
     """
     rest = users.difference(conditioned)
     noise = rest.difference(signal)
     top = ld[rest]
-    bot = ld[noise] if noise else 0.0 * top
-    if isinstance(top, np.ndarray):
-        return np.array([_mi_bits(a, b) for a, b in zip(top, bot)])
-    return _mi_bits(top, bot)
+    return _mi_bits(top, ld[noise] if noise else 0.0 * top)
 
 
 def spectra_table(net, aset):
@@ -245,28 +246,33 @@ def estimate_slope(f, grid=DEFAULT_RHO_GRID):
     return SlopeEstimate(slope=float(coef[0]), residual=residual)
 
 
-def expectation(draw, statistic, trials, workers=1):
+def expectation(draw, statistic, trials, workers=1, batch=None):
     """Monte Carlo mean with a normal-approximation 95% interval.
 
     `draw(t)` produces the t-th realization and `statistic` maps it to a
-    scalar or 1-D vector. Trials may be evaluated concurrently; the reduction
-    always runs in trial order, so the result is a pure function of the
-    caller's seeding.
+    scalar or 1-D vector. With `batch`, trials come `batch` at a time:
+    `draw(r)` produces the realizations of the trials in range r together
+    and `statistic` maps them to one row per trial. Trials (or batches) may
+    be evaluated concurrently; the reduction always runs in trial order, so
+    the result is a pure function of the caller's seeding.
     """
     if trials < 2:
         raise ValueError("trials must be >= 2")
+    starts = range(0, trials, batch or 1)
 
-    def one(t):
-        return np.atleast_1d(np.asarray(statistic(draw(t)), dtype=float))
+    def table(start):
+        if batch is None:
+            return np.atleast_1d(np.asarray(statistic(draw(start)), dtype=float))[None]
+        return np.asarray(statistic(draw(range(start, min(start + batch, trials)))), dtype=float)
 
     # no thread starts until a task is submitted, so workers=1 maps serially
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = pool.map(one, range(trials)) if workers > 1 else map(one, range(trials))
+        tables = pool.map(table, starts) if workers > 1 else map(table, starts)
         data = None
-        for t, row in enumerate(rows):
-            if data is None:  # each row lands in one preallocated table
-                data = np.empty((trials, row.size))
-            data[t] = row
+        for start, rows in zip(starts, tables):
+            if data is None:  # each table lands in one preallocated array
+                data = np.empty((trials, rows.shape[1]))
+            data[start : start + len(rows)] = rows
     mean = data.mean(axis=0)
     half = 1.96 * (data.std(axis=0, ddof=1) / np.sqrt(trials))
     return McEstimate(

@@ -134,13 +134,15 @@ def sample_gains(dims, seeds, block_index=0):
     """Link gains of one network per seed, as a (len(seeds), K, K, F) array.
 
     Entry [t, i, k] is the diagonal from transmitter k to receiver i of the
-    network `sample_network(dims, seeds[t], block_index=block_index)` draws:
-    each link reads its own (seed, link, block) stream.
+    network `sample_network(dims, seeds[t], block_index=block_index[t])`
+    draws: each link reads its own (seed, link, block) stream. A scalar
+    `block_index` is every network's.
     """
+    blocks = np.broadcast_to(block_index, (len(seeds),))
     return _stream_gains(
         (len(seeds), dims.K, dims.K),
         dims.F,
-        lambda t, i, k: sub_rng(seeds[t], _TAG_LINK, i, k, block_index),
+        lambda t, i, k: sub_rng(seeds[t], _TAG_LINK, i, k, blocks[t]),
     )
 
 
@@ -182,8 +184,16 @@ def sample_network(dims, seed, with_eavesdropper=False, block_index=0):
 
 
 def sample_eavesdropper_block(dims, seed, block_index):
-    """Fresh eavesdropper row H_e for one fading block, as a (K, F) gain array."""
-    return _stream_gains((dims.K,), dims.F, lambda k: sub_rng(seed, _TAG_EAVES, k, block_index))
+    """Fresh eavesdropper row H_e for one fading block, as a (K, F) gain array.
+
+    A sequence of block indices gives one row per block, as a (len, K, F)
+    array.
+    """
+    blocks = np.atleast_1d(block_index)
+    rows = _stream_gains(
+        (len(blocks), dims.K), dims.F, lambda b, k: sub_rng(seed, _TAG_EAVES, k, blocks[b])
+    )
+    return rows if np.ndim(block_index) else rows[0]
 
 
 @dataclass(frozen=True)

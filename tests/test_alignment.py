@@ -126,6 +126,65 @@ class TestVerifyAlignment:
         report = verify_alignment(net, broken)
         assert not report.passed
 
+    @staticmethod
+    def per_matrix_report(net, aset, residual_tol):
+        # reference: a loop over receivers with one SVD per rank, and one QR
+        # and two 2-norms per containment residual
+        dims = net.dims
+        receivers, dims_ok = [], True
+        for i in range(dims.K):
+            eff = aset.apply(net.gains[i])
+            others = [k for k in range(dims.K) if k != i]
+            stacked = np.hstack([eff[k] for k in others])
+            ref = 1 if i == 0 else 0
+            q = np.linalg.qr(eff[ref])[0]
+            residuals = [0.0]
+            for k in others:
+                if k != ref:
+                    denom = np.linalg.norm(eff[k], 2)
+                    resid = eff[k] - q @ (q.conj().T @ eff[k])
+                    residuals.append(np.inf if denom == 0 else np.linalg.norm(resid, 2) / denom)
+            entry = {
+                "receiver": i,
+                "interference_dim": numerical_rank(stacked),
+                "expected_interference_dim": dims.F - dims.streams[i],
+                "own_rank": numerical_rank(eff[i]),
+                "expected_own_rank": dims.streams[i],
+                "concat_rank": numerical_rank(np.hstack([eff[i], stacked])),
+                "worst_residual": float(max(residuals)),
+            }
+            dims_ok &= (entry["interference_dim"], entry["own_rank"], entry["concat_rank"]) == (
+                dims.F - dims.streams[i], dims.streams[i], dims.F
+            )
+            receivers.append(entry)
+        worst = max(r["worst_residual"] for r in receivers)
+        return {
+            "passed": dims_ok and worst < residual_tol,
+            "worst_residual": worst,
+            "residual_tol": residual_tol,
+            "rank_tol_factor": alignment.RANK_TOL_FACTOR,
+            "receivers": receivers,
+        }
+
+    @pytest.mark.parametrize(
+        "K, m, seed, tol, broken",
+        [
+            (3, 2, 7, 1e-8, False),
+            (3, 3, 8, 1e-8, False),
+            (4, 1, 4, 1e-8, False),
+            (3, 2, 7, 1e-16, False),  # fails on its residual alone
+            (3, 1, 9, 1e-8, True),  # a zero beamformer: ranks 0, residual inf
+        ],
+    )
+    def test_report_matches_per_matrix_loop(self, K, m, seed, tol, broken):
+        net, aset = aligned_instance(K, m, seed=seed)
+        if broken:
+            aset.beams[0] = np.zeros_like(aset.beams[0])
+        report = verify_alignment(net, aset, residual_tol=tol)
+        want = self.per_matrix_report(net, aset, tol)
+        assert report.as_dict() == want
+        assert report.passed == (not broken and tol > 1e-16)
+
     def test_build_raises_on_degenerate_verification(self):
         net = sample_network(derive_dims(3, 1), 10)
         # an all-equal grid makes every ratio 1 and the basis rank deficient
@@ -178,7 +237,7 @@ class TestFullRank:
         dims = derive_dims(K, m)
         seed = 31
         if chunk_bytes is not None:
-            monkeypatch.setattr(alignment, "_AUDIT_CHUNK_BYTES", chunk_bytes)
+            monkeypatch.setattr(alignment, "_CHUNK_BYTES", chunk_bytes)
         draw_seed = {
             int(sub_rng(seed, alignment._TAG_AUDIT, t).integers(0, 2**63)): t
             for t in (deficient, broken)
@@ -211,7 +270,7 @@ class TestFullRank:
     def test_one_singular_value_call_per_link_and_chunk(self, monkeypatch):
         # one chunk holds all 200 redraws, so the K^2 rank tests of every
         # redraw take K^2 stacked calls in all
-        monkeypatch.setattr(alignment, "_AUDIT_CHUNK_BYTES", 1 << 30)
+        monkeypatch.setattr(alignment, "_CHUNK_BYTES", 1 << 30)
         svd = np.linalg.svd
         shapes = []
 

@@ -342,6 +342,31 @@ class TestMainEntry:
         assert not manifest["passed"]
         assert "K=3 m=18 FAILED" in (out / "summary.txt").read_text()
 
+    def test_audit_keeps_the_points_before_a_failed_one(self, tmp_path):
+        # block 0 of the m=18 Monte Carlo fails verification on every draw
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"K": 3, "m": [1, 18]}))
+        out = tmp_path / "o"
+        argv = ["--config", str(p), "--seed", str(SEED), "--trials", "30", "--out", str(out)]
+        assert main(argv + ["audit"]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        [failed] = manifest["failed_points"]
+        assert (failed["K"], failed["m"]) == (3, 18)
+        assert failed["error"].startswith("block 0: degenerate beyond retry budget")
+        assert manifest["checks"] and all(name.startswith("K3_m1_") for name in manifest["checks"])
+        assert list(manifest["audit_details"]) == ["K3_m1"]
+        assert not manifest["passed"]
+        summary = (out / "summary.txt").read_text()
+        assert "K=3 m=18 FAILED" in summary and "check K3_m1_lemma3: pass" in summary
+
+    def test_manifest_records_the_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        assert main(["--seed", str(SEED), "--out", str(tmp_path), "rates"]) == 0
+        env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+        assert env["numpy"] == np.__version__ and env["blas"]
+        assert env["OPENBLAS_NUM_THREADS"] == "2" and env["OMP_NUM_THREADS"] is None
+
     def test_report_failed_manifest_exits_one(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text(

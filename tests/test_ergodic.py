@@ -83,22 +83,32 @@ class TestBlockNetwork:
                 assert numerical_rank(stacked) == F - dims.streams[r]
 
     def test_failed_verification_resamples_and_is_recorded(self, monkeypatch):
-        # block 2's first draw fails verification: it is redrawn from its
-        # first retry salt, and the pass lists it as resampled
-        verify = alignment.verify_alignment
-        seeds = []
+        # block 2's first draw fails verification: it is redrawn alone from
+        # its first retry salt, and the pass lists it as resampled
+        checks, passes = alignment._receiver_checks, alignment._passes
+        verified = []
 
-        def fail_third_call(net, aset, **kwargs):
-            report = verify(net, aset, **kwargs)
-            seeds.append(net.seed)
-            if len(seeds) == 3:
-                report.residual_tol = 0.0  # no residual passes
-            return report
+        def recorded(gains, beams):
+            verified.append(gains.copy())
+            return checks(gains, beams)
 
-        monkeypatch.setattr(alignment, "verify_alignment", fail_third_call)
-        pass_ = one_pass(derive_dims(3, 1), [1e8], 4)
+        def fail_block_2_first(ranks, worst, streams, residual_tol):
+            ok = passes(ranks, worst, streams, residual_tol)
+            if len(verified) == 1:
+                ok[2] = False
+            return ok
+
+        monkeypatch.setattr(alignment, "_receiver_checks", recorded)
+        monkeypatch.setattr(alignment, "_passes", fail_block_2_first)
+        dims = derive_dims(3, 1)
+        pass_ = one_pass(dims, [1e8], 4)
+        perm = _block_permutation(3, SEED, 2)
         salt = int(sub_rng(SEED, _TAG_RETRY, 2, 1).integers(0, 2**63))
-        assert seeds == [SEED, SEED, SEED, salt, SEED]
+        first, redraw = (sample_network(dims, s, block_index=2).gains for s in (SEED, salt))
+        # one chunk verifies the four first draws, then block 2's redraw alone
+        assert [len(g) for g in verified] == [4, 1]
+        assert np.array_equal(verified[0][2], first[np.ix_(perm, perm)])
+        assert np.array_equal(verified[1][0], redraw[np.ix_(perm, perm)])
         assert pass_.resampled_blocks == [2]
 
 
@@ -255,23 +265,50 @@ class TestOnePass:
             assert _close(entry[1], want), (entry, want)
         assert audit.lemma3_violations == lemma3
 
+    @pytest.mark.parametrize("blocks_per_chunk, workers", [(1, 1), (7, 1), (7, 2)])
+    def test_estimate_does_not_depend_on_chunks_or_workers(
+        self, monkeypatch, blocks_per_chunk, workers
+    ):
+        # at residual_tol 1e-15 three blocks are resampled (see below)
+        dims = derive_dims(3, 2)
+        powers = [PowerConfig(rho=r) for r in DEFAULT_RHO_GRID]
+        assert alignment._chunk(ergodic._block_bytes(dims)) >= 60  # one chunk
+        whole = ergodic_pass(dims, powers, 60, SEED, residual_tol=1e-15)
+        chunk_bytes = blocks_per_chunk * ergodic._block_bytes(dims)
+        monkeypatch.setattr(alignment, "_CHUNK_BYTES", chunk_bytes)
+        chunked = ergodic_pass(dims, powers, 60, SEED, workers=workers, residual_tol=1e-15)
+        for field in ("mean", "ci_low", "ci_high"):
+            assert np.array_equal(getattr(chunked.estimate, field), getattr(whole.estimate, field))
+        assert chunked.resampled_blocks == whole.resampled_blocks == [6, 16, 34]
+
+    def test_golden_resamples(self):
+        # K=3, m=2, seed 16: the first draws of blocks 6, 16 and 34 have
+        # containment residuals of 1.15e-15 to 1.21e-15; every other first
+        # draw lies at least 14% below 1e-15, and each of the three passes
+        # on its first redraw, at 7.9e-16 or less
+        dims = derive_dims(3, 2)
+        pass_ = ergodic_pass(dims, [PowerConfig(rho=1e8)], 60, SEED, residual_tol=1e-15)
+        assert pass_.resampled_blocks == [6, 16, 34]
+        assert block_network(dims, SEED, 34, residual_tol=1e-15).attempts == 1
+        assert block_network(dims, SEED, 34).attempts == 0
+
     def test_each_block_built_once(self, monkeypatch, tmp_path):
-        calls = []
-        build = ergodic.block_network
+        built = []
+        align = ergodic._align_blocks
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return build(*args, **kwargs)
+        def counted(dims, seed, index, residual_tol):
+            built.extend(index)
+            return align(dims, seed, index, residual_tol)
 
-        monkeypatch.setattr(ergodic, "block_network", counted)
+        monkeypatch.setattr(ergodic, "_align_blocks", counted)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": "external-ergodic", "K": 3, "m": 1}))
         base = ["--config", str(cfg), "--seed", str(SEED), "--trials", "40"]
         assert main(base + ["--out", str(tmp_path / "e"), "ergodic"]) in (0, 1)
-        assert len(calls) == 40
-        calls.clear()
+        assert sorted(built) == list(range(40))
+        built.clear()
         assert main(base + ["--out", str(tmp_path / "a"), "audit"]) in (0, 1)
-        assert len(calls) == 40
+        assert sorted(built) == list(range(40))
 
 
 class TestAugmentation:

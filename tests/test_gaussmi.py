@@ -222,6 +222,18 @@ class TestExpectation:
         assert np.array_equal(serial.mean, threaded.mean)
         assert np.array_equal(serial.ci_low, threaded.ci_low)
 
+    @pytest.mark.parametrize("batch, workers", [(1, 1), (5, 1), (23, 1), (5, 3)])
+    def test_batches_reduce_as_single_trials(self, batch, workers):
+        def draw(t):
+            return np.random.default_rng(t).standard_normal(3)
+
+        single = expectation(draw, lambda x: x, 23)
+        batched = expectation(
+            lambda trials: np.array([draw(t) for t in trials]), lambda x: x, 23, workers, batch
+        )
+        assert np.array_equal(single.mean, batched.mean)
+        assert np.array_equal(single.ci_low, batched.ci_low)
+
     def test_ci_width_scales_with_trials(self):
         values = np.random.default_rng(0).standard_normal(64)
         double = np.concatenate([values, values])
