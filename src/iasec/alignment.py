@@ -371,7 +371,7 @@ def _norm2(mats):
 
 
 def _passes(ranks, worst, streams, residual_tol):
-    """Today's verification rule over `_receiver_checks`' numbers: a mask [T].
+    """The verification rule over `_receiver_checks`' numbers: a mask [T].
 
     A network passes when every receiver's interference has rank F - m_i,
     its own streams rank m_i and both together rank F, and its worst
