@@ -89,6 +89,10 @@ class AlignmentSet:
         """Effective gains [H_k V_k for every k], where row[..., k, :] is the diagonal of H_k."""
         return [row[..., k, :, None] * v for k, v in enumerate(self.beams)]
 
+    def __getitem__(self, j):
+        """The alignment of network j of a stack."""
+        return AlignmentSet([v[j] for v in self.beams], self.power_normalizers[j])
+
 
 def build_generators(net):
     """Form the M = (K-1)(K-2)-1 diagonal generators from the channel ratios.
@@ -194,28 +198,41 @@ def build_beamformers(net, gens, verify=True, residual_tol=RESIDUAL_TOL):
     return aset
 
 
-def align_first_valid(draw, attempts, residual_tol=RESIDUAL_TOL, context="alignment failed"):
-    """Align the first of up to `attempts` draws that verifies.
+def align_first_valid(draw, count, m, attempts, residual_tol, context):
+    """Align `count` networks, each on the first of up to `attempts` draws that verifies.
 
-    `draw(attempt)` returns the network for one attempt. Beamformers are
-    built unverified and `verify_alignment` runs once per attempt; a
-    construction error or a failed report counts as a failed attempt.
-    Returns the network, its beamformers, the passing report and the attempt
-    index; raises AlignmentError once every attempt has failed.
+    `draw(attempt, rows)` returns the gains [len(rows), K, K, F] of draw
+    `attempt` for the networks `rows`. Draw 0 covers every network, draw a
+    only those whose earlier draws all failed; one `_align_stack` call
+    builds and verifies each draw, and a network that passes is written into
+    draw 0's arrays in place. Returns the gains, the stacked beamformers,
+    `_receiver_checks`' numbers of the passing draws (ranks [count, K, 3],
+    worst [count, K]) and each network's draw index. When networks run out
+    of draws, raises AlignmentError for the lowest, labelled `context(row)`
+    and reporting its last draw.
     """
-    last = None
-    for attempt in range(attempts):
-        net = draw(attempt)
-        try:
-            aset = build_beamformers(net, build_generators(net), verify=False)
-        except AlignmentError as exc:
-            last = exc
-            continue
-        report = verify_alignment(net, aset, residual_tol=residual_tol)
-        if report.passed:
-            return net, aset, report, attempt
-        last = f"alignment verification failed: {report.summary()}"
-    raise AlignmentError(f"{context} beyond retry budget: {last}")
+    rows = np.arange(count)
+    gains = draw(0, rows)
+    aset, passed, ranks, worst = _align_stack(gains, m, residual_tol)
+    drawn = np.zeros(count, dtype=int)
+    rows = rows[~passed]
+    for attempt in range(1, attempts):
+        if not len(rows):
+            break
+        redraw = draw(attempt, rows)
+        one, ok, rank, resid = _align_stack(redraw, m, residual_tol)
+        ranks[rows], worst[rows], drawn[rows] = rank, resid, attempt
+        done = rows[ok]
+        gains[done], aset.power_normalizers[done] = redraw[ok], one.power_normalizers[ok]
+        for v, beam in zip(aset.beams, one.beams):
+            v[done] = beam[ok]
+        rows = rows[~ok]
+    if len(rows):
+        row, streams = rows[0], [v.shape[-1] for v in aset.beams]
+        report = _report(streams, ranks[row], worst[row], residual_tol)
+        failure = f"alignment verification failed: {report.summary()}"
+        raise AlignmentError(f"{context(row)} beyond retry budget: {failure}")
+    return gains, aset, ranks, worst, drawn
 
 
 def _power_normalizers(beams):
@@ -225,22 +242,35 @@ def _power_normalizers(beams):
     return np.stack([t.real / F for t in traces], axis=-1)
 
 
-def _align_stack(gains, m, residual_tol):
-    """Build and verify every network of gains[T, K, K, F] at once.
+def _build(gains, m):
+    """Beams [V_k, each [T, F, m_k]] of every network of gains[T, K, K, F], unverified.
 
-    Returns the stacked beamformers (beams [T, F, m_k], normalizers [T, K])
-    and a mask [T] of the networks that built and passed `verify_alignment`'s
-    rule; the others' beams are meaningless.
+    Also returns the mask [T] of the networks that built (the others divide
+    by a zero diagonal entry) and their gains and beams, uncopied when all did.
     """
     gens, s0, w, zero = _generators(gains, m)
     beams, zero_rot = _beams(gains[:, 0], gens, s0, w, m)
-    passed = ~(zero | zero_rot)
-    built = np.flatnonzero(passed)
-    ranks, worst = _receiver_checks(gains[built], [v[built] for v in beams])
-    passed[built] = _passes(ranks, worst, [v.shape[-1] for v in beams], residual_tol)
+    built = ~(zero | zero_rot)
+    if built.all():
+        return beams, built, gains, beams
+    return beams, built, gains[built], [v[built] for v in beams]
+
+
+def _align_stack(gains, m, residual_tol):
+    """Build and verify every network of gains[T, K, K, F] at once.
+
+    Returns the stacked beamformers (beams [T, F, m_k], normalizers [T, K]),
+    a mask [T] of the networks that passed `verify_alignment`'s rule, and
+    `_receiver_checks`' numbers (ranks [T, K, 3], worst [T, K]). A network
+    that did not build reads rank 0 and an infinite residual everywhere.
+    """
+    beams, built, built_gains, built_beams = _build(gains, m)
     with np.errstate(invalid="ignore", over="ignore"):
         normalizers = _power_normalizers(beams)
-    return AlignmentSet(beams=beams, power_normalizers=normalizers), passed
+    ranks, worst = np.zeros((*gains.shape[:2], 3), dtype=int), np.full(gains.shape[:2], np.inf)
+    ranks[built], worst[built] = _receiver_checks(built_gains, built_beams)
+    passed = built & _passes(ranks, worst, [v.shape[-1] for v in beams], residual_tol)
+    return AlignmentSet(beams=beams, power_normalizers=normalizers), passed, ranks, worst
 
 
 def numerical_rank(mat):
@@ -303,23 +333,27 @@ def verify_alignment(net, aset, residual_tol=RESIDUAL_TOL):
     must fill all F dimensions, and every interferer j not in {0, i} must sit
     inside the span of user 0's interference (receiver 0 instead checks that
     all interferers share one span). The one-network case of
-    `_receiver_checks` and `_passes`.
+    `_receiver_checks`, reported by `_report`.
     """
-    dims = net.dims
     ranks, worst = _receiver_checks(net.gains[None], [v[None] for v in aset.beams])
+    return _report(net.dims.streams, ranks[0], worst[0], residual_tol)
+
+
+def _report(streams, ranks, worst, residual_tol):
+    """One network's report from its `_receiver_checks` numbers (ranks [K, 3], worst [K])."""
     checks = [
         ReceiverCheck(
             receiver=i,
-            interference_dim=int(ranks[0, i, 0]),
-            expected_interference_dim=dims.F - dims.streams[i],
-            own_rank=int(ranks[0, i, 1]),
-            expected_own_rank=dims.streams[i],
-            concat_rank=int(ranks[0, i, 2]),
-            worst_residual=float(worst[0, i]),
+            interference_dim=int(ranks[i, 0]),
+            expected_interference_dim=streams[0] + streams[1] - streams[i],
+            own_rank=int(ranks[i, 1]),
+            expected_own_rank=streams[i],
+            concat_rank=int(ranks[i, 2]),
+            worst_residual=float(worst[i]),
         )
-        for i in range(dims.K)
+        for i in range(len(streams))
     ]
-    passed = bool(_passes(ranks, worst, dims.streams, residual_tol)[0])
+    passed = bool(_passes(ranks[None], worst[None], streams, residual_tol)[0])
     return AlignmentReport(receivers=checks, residual_tol=residual_tol, passed=passed)
 
 
@@ -428,12 +462,8 @@ def check_full_rank(dims, trials, seed):
 
 def _rank_deficient(gains, m):
     """Per network of gains[T, K, K, F]: is its construction or any H_ik V_k rank short?"""
-    gens, s0, w, zero = _generators(gains, m)
-    beams, zero_rot = _beams(gains[:, 0], gens, s0, w, m)
-    failed = zero | zero_rot
-    built = ~failed
-    if not built.all():
-        gains, beams = gains[built], [b[built] for b in beams]
+    _, built, gains, beams = _build(gains, m)
+    failed = ~built
     failed[built] = _short_links(gains, beams).any(axis=(1, 2))
     return failed
 

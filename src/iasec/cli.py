@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .alignment import (
     AlignmentError,
+    _report,
     align_first_valid,
     build_beamformers,
     build_generators,
@@ -44,7 +45,14 @@ from .gaussmi import (
     receiver_gains,
     spectra_table,
 )
-from .model import PowerConfig, derive_dims, sample_network, sub_rng
+from .model import (
+    NetworkRealization,
+    PowerConfig,
+    derive_dims,
+    sample_eavesdropper_block,
+    sample_network,
+    sub_rng,
+)
 from .secrecy import (
     confidential_rates,
     decodability_check,
@@ -88,11 +96,13 @@ _NUMERICAL_ERRORS = (NumericalError, AlignmentError, np.linalg.LinAlgError)
 _RETRY_BUDGET = 3
 _TAG_AUDIT_SEED = 23
 
-# Size guards: at most this many (K, m) points, K users and F symbol
-# extensions (every point takes dense F-row SVDs).
+# Size guards: at most this many (K, m) points, K users, F symbol extensions
+# (every point takes dense F-row SVDs) and workers (each may start an OS
+# thread, and two have never beaten one).
 _GRID_CAP = 64
 _K_CAP = 5
 _F_CAP = 4100
+_WORKERS_CAP = 16
 
 
 class ConfigError(ValueError):
@@ -199,8 +209,8 @@ class ExperimentConfig:
                     raise ConfigError(str(exc)) from exc
                 if dims.F > _F_CAP:
                     raise ConfigError(f"(K={K}, m={m}) gives F={dims.F} > cap {_F_CAP}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        if not 1 <= self.workers <= _WORKERS_CAP:
+            raise ConfigError(f"workers must be in 1..{_WORKERS_CAP}, got {self.workers}")
         if self.trials is not None:
             if self.trials < 1:
                 raise ConfigError("trials must be >= 1")
@@ -312,18 +322,24 @@ def _run_confidential_point(cfg, K, m):
     aligned_K = K + 1 if known_csi else K
     dims = derive_dims(aligned_K, m)
 
-    def draw(attempt):
-        net = sample_network(dims, cfg.seed, with_eavesdropper=known_csi, block_index=attempt)
-        return augment_with_virtual_user(dims, net) if known_csi else net
+    def draw(attempt, rows):
+        net = sample_network(dims, cfg.seed, block_index=attempt)
+        if known_csi:
+            net.eavesdropper = sample_eavesdropper_block(dims, cfg.seed, attempt)
+            net = augment_with_virtual_user(dims, net)
+        return net.gains[None]
 
     try:
-        net, aset, report, attempts = align_first_valid(draw, _RETRY_BUDGET, residual_tol=cfg.tol)
+        gains, aset, ranks, worst, drawn = align_first_valid(
+            draw, 1, m, _RETRY_BUDGET, cfg.tol, lambda row: "alignment failed"
+        )
     except AlignmentError as exc:
         raise NumericalError(str(exc)) from exc
-    rows, deficit, checks = _confidential_tables(net, aset, cfg)
+    net = NetworkRealization(dims=dims, gains=gains[0], eavesdropper=None, seed=cfg.seed)
+    rows, deficit, checks = _confidential_tables(net, aset[0], cfg)
     detail = {
-        "alignment": report.as_dict(),
-        "attempts": attempts,
+        "alignment": _report(dims.streams, ranks[0], worst[0], cfg.tol).as_dict(),
+        "attempts": int(drawn[0]),
         "delta_points": [
             {"rho": p.rho, "delta_hat": None if p.degenerate else p.delta_hat}
             for p in deficit.points

@@ -9,19 +9,20 @@ and what remains of each user's own-stream rate is secret.
 `ergodic_pass` makes one pass over the blocks of a (K, m) point, a chunk of
 blocks at a time. A chunk's blocks are sampled, built and verified together,
 and their unit-power spectra are taken with one stacked singular-value call
-per role set; a block whose draw does not align is redrawn alone. Every
-mutual information at every grid rho is a difference of two log-dets read
-from the spectra, so each block yields one row: the rate statistics at each
-rho, plus the budget and inequality-audit statistics at the top rho. One
-`expectation` reduces the rows in trial order, and `ergodic_rates`,
-`eavesdropper_budget_check` and `mi_inequality_audit` read that estimate.
+per role set; the blocks whose draw does not align are redrawn together,
+one stacked call per draw. Every mutual information at every grid rho is a
+difference of two log-dets read from the spectra, so each block yields one
+row: the rate statistics at each rho, plus the budget and inequality-audit
+statistics at the top rho. One `expectation` reduces the rows in trial
+order, and `ergodic_rates`, `eavesdropper_budget_check` and
+`mi_inequality_audit` read that estimate.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import RESIDUAL_TOL, AlignmentSet, _align_stack, _chunk, align_first_valid
+from .alignment import RESIDUAL_TOL, AlignmentSet, _chunk, align_first_valid
 from .gaussmi import (
     McEstimate,
     _log2det,
@@ -40,12 +41,11 @@ from .model import (
     _TAG_RETRY,
     sample_eavesdropper_block,
     sample_gains,
-    sample_network,
     sub_rng,
 )
 
 __all__ = [
-    "BlockAlignment",
+    "Blocks",
     "ErgodicPass",
     "ErgodicEstimate",
     "BudgetReport",
@@ -68,25 +68,14 @@ def _block_permutation(K, seed, block_index):
 
 
 @dataclass
-class BlockAlignment:
-    """One fading block: the role-ordered network (eavesdropper row included) and its beams.
+class Blocks:
+    """Fading blocks stacked along a leading axis, in role coordinates.
 
-    Role r belongs to user perm[r]; role 0 carries the (m+1)^M streams this
-    block. All mutual informations are computed in role coordinates and mapped
-    back through `perm` when a user-indexed quantity is needed. `attempts` is
-    the index of the draw that aligned (0 unless the block was resampled).
+    Role r of block j belongs to user perm[j, r], and role 0 carries the
+    (m+1)^M streams; mutual informations are computed in role coordinates
+    and mapped back through `perm` where a user-indexed quantity is needed.
+    `attempts[j]` is the index of the draw that aligned (0 unless resampled).
     """
-
-    block_index: int
-    perm: np.ndarray
-    net_role: NetworkRealization
-    aset: object
-    attempts: int
-
-
-@dataclass
-class _Blocks:
-    """Fading blocks stacked along a leading axis; `block(j)` is the j-th as a BlockAlignment."""
 
     dims: SystemDims
     index: object  # the blocks' indices, a sequence
@@ -95,19 +84,6 @@ class _Blocks:
     eavesdropper: np.ndarray  # [B, K, F], role-ordered
     aset: AlignmentSet  # stacked beams and normalizers
     attempts: np.ndarray  # [B]
-    seeds: list  # the seed each block's aligned draw was sampled at
-
-    def block(self, j):
-        net = NetworkRealization(
-            dims=self.dims, gains=self.gains[j], eavesdropper=self.eavesdropper[j], seed=self.seeds[j]
-        )
-        aset = AlignmentSet(
-            beams=[v[j] for v in self.aset.beams], power_normalizers=self.aset.power_normalizers[j]
-        )
-        return BlockAlignment(
-            block_index=self.index[j], perm=self.perm[j], net_role=net, aset=aset,
-            attempts=int(self.attempts[j]),
-        )
 
 
 def _block_bytes(dims):
@@ -121,50 +97,40 @@ def _align_blocks(dims, seed, index, residual_tol):
     The blocks' link gains and eavesdropper rows come from one sampler call
     each, on the same (seed, link, block) streams as a block drawn alone.
     Each grid is reindexed so that user perm[0] takes the large-stream role,
-    and the beamformers are built and verified at `residual_tol` with
-    stacked calls. A block whose draw fails to build or to verify (a
-    numerically degenerate realization) is redrawn alone: draw a >= 1 is
-    sampled at a seed taken from (seed, block, a), up to `_BLOCK_ATTEMPTS`
-    draws in all, keeping long Monte Carlo runs total without touching any
-    non-degenerate block.
+    and `align_first_valid` builds and verifies the beams at `residual_tol`.
+    The blocks whose draw fails (numerically degenerate realizations) are
+    redrawn together, one stacked call per draw: draw a >= 1 of block t is
+    sampled at a seed taken from (seed, t, a), up to `_BLOCK_ATTEMPTS` draws
+    in all, keeping long Monte Carlo runs total without touching any
+    non-degenerate block. Eavesdropper rows always come from the master seed.
     """
     B = len(index)
     perm = np.array([_block_permutation(dims.K, seed, t) for t in index])
-    rows = np.arange(B)[:, None]
-    gains = sample_gains(dims, [seed] * B, index)[rows[..., None], perm[..., None], perm[:, None]]
-    eavesdropper = sample_eavesdropper_block(dims, seed, index)[rows, perm]
-    aset, passed = _align_stack(gains, dims.m, residual_tol)
-    attempts, seeds = np.zeros(B, dtype=int), [seed] * B
-    for j in np.flatnonzero(~passed):
-        t, order = index[j], perm[j]
 
-        def redraw(attempt):
-            draw_seed = int(sub_rng(seed, _TAG_RETRY, t, attempt + 1).integers(0, 2**63))
-            net = sample_network(dims, draw_seed, block_index=t)
-            net.gains = net.gains[np.ix_(order, order)]
-            return net
+    def draw(attempt, rows):
+        blocks = [index[j] for j in rows]
+        seeds = [seed] * len(rows)
+        if attempt:
+            seeds = [int(sub_rng(seed, _TAG_RETRY, t, attempt).integers(0, 2**63)) for t in blocks]
+        order = perm[rows]
+        at = np.arange(len(rows))[:, None, None]
+        return sample_gains(dims, seeds, blocks)[at, order[..., None], order[:, None]]
 
-        net, one, _, attempt = align_first_valid(
-            redraw, _BLOCK_ATTEMPTS - 1, residual_tol=residual_tol,
-            context=f"block {t}: degenerate",
-        )
-        gains[j], aset.power_normalizers[j] = net.gains, one.power_normalizers
-        for v, beam in zip(aset.beams, one.beams):
-            v[j] = beam
-        attempts[j], seeds[j] = attempt + 1, net.seed
-    return _Blocks(dims, index, perm, gains, eavesdropper, aset, attempts, seeds)
+    gains, aset, _, _, attempts = align_first_valid(
+        draw, B, dims.m, _BLOCK_ATTEMPTS, residual_tol, lambda j: f"block {index[j]}: degenerate"
+    )
+    eavesdropper = sample_eavesdropper_block(dims, seed, index)[np.arange(B)[:, None], perm]
+    return Blocks(dims, index, perm, gains, eavesdropper, aset, attempts)
 
 
 def block_network(dims, seed, block_index, residual_tol=RESIDUAL_TOL):
-    """Draw and align one fading block: the one-block case of the pass's chunks.
+    """Draw and align one fading block as `ergodic_pass` does: its one-block `Blocks`.
 
-    A fresh channel is sampled for the block, the grid is reindexed so that
-    user perm[0] takes the large-stream role, and the beamformers are built
-    and verified at `residual_tol` on the reordered grid; the eavesdropper
-    row is drawn and reordered alike. A degenerate draw is resampled as
-    `ergodic_pass` resamples it.
+    The grid and eavesdropper row are reindexed so that user perm[0] takes
+    the large-stream role, the beams are verified at `residual_tol`, and a
+    degenerate draw is redrawn at the pass's retry seeds.
     """
-    return _align_blocks(dims, seed, [block_index], residual_tol).block(0)
+    return _align_blocks(dims, seed, [block_index], residual_tol)
 
 
 def _audit_sets(K):
@@ -241,17 +207,12 @@ def ergodic_pass(dims, powers, trials, seed, workers=1, residual_tol=RESIDUAL_TO
     audit_sets = _audit_sets(dims.K) if dims.K <= 4 else None
     resampled = []
 
-    def rows(blocks):
+    def rows(index):
+        blocks = _align_blocks(dims, seed, index, residual_tol)
         resampled.extend(t for t, a in zip(blocks.index, blocks.attempts) if a)
         return _block_rows(blocks, loads, audit_sets)
 
-    est = expectation(
-        lambda index: _align_blocks(dims, seed, index, residual_tol),
-        rows,
-        trials,
-        workers=workers,
-        batch=_chunk(_block_bytes(dims)),
-    )
+    est = expectation(rows, trials, _chunk(_block_bytes(dims)), workers)
     return ErgodicPass(dims=dims, powers=powers, estimate=est, resampled_blocks=sorted(resampled))
 
 

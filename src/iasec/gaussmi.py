@@ -246,33 +246,29 @@ def estimate_slope(f, grid=DEFAULT_RHO_GRID):
     return SlopeEstimate(slope=float(coef[0]), residual=residual)
 
 
-def expectation(draw, statistic, trials, workers=1, batch=None):
+def expectation(rows, trials, batch, workers=1):
     """Monte Carlo mean with a normal-approximation 95% interval.
 
-    `draw(t)` produces the t-th realization and `statistic` maps it to a
-    scalar or 1-D vector. With `batch`, trials come `batch` at a time:
-    `draw(r)` produces the realizations of the trials in range r together
-    and `statistic` maps them to one row per trial. Trials (or batches) may
-    be evaluated concurrently; the reduction always runs in trial order, so
-    the result is a pure function of the caller's seeding.
+    Trials come `batch` at a time: `rows(r)` returns one row (a 1-D vector)
+    per trial of the range r, as a 2-D array. Batches may be evaluated
+    concurrently on `workers` threads; the reduction always runs in trial
+    order, so the result is a pure function of the caller's seeding.
     """
     if trials < 2:
         raise ValueError("trials must be >= 2")
-    starts = range(0, trials, batch or 1)
+    starts = range(0, trials, batch)
 
     def table(start):
-        if batch is None:
-            return np.atleast_1d(np.asarray(statistic(draw(start)), dtype=float))[None]
-        return np.asarray(statistic(draw(range(start, min(start + batch, trials)))), dtype=float)
+        return np.asarray(rows(range(start, min(start + batch, trials))), dtype=float)
 
     # no thread starts until a task is submitted, so workers=1 maps serially
     with ThreadPoolExecutor(max_workers=workers) as pool:
         tables = pool.map(table, starts) if workers > 1 else map(table, starts)
         data = None
-        for start, rows in zip(starts, tables):
+        for start, block in zip(starts, tables):
             if data is None:  # each table lands in one preallocated array
-                data = np.empty((trials, rows.shape[1]))
-            data[start : start + len(rows)] = rows
+                data = np.empty((trials, block.shape[1]))
+            data[start : start + len(block)] = block
     mean = data.mean(axis=0)
     half = 1.96 * (data.std(axis=0, ddof=1) / np.sqrt(trials))
     return McEstimate(

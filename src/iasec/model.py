@@ -170,17 +170,13 @@ class NetworkRealization:
             )
 
 
-def sample_network(dims, seed, with_eavesdropper=False, block_index=0):
-    """Draw all K^2 links (and the eavesdropper row if requested).
+def sample_network(dims, seed, block_index=0):
+    """Draw all K^2 links; the eavesdropper row is `sample_eavesdropper_block`'s.
 
     Each link gets its own counter-derived substream, so the realization is a
     pure function of (dims, seed, block_index) regardless of evaluation order.
     """
-    gains = sample_gains(dims, [seed], block_index)[0]
-    eaves = None
-    if with_eavesdropper:
-        eaves = sample_eavesdropper_block(dims, seed, block_index)
-    return NetworkRealization(dims=dims, gains=gains, eavesdropper=eaves, seed=int(seed))
+    return NetworkRealization(dims, sample_gains(dims, [seed], block_index)[0], None, int(seed))
 
 
 def sample_eavesdropper_block(dims, seed, block_index):

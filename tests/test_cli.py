@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from iasec import gaussmi
-from iasec.alignment import build_beamformers, build_generators, stream_power
+from iasec import alignment, gaussmi
+from iasec.alignment import build_beamformers, build_generators, stream_power, verify_alignment
 from iasec.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -62,6 +62,12 @@ class TestConfig:
     def test_f_cap(self):
         with pytest.raises(ConfigError):
             make_cfg(K=5, m=2).validate()  # F = 3**11 + 2**11 >> 4100
+
+    def test_workers_cap(self):
+        # validation only: no pass runs and no thread starts
+        make_cfg(scenario="external-ergodic", workers=16).validate()
+        with pytest.raises(ConfigError, match="workers must be in 1..16"):
+            make_cfg(scenario="external-ergodic", K=4, m=2, trials=5000, workers=5000).validate()
 
     def test_digest_stable_under_key_order(self):
         a = ExperimentConfig.from_dict({"seed": 1, "scenario": "confidential"})
@@ -217,12 +223,13 @@ class TestMainEntry:
             {"tol": "x"},
             {"tol": -1},
             {"rho_grid": [1e4, float("nan"), 1e8, 1e12]},
+            {"workers": 17},
         ],
         ids=[
             "grid-2-decades", "eps-above-grid", "eps-zero", "m-zero", "seed-float",
             "seed-bool", "K-float", "m-list-float", "trials-float", "workers-bool",
             "grid-scalar", "eps-string", "eps-bool", "tol-string", "tol-negative",
-            "grid-nan",
+            "grid-nan", "workers-above-cap",
         ],
     )
     def test_bad_config_exits_two_without_records(self, tmp_path, fields):
@@ -326,6 +333,28 @@ class TestMainEntry:
         assert (failed["K"], failed["m"]) == (3, 2)
         assert "retry budget" in failed["error"]
         assert manifest["config"]["tol"] == 1e-30 and not manifest["passed"]
+
+    def test_confidential_point_passes_on_a_later_draw(self, monkeypatch, tmp_path):
+        # the first verification (draw 0) fails, so the point runs on draw 1,
+        # the network sampled at block index 1
+        passes, calls = alignment._passes, []
+
+        def fail_first(ranks, worst, streams, residual_tol):
+            ok = passes(ranks, worst, streams, residual_tol)
+            calls.append(len(ok))
+            return ok & (len(calls) > 1)
+
+        monkeypatch.setattr(alignment, "_passes", fail_first)
+        assert main(["--seed", str(SEED), "--out", str(tmp_path), "rates"]) == 0
+        [record] = json.loads((tmp_path / "manifest.json").read_text())["records"]
+        assert record["detail"]["attempts"] == 1
+        cfg = make_cfg().validate()
+        net = sample_network(derive_dims(3, 2), SEED, block_index=1)
+        aset = build_beamformers(net, build_generators(net), verify=False)
+        rows, _, checks = _confidential_tables(net, aset, cfg)
+        assert record["detail"]["per_rho"] == rows
+        assert record["checks_passed"] == checks
+        assert record["detail"]["alignment"] == verify_alignment(net, aset, cfg.tol).as_dict()
 
     def test_sweep_keeps_the_points_before_a_failed_one(self, tmp_path):
         # every m=18 draw fails verification (concat rank short of F=37)

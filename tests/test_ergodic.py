@@ -19,13 +19,28 @@ from iasec.ergodic import (
     mi_inequality_audit,
 )
 from iasec.gaussmi import DEFAULT_RHO_GRID, _subsets, mi_from_gains
-from iasec.model import _TAG_RETRY, PowerConfig, derive_dims, sample_network, sub_rng
+from iasec.model import (
+    _TAG_RETRY,
+    NetworkRealization,
+    PowerConfig,
+    derive_dims,
+    sample_eavesdropper_block,
+    sample_network,
+    sub_rng,
+)
 
 SEED = 16
 
 
 def one_pass(dims, rhos, trials, seed=SEED, workers=1):
     return ergodic_pass(dims, [PowerConfig(rho=r) for r in rhos], trials, seed, workers=workers)
+
+
+def with_eavesdropper(dims, seed):
+    """The network at (dims, seed) with the eavesdropper row of its block 0."""
+    net = sample_network(dims, seed)
+    eaves = sample_eavesdropper_block(dims, seed, 0)
+    return NetworkRealization(dims=dims, gains=net.gains, eavesdropper=eaves, seed=net.seed)
 
 
 class TestSchedule:
@@ -53,13 +68,13 @@ class TestBlockNetwork:
         dims = derive_dims(3, 1)
         b = next(b for b in range(100) if _block_permutation(3, SEED, b).tolist() == [0, 1, 2])
         block = block_network(dims, SEED, b)
-        net = sample_network(dims, SEED, with_eavesdropper=True, block_index=b)
+        net = sample_network(dims, SEED, block_index=b)
         aset = build_beamformers(net, build_generators(net))
-        assert block.attempts == 0
-        assert np.array_equal(block.net_role.gains, net.gains)
-        assert np.array_equal(block.net_role.eavesdropper, net.eavesdropper)
+        assert block.attempts.tolist() == [0]
+        assert np.array_equal(block.gains[0], net.gains)
+        assert np.array_equal(block.eavesdropper[0], sample_eavesdropper_block(dims, SEED, b))
         for k in range(3):
-            assert np.allclose(block.aset.beams[k], aset.beams[k])
+            assert np.allclose(block.aset.beams[k][0], aset.beams[k])
 
     def test_role_rotation_frequency(self):
         large_role_user = np.array([_block_permutation(3, 4, b)[0] for b in range(3000)])
@@ -73,14 +88,9 @@ class TestBlockNetwork:
             block = block_network(dims, 11, b)
             K, F = dims.K, dims.F
             for r in range(K):
-                stacked = np.hstack(
-                    [
-                        g
-                        for s, g in enumerate(block.aset.apply(block.net_role.gains[r]))
-                        if s != r
-                    ]
-                )
-                assert numerical_rank(stacked) == F - dims.streams[r]
+                eff = block.aset.apply(block.gains[:, r])
+                stacked = np.concatenate([g for s, g in enumerate(eff) if s != r], axis=-1)
+                assert numerical_rank(stacked).tolist() == [F - dims.streams[r]]
 
     def test_failed_verification_resamples_and_is_recorded(self, monkeypatch):
         # block 2's first draw fails verification: it is redrawn alone from
@@ -110,6 +120,35 @@ class TestBlockNetwork:
         assert np.array_equal(verified[0][2], first[np.ix_(perm, perm)])
         assert np.array_equal(verified[1][0], redraw[np.ix_(perm, perm)])
         assert pass_.resampled_blocks == [2]
+
+    def test_redraws_shrink_as_blocks_pass(self, monkeypatch):
+        # block 2 fails draws 0 and 1, block 3 fails draw 0: each draw is one
+        # stacked verification of the blocks still failing
+        checks, passes = alignment._receiver_checks, alignment._passes
+        verified = []
+
+        def recorded(gains, beams):
+            verified.append(gains.copy())
+            return checks(gains, beams)
+
+        def fail(ranks, worst, streams, residual_tol):
+            ok = passes(ranks, worst, streams, residual_tol)
+            # rows of each verified stack: draw 0 of all four, then the redraws
+            ok[{1: [2, 3], 2: [0]}.get(len(verified), [])] = False
+            return ok
+
+        monkeypatch.setattr(alignment, "_receiver_checks", recorded)
+        monkeypatch.setattr(alignment, "_passes", fail)
+        dims = derive_dims(3, 1)
+        pass_ = one_pass(dims, [1e8], 4)
+        assert [len(g) for g in verified] == [4, 2, 1]
+        assert pass_.resampled_blocks == [2, 3]
+        for attempt, blocks in ((1, [2, 3]), (2, [2])):
+            for row, t in enumerate(blocks):
+                perm = _block_permutation(3, SEED, t)
+                salt = int(sub_rng(SEED, _TAG_RETRY, t, attempt).integers(0, 2**63))
+                redraw = sample_network(dims, salt, block_index=t).gains
+                assert np.array_equal(verified[attempt][row], redraw[np.ix_(perm, perm)])
 
 
 class TestErgodicRates:
@@ -214,11 +253,12 @@ def _reference_rows(dims, powers, trials):
     rates, budget, lemma4, lemma3 = [], [], [], 0
     for t in range(trials):
         block = block_network(dims, SEED, t)
-        eg = block.aset.apply(block.net_role.eavesdropper)
-        rg = [block.aset.apply(g) for g in block.net_role.gains]
+        aset = block.aset[0]
+        eg = aset.apply(block.eavesdropper[0])
+        rg = [aset.apply(g) for g in block.gains[0]]
         row = []
         for power in powers:
-            p = stream_power(block.aset, power)
+            p = stream_power(aset, power)
             own = np.mean([mi_from_gains(rg[r], p, {r}).bits for r in range(K)])
             eav = mi_from_gains(eg, p, range(K)).bits
             p_up = np.array([dims.streams[r] * p[r] for r in range(K)])
@@ -226,8 +266,8 @@ def _reference_rows(dims, powers, trials):
             row.append([own, eav, eav_up, (K * own - eav_up) / (K * F)])
         rates.append(row)
 
-        p = stream_power(block.aset, powers[-1])
-        role_of = block.perm.tolist().index
+        p = stream_power(aset, powers[-1])
+        role_of = block.perm[0].tolist().index
 
         def mi(sig, cond=()):
             roles = [role_of(u) for u in sig]
@@ -289,8 +329,8 @@ class TestOnePass:
         dims = derive_dims(3, 2)
         pass_ = ergodic_pass(dims, [PowerConfig(rho=1e8)], 60, SEED, residual_tol=1e-15)
         assert pass_.resampled_blocks == [6, 16, 34]
-        assert block_network(dims, SEED, 34, residual_tol=1e-15).attempts == 1
-        assert block_network(dims, SEED, 34).attempts == 0
+        assert block_network(dims, SEED, 34, residual_tol=1e-15).attempts.tolist() == [1]
+        assert block_network(dims, SEED, 34).attempts.tolist() == [0]
 
     def test_each_block_built_once(self, monkeypatch, tmp_path):
         built = []
@@ -314,7 +354,7 @@ class TestOnePass:
 class TestAugmentation:
     def test_two_real_users_become_three(self):
         aug_dims = derive_dims(3, 2)
-        net = sample_network(aug_dims, 4, with_eavesdropper=True)
+        net = with_eavesdropper(aug_dims, 4)
         aug = augment_with_virtual_user(aug_dims, net)
         assert aug.dims.K == 3
         assert aug.eavesdropper is None
@@ -329,7 +369,7 @@ class TestAugmentation:
     def test_augmented_network_aligns(self):
         aug_dims = derive_dims(3, 2)
         for seed in (4, 6, 8):
-            net = sample_network(aug_dims, seed, with_eavesdropper=True)
+            net = with_eavesdropper(aug_dims, seed)
             aug = augment_with_virtual_user(aug_dims, net)
             aset = build_beamformers(aug, build_generators(aug))
             assert aset.beams[0].shape == (5, 3)
@@ -341,6 +381,6 @@ class TestAugmentation:
             augment_with_virtual_user(aug_dims, net)
 
     def test_requires_matching_dims(self):
-        net = sample_network(derive_dims(3, 1), 4, with_eavesdropper=True)
+        net = with_eavesdropper(derive_dims(3, 1), 4)
         with pytest.raises(ValueError):
             augment_with_virtual_user(derive_dims(3, 2), net)

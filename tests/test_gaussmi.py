@@ -199,62 +199,60 @@ class TestSlopeEstimation:
 
 
 class TestExpectation:
+    # rows(r) returns one row per trial of the range r
     def test_constant_statistic(self):
-        est = expectation(lambda t: t, lambda _: 3.25, trials=16)
+        est = expectation(lambda r: np.full((len(r), 1), 3.25), trials=16, batch=4)
         assert est.mean[0] == 3.25
         assert est.ci_high[0] - est.ci_low[0] == 0.0
 
     def test_determinism(self):
-        def draw(t):
-            return np.random.default_rng(t).standard_normal()
+        def rows(r):
+            return [[np.random.default_rng(t).standard_normal()] for t in r]
 
-        a = expectation(draw, lambda x: x, 50)
-        b = expectation(draw, lambda x: x, 50)
+        a = expectation(rows, 50, 7)
+        b = expectation(rows, 50, 7)
         assert a.mean[0] == b.mean[0]
 
     def test_workers_do_not_change_result(self):
-        def draw(t):
-            return np.random.default_rng(t).standard_normal(8)
+        def rows(r):
+            draws = [np.random.default_rng(t).standard_normal(8) for t in r]
+            return [[x.mean(), x.std()] for x in draws]
 
-        stat = lambda x: np.array([x.mean(), x.std()])
-        serial = expectation(draw, stat, 40, workers=1)
-        threaded = expectation(draw, stat, 40, workers=4)
+        serial = expectation(rows, 40, 3, workers=1)
+        threaded = expectation(rows, 40, 3, workers=4)
         assert np.array_equal(serial.mean, threaded.mean)
         assert np.array_equal(serial.ci_low, threaded.ci_low)
 
     @pytest.mark.parametrize("batch, workers", [(1, 1), (5, 1), (23, 1), (5, 3)])
     def test_batches_reduce_as_single_trials(self, batch, workers):
-        def draw(t):
-            return np.random.default_rng(t).standard_normal(3)
+        def rows(r):
+            return np.array([np.random.default_rng(t).standard_normal(3) for t in r])
 
-        single = expectation(draw, lambda x: x, 23)
-        batched = expectation(
-            lambda trials: np.array([draw(t) for t in trials]), lambda x: x, 23, workers, batch
-        )
+        single = expectation(rows, 23, 1)
+        batched = expectation(rows, 23, batch, workers)
         assert np.array_equal(single.mean, batched.mean)
         assert np.array_equal(single.ci_low, batched.ci_low)
 
     def test_ci_width_scales_with_trials(self):
         values = np.random.default_rng(0).standard_normal(64)
         double = np.concatenate([values, values])
-        one = expectation(lambda t: values[t], lambda x: x, 64)
-        two = expectation(lambda t: double[t], lambda x: x, 128)
+        one = expectation(lambda r: values[r, None], 64, 16)
+        two = expectation(lambda r: double[r, None], 128, 16)
         ratio = (two.ci_high[0] - two.ci_low[0]) / (one.ci_high[0] - one.ci_low[0])
         assert 0.6 < ratio < 0.8
 
     def test_gain_magnitude_moment_within_ci(self):
         dims = derive_dims(3, 1)
 
-        def draw(t):
-            return sample_network(dims, 121, block_index=t)
-
         def stat(net):
             g = np.concatenate([net.gains[i, k] for i in range(3) for k in range(3)])
             return float(np.mean(np.abs(g) ** 2))
 
-        est = expectation(draw, stat, 400)
+        est = expectation(
+            lambda r: [[stat(sample_network(dims, 121, block_index=t))] for t in r], 400, 50
+        )
         assert est.ci_low[0] <= 1.0 <= est.ci_high[0]
 
     def test_requires_two_trials(self):
         with pytest.raises(ValueError):
-            expectation(lambda t: t, lambda x: x, 1)
+            expectation(lambda r: [[t] for t in r], 1, 1)

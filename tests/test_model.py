@@ -95,11 +95,14 @@ class TestSampling:
 
     def test_eavesdropper_row(self):
         dims = derive_dims(3, 1)
-        net = sample_network(dims, 7, with_eavesdropper=True)
-        assert net.eavesdropper.shape == (3, 3)
-        # the row matches the standalone block sampler at the same block
         row = sample_eavesdropper_block(dims, 7, 0)
-        assert np.array_equal(net.eavesdropper, row)
+        assert row.shape == (3, 3)
+        assert sample_network(dims, 7).eavesdropper is None
+        # a block drawn among others is the row drawn alone, and no link's gains
+        rows = sample_eavesdropper_block(dims, 7, [2, 0])
+        assert np.array_equal(rows[1], row)
+        assert not np.array_equal(rows[0], row)
+        assert not np.isin(row, sample_network(dims, 7).gains).any()
 
     def test_gains_are_two_draws_per_link_stream(self):
         # the law at the seed: real then imaginary parts, F normals each,

@@ -3,7 +3,8 @@
 `perfbench/tracer.py` records a function's per-layer metrics only when the
 function is defined in its layer's module and listed in that module's
 `__all__`, so a renamed or unlisted function silently drops them. The
-precision probe calls a handful of functions by name and signature.
+tracer's hooks read a call's arguments by name, and the precision probe
+calls a handful of functions by name and signature.
 """
 
 import importlib
@@ -14,6 +15,10 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from iasec.alignment import build_beamformers, build_generators, stream_power
+from iasec.gaussmi import receiver_gains
+from iasec.model import PowerConfig, derive_dims, sample_network
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,3 +54,22 @@ def test_precision_probe_runs(perfbench):
     result = perfbench["probe"].probe(16, [(3, 1)])
     assert result["terms"] > 0
     assert math.isfinite(result["max"]) and result["max"] < 1e-9
+
+
+def test_tracer_hooks_tag_real_calls(perfbench):
+    # a hook that no longer fits its function's parameters tags nothing,
+    # which silently drops the metrics built from its tags
+    dims = derive_dims(3, 1)
+    net = sample_network(dims, 16)
+    aset = build_beamformers(net, build_generators(net))
+    powers = stream_power(aset, PowerConfig(rho=1e4))
+    calls = {
+        "ergodic.block_network": (dims, 16, 0),
+        "gaussmi.mi_from_gains": (receiver_gains(net, aset, 0), powers, {0}),
+    }
+    hooks = perfbench["tracer"]._HOOKS
+    assert set(hooks) == set(calls)
+    for name, args in calls.items():
+        layer, attr = name.split(".")
+        fn = getattr(importlib.import_module(f"iasec.{layer}"), attr)
+        assert hooks[name](inspect.signature(fn).bind(*args).arguments) is not None, name
