@@ -211,11 +211,10 @@ def align_first_valid(draw, count, m, attempts, residual_tol, context):
     of draws, raises AlignmentError for the lowest, labelled `context(row)`
     and reporting its last draw.
     """
-    rows = np.arange(count)
-    gains = draw(0, rows)
+    gains = draw(0, np.arange(count))
     aset, passed, ranks, worst = _align_stack(gains, m, residual_tol)
     drawn = np.zeros(count, dtype=int)
-    rows = rows[~passed]
+    rows = np.flatnonzero(~passed)
     for attempt in range(1, attempts):
         if not len(rows):
             break
@@ -370,11 +369,11 @@ def _receiver_checks(gains, beams):
     worst = np.empty((T, K))
     for i in range(K):
         eff = [gains[:, i, k, :, None] * v for k, v in enumerate(beams)]
-        interf = np.concatenate([g for k, g in enumerate(eff) if k != i], axis=-1)
+        interf = [g for k, g in enumerate(eff) if k != i]  # each stack is freed after its rank
         worst[:, i] = _worst_residual(eff, i)
-        ranks[:, i, 0] = numerical_rank(interf)
+        ranks[:, i, 0] = numerical_rank(np.concatenate(interf, axis=-1))
         ranks[:, i, 1] = numerical_rank(eff[i])
-        ranks[:, i, 2] = numerical_rank(np.concatenate([eff[i], interf], axis=-1))
+        ranks[:, i, 2] = numerical_rank(np.concatenate([eff[i], *interf], axis=-1))
     return ranks, worst
 
 

@@ -97,8 +97,7 @@ _RETRY_BUDGET = 3
 _TAG_AUDIT_SEED = 23
 
 # Size guards: at most this many (K, m) points, K users, F symbol extensions
-# (every point takes dense F-row SVDs) and workers (each may start an OS
-# thread, and two have never beaten one).
+# (every point takes dense F-row SVDs) and worker threads (2 never beat 1).
 _GRID_CAP = 64
 _K_CAP = 5
 _F_CAP = 4100

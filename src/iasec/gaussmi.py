@@ -190,8 +190,10 @@ def spectra_table(net, aset):
         unit = _unit_factors(aset, net.gains[i])
         others = tuple(k for k in range(K) if k != i)
         sets = [(i,), others] + [(i, *sub) for sub in _subsets(others)]
-        inflated = [unit[i]] + [np.sqrt(net.dims.streams[k]) * unit[k] for k in others]
-        table.append((_set_spectra(unit, sets), _squared_singular_values(inflated)))
+        spectra = _set_spectra(unit, sets)
+        for k in others:  # weighted in place, once the sets' spectra are taken
+            unit[k] *= np.sqrt(net.dims.streams[k])
+        table.append((spectra, _squared_singular_values([unit[k] for k in (i, *others)])))
     return table
 
 
