@@ -19,7 +19,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import sample_gains, sub_rng
+from .gaussmi import _receiver_spectra
+from .model import _TAG_AUDIT, sample_gains, sub_rng
 
 __all__ = [
     "AlignmentError",
@@ -37,13 +38,12 @@ __all__ = [
     "numerical_rank",
 ]
 
-# Singular values below max(shape) * sigma_max * RANK_TOL_FACTOR count as zero.
-RANK_TOL_FACTOR = 1e-10
+# Singular values at or below max(shape) * sigma_max * RANK_FLOOR count as
+# zero: a hundred times the float64 rounding a matrix's SVD can carry.
+RANK_FLOOR = 100 * np.finfo(float).eps
 
-# Default ceiling for subspace-containment residuals.
+# Default ceiling for the containment sigma_{d+1} / sigma_max.
 RESIDUAL_TOL = 1e-8
-
-_TAG_AUDIT = 11
 
 # The stacked arrays of one chunk of networks (full-rank-audit redraws or
 # ergodic fading blocks) stay near this size. On a 2-core x86-64 host with
@@ -198,7 +198,7 @@ def build_beamformers(net, gens, verify=True, residual_tol=RESIDUAL_TOL):
     return aset
 
 
-def align_first_valid(draw, count, m, attempts, residual_tol, context):
+def align_first_valid(draw, count, m, attempts, residual_tol, context, own_first=False):
     """Align `count` networks, each on the first of up to `attempts` draws that verifies.
 
     `draw(attempt, rows)` returns the gains [len(rows), K, K, F] of draw
@@ -206,32 +206,33 @@ def align_first_valid(draw, count, m, attempts, residual_tol, context):
     only those whose earlier draws all failed; one `_align_stack` call
     builds and verifies each draw, and a network that passes is written into
     draw 0's arrays in place. Returns the gains, the stacked beamformers,
-    `_receiver_checks`' numbers of the passing draws (ranks [count, K, 3],
-    worst [count, K]) and each network's draw index. When networks run out
-    of draws, raises AlignmentError for the lowest, labelled `context(row)`
-    and reporting its last draw.
+    the spectra the passing draws were verified from (see `_verify`) and
+    each network's draw index. When networks run out of draws, raises
+    AlignmentError for the lowest, labelled `context(row)` and reporting its
+    last draw.
     """
     gains = draw(0, np.arange(count))
-    aset, passed, ranks, worst = _align_stack(gains, m, residual_tol)
+    aset, passed, spectra = _align_stack(gains, m, residual_tol, own_first)
     drawn = np.zeros(count, dtype=int)
     rows = np.flatnonzero(~passed)
     for attempt in range(1, attempts):
         if not len(rows):
             break
         redraw = draw(attempt, rows)
-        one, ok, rank, resid = _align_stack(redraw, m, residual_tol)
-        ranks[rows], worst[rows], drawn[rows] = rank, resid, attempt
+        one, ok, taken = _align_stack(redraw, m, residual_tol, own_first)
+        for s2, s2_new in zip(itertools.chain(*spectra), itertools.chain(*taken)):
+            s2[rows] = s2_new
+        drawn[rows] = attempt
         done = rows[ok]
         gains[done], aset.power_normalizers[done] = redraw[ok], one.power_normalizers[ok]
         for v, beam in zip(aset.beams, one.beams):
             v[done] = beam[ok]
         rows = rows[~ok]
     if len(rows):
-        row, streams = rows[0], [v.shape[-1] for v in aset.beams]
-        report = _report(streams, ranks[row], worst[row], residual_tol)
+        report = _report([v.shape[-1] for v in aset.beams], spectra, residual_tol, rows[0])
         failure = f"alignment verification failed: {report.summary()}"
-        raise AlignmentError(f"{context(row)} beyond retry budget: {failure}")
-    return gains, aset, ranks, worst, drawn
+        raise AlignmentError(f"{context(rows[0])} beyond retry budget: {failure}")
+    return gains, aset, spectra, drawn
 
 
 def _power_normalizers(beams):
@@ -242,58 +243,82 @@ def _power_normalizers(beams):
 
 
 def _build(gains, m):
-    """Beams [V_k, each [T, F, m_k]] of every network of gains[T, K, K, F], unverified.
-
-    Also returns the mask [T] of the networks that built (the others divide
-    by a zero diagonal entry) and their gains and beams, uncopied when all did.
-    """
+    """Unverified beams [V_k, each T x F x m_k] of gains[T, K, K, F]; a mask [T] of those built."""
     gens, s0, w, zero = _generators(gains, m)
     beams, zero_rot = _beams(gains[:, 0], gens, s0, w, m)
-    built = ~(zero | zero_rot)
-    if built.all():
-        return beams, built, gains, beams
-    return beams, built, gains[built], [v[built] for v in beams]
+    return beams, ~(zero | zero_rot)
 
 
-def _align_stack(gains, m, residual_tol):
+def _align_stack(gains, m, residual_tol, own_first=False):
     """Build and verify every network of gains[T, K, K, F] at once.
 
-    Returns the stacked beamformers (beams [T, F, m_k], normalizers [T, K]),
-    a mask [T] of the networks that passed `verify_alignment`'s rule, and
-    `_receiver_checks`' numbers (ranks [T, K, 3], worst [T, K]). A network
-    that did not build reads rank 0 and an infinite residual everywhere.
+    Returns the stacked beamformers (beams [T, F, m_k], normalizers [T, K])
+    and `_verify`'s mask of the networks that passed and the spectra it read.
     """
-    beams, built, built_gains, built_beams = _build(gains, m)
+    beams, built = _build(gains, m)
     with np.errstate(invalid="ignore", over="ignore"):
-        normalizers = _power_normalizers(beams)
-    ranks, worst = np.zeros((*gains.shape[:2], 3), dtype=int), np.full(gains.shape[:2], np.inf)
-    ranks[built], worst[built] = _receiver_checks(built_gains, built_beams)
-    passed = built & _passes(ranks, worst, [v.shape[-1] for v in beams], residual_tol)
-    return AlignmentSet(beams=beams, power_normalizers=normalizers), passed, ranks, worst
+        aset = AlignmentSet(beams=beams, power_normalizers=_power_normalizers(beams))
+    return aset, *_verify(gains, aset, built, residual_tol, own_first)
+
+
+def _verify(gains, aset, built, residual_tol, own_first):
+    """`verify_alignment`'s rule over a stack: a mask [T], and the spectra it read.
+
+    The spectra are `_receiver_spectra`'s K pairs, each [T, n], all users in
+    the order `own_first` picks. A network that did not build, or has a zero
+    or non-finite power normalizer, fails; it is read with zero beams.
+    """
+    c, streams = aset.power_normalizers, [v.shape[-1] for v in aset.beams]
+    ok = built & (np.isfinite(c) & (c > 0)).all(axis=-1)
+    aset = AlignmentSet(_zeroed(ok, aset.beams), np.where(ok[:, None], c, 1.0))
+    spectra = _receiver_spectra(gains, aset, own_first)
+    return ok & _passes(*_receiver_numbers(spectra, streams), streams, residual_tol), spectra
+
+
+def _zeroed(ok, beams):
+    """The stacked beams with the networks outside the mask ok zeroed, so no NaN reaches an SVD."""
+    return beams if ok.all() else [np.where(ok[:, None, None], v, 0) for v in beams]
+
+
+def _rank(sv, shape):
+    """The one rank rule: how many of sv[..., n] exceed RANK_FLOOR * max(shape) * sv[..., 0]."""
+    return np.count_nonzero(sv > RANK_FLOOR * max(shape) * sv[..., :1], axis=-1)
 
 
 def numerical_rank(mat):
-    """Rank by SVD: singular values above max(shape) * sigma_max * RANK_TOL_FACTOR count.
-
-    A stack of matrices [..., rows, cols] gives one rank per matrix, from one
-    stacked singular-value call.
-    """
+    """Rank by SVD under `_rank`'s floor; a stack [..., rows, cols] gives one per matrix, one call."""
     if mat.size == 0:
         return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    ranks = np.count_nonzero(s > max(mat.shape[-2:]) * s[..., :1] * RANK_TOL_FACTOR, axis=-1)
+    ranks = _rank(np.linalg.svd(mat, compute_uv=False), mat.shape[-2:])
     return int(ranks) if np.ndim(ranks) == 0 else ranks
 
 
 @dataclass
 class ReceiverCheck:
+    """One receiver's verification numbers, read from its two spectra (d = F - m_i)."""
+
     receiver: int
-    interference_dim: int
+    interference_dim: int  # rank of the others' spectrum
     expected_interference_dim: int
-    own_rank: int
-    expected_own_rank: int
-    concat_rank: int
-    worst_residual: float
+    concat_rank: int  # rank of the all-users spectrum
+    expected_concat_rank: int
+    containment: float  # sigma_{d+1} / sigma_1 of the others' spectrum
+    weakest_interference: float  # sigma_d / sigma_1 of the others' spectrum
+    weakest_signal: float  # sigma_F / sigma_1 of the all-users spectrum
+
+    def diagnosis(self, residual_tol):
+        """The receiver's numbers, with what fails under `residual_tol`, if anything."""
+        interf, want = self.interference_dim, self.expected_interference_dim
+        text = f"rx{self.receiver}: interf {interf}/{want} concat {self.concat_rank}/"
+        text += f"{self.expected_concat_rank} containment {self.containment:.2e}"
+        if self.concat_rank < self.expected_concat_rank:
+            text += f", weakest signal {self.weakest_signal:.2e} below the float64 floor"
+        if interf != want:
+            weak = f"weakest interference {self.weakest_interference:.2e} below"
+            text += f", {weak if interf < want else 'containment above'} the float64 floor"
+        elif not self.containment < residual_tol:
+            text += f", containment above tol {residual_tol:.2e}"
+        return text
 
 
 @dataclass
@@ -303,117 +328,71 @@ class AlignmentReport:
     passed: bool
 
     @property
-    def worst_residual(self):
-        return max(r.worst_residual for r in self.receivers)
+    def worst_containment(self):
+        return max(r.containment for r in self.receivers)
 
     def summary(self):
-        return "; ".join(
-            f"rx{r.receiver}: interf {r.interference_dim}/{r.expected_interference_dim}"
-            f" own {r.own_rank}/{r.expected_own_rank} concat {r.concat_rank}"
-            f" resid {r.worst_residual:.2e}"
-            for r in self.receivers
-        )
+        return "; ".join(r.diagnosis(self.residual_tol) for r in self.receivers)
 
     def as_dict(self):
         return {
             "passed": bool(self.passed),
-            "worst_residual": float(self.worst_residual),
+            "worst_containment": float(self.worst_containment),
             "residual_tol": self.residual_tol,
-            "rank_tol_factor": RANK_TOL_FACTOR,
+            "rank_floor": RANK_FLOOR,
             "receivers": [asdict(r) for r in self.receivers],
         }
 
 
 def verify_alignment(net, aset, residual_tol=RESIDUAL_TOL):
-    """Check the three alignment conditions at every receiver.
+    """Check the alignment conditions at every receiver, from two spectra per receiver.
 
-    Per receiver i: the stacked interference must occupy exactly F - m_i
-    dimensions, the intended streams must keep rank m_i, the two together
-    must fill all F dimensions, and every interferer j not in {0, i} must sit
-    inside the span of user 0's interference (receiver 0 instead checks that
-    all interferers share one span). The one-network case of
-    `_receiver_checks`, reported by `_report`.
+    Per receiver i, with d = F - m_i: the others' unit-power factors must
+    have exactly d singular values above `_rank`'s floor (the interference
+    fills d dimensions), all users' factors F (the intended streams stay
+    independent of it), and the containment sigma_{d+1} / sigma_1 must lie
+    below `residual_tol`; the spectra are those `spectra_table` reads.
     """
-    ranks, worst = _receiver_checks(net.gains[None], [v[None] for v in aset.beams])
-    return _report(net.dims.streams, ranks[0], worst[0], residual_tol)
+    one = AlignmentSet([v[None] for v in aset.beams], np.asarray(aset.power_normalizers)[None])
+    _, spectra = _verify(net.gains[None], one, np.ones(1, dtype=bool), residual_tol, True)
+    return _report(net.dims.streams, spectra, residual_tol)
 
 
-def _report(streams, ranks, worst, residual_tol):
-    """One network's report from its `_receiver_checks` numbers (ranks [K, 3], worst [K])."""
+def _report(streams, spectra, residual_tol, row=0):
+    """The report of network `row` of a stack, from `_verify`'s spectra."""
+    ranks, ratios = _receiver_numbers([(o[[row]], a[[row]]) for o, a in spectra], streams)
+    F = streams[0] + streams[1]
     checks = [
-        ReceiverCheck(
-            receiver=i,
-            interference_dim=int(ranks[i, 0]),
-            expected_interference_dim=streams[0] + streams[1] - streams[i],
-            own_rank=int(ranks[i, 1]),
-            expected_own_rank=streams[i],
-            concat_rank=int(ranks[i, 2]),
-            worst_residual=float(worst[i]),
-        )
-        for i in range(len(streams))
+        ReceiverCheck(i, int(rank[0]), F - m, int(rank[1]), F, *map(float, ratio))
+        for i, (m, rank, ratio) in enumerate(zip(streams, ranks[0], ratios[0]))
     ]
-    passed = bool(_passes(ranks[None], worst[None], streams, residual_tol)[0])
+    passed = bool(_passes(ranks, ratios, streams, residual_tol)[0])
     return AlignmentReport(receivers=checks, residual_tol=residual_tol, passed=passed)
 
 
-def _receiver_checks(gains, beams):
-    """The verification's numbers for every network of gains[T, K, K, F].
+def _receiver_numbers(spectra, streams):
+    """`ReceiverCheck`'s two ranks (ranks [T, K, 2]) and three ratios (ratios [T, K, 3]) of a stack.
 
-    `beams[k]` holds the networks' V_k as [T, F, m_k]. Per receiver it
-    returns the ranks of the stacked interference, of the own streams and
-    of the two together (ranks [T, K, 3]), each one stacked singular-value
-    call, and `_worst_residual` (worst [T, K]).
+    A zero spectrum reads rank 0, an infinite containment and zero weakest values.
     """
-    T, K = gains.shape[:2]
-    ranks = np.empty((T, K, 3), dtype=int)
-    worst = np.empty((T, K))
-    for i in range(K):
-        eff = [gains[:, i, k, :, None] * v for k, v in enumerate(beams)]
-        interf = [g for k, g in enumerate(eff) if k != i]  # each stack is freed after its rank
-        worst[:, i] = _worst_residual(eff, i)
-        ranks[:, i, 0] = numerical_rank(np.concatenate(interf, axis=-1))
-        ranks[:, i, 1] = numerical_rank(eff[i])
-        ranks[:, i, 2] = numerical_rank(np.concatenate([eff[i], *interf], axis=-1))
-    return ranks, worst
-
-
-def _worst_residual(eff, i):
-    """Worst containment residual at receiver i over a stack of networks, 0 with none.
-
-    `eff[k]` holds H_ik V_k as [T, F, m_k]. The residual of interferer k is
-    the relative spectral norm of its part outside the span of the reference
-    interferer, user 1 at receiver 0 and user 0 elsewhere; it takes one
-    stacked QR per receiver and two stacked 2-norms per interferer.
-    """
-    ref = 1 if i == 0 else 0
-    q = np.linalg.qr(eff[ref]).Q
-    worst = np.zeros(len(q))
-    for k, cols in enumerate(eff):
-        if k in (i, ref):
-            continue
-        denom = _norm2(cols)
+    F, total = streams[0] + streams[1], sum(streams)
+    ranks, ratios = [], []
+    for (others, everyone), m in zip(spectra, streams):
+        d, sv, sv_all = F - m, np.sqrt(others), np.sqrt(everyone)
+        ranks.append(np.stack([_rank(sv, (F, total - m)), _rank(sv_all, (F, total))], axis=-1))
         with np.errstate(divide="ignore", invalid="ignore"):
-            resid = _norm2(cols - q @ (q.conj().swapaxes(-1, -2) @ cols)) / denom
-        worst = np.fmax(worst, np.where(denom == 0, np.inf, resid))
-    return worst
+            weak = sv_all[:, -1] / sv_all[:, 0]
+            ratio = np.stack([sv[:, d] / sv[:, 0], sv[:, d - 1] / sv[:, 0], weak], axis=-1)
+        ratios.append(np.where(np.isnan(ratio), [np.inf, 0.0, 0.0], ratio))  # 0 / 0: zero spectra
+    return np.stack(ranks, axis=1), np.stack(ratios, axis=1)
 
 
-def _norm2(mats):
-    """Spectral norm of each matrix of a stack."""
-    return np.linalg.svd(mats, compute_uv=False).max(axis=-1)
-
-
-def _passes(ranks, worst, streams, residual_tol):
-    """The verification rule over `_receiver_checks`' numbers: a mask [T].
-
-    A network passes when every receiver's interference has rank F - m_i,
-    its own streams rank m_i and both together rank F, and its worst
-    residual lies below `residual_tol`.
-    """
+def _passes(ranks, ratios, streams, residual_tol):
+    """The rule over `_receiver_numbers`, a mask [T]: ranks F - m_i and F, containment below tol."""
     streams = np.asarray(streams)
     F = streams[0] + streams[1]
-    expected = np.stack([F - streams, streams, np.full_like(streams, F)], axis=-1)
-    return (ranks == expected).all(axis=(1, 2)) & (worst.max(axis=1) < residual_tol)
+    expected = np.stack([F - streams, np.full_like(streams, F)], axis=-1)
+    return (ranks == expected).all(axis=(1, 2)) & (ratios[..., 0].max(axis=1) < residual_tol)
 
 
 def rank_failures(net, aset):
@@ -461,10 +440,8 @@ def check_full_rank(dims, trials, seed):
 
 def _rank_deficient(gains, m):
     """Per network of gains[T, K, K, F]: is its construction or any H_ik V_k rank short?"""
-    _, built, gains, beams = _build(gains, m)
-    failed = ~built
-    failed[built] = _short_links(gains, beams).any(axis=(1, 2))
-    return failed
+    beams, built = _build(gains, m)
+    return _short_links(gains, _zeroed(built, beams)).any(axis=(1, 2))
 
 
 def _short_links(gains, beams):

@@ -46,6 +46,7 @@ from .gaussmi import (
     spectra_table,
 )
 from .model import (
+    _TAG_AUDIT_SEED,
     NetworkRealization,
     PowerConfig,
     derive_dims,
@@ -94,7 +95,6 @@ EXIT_NUMERICAL_ERROR = 3
 _NUMERICAL_ERRORS = (NumericalError, AlignmentError, np.linalg.LinAlgError)
 
 _RETRY_BUDGET = 3
-_TAG_AUDIT_SEED = 23
 
 # Size guards: at most this many (K, m) points, K users, F symbol extensions
 # (every point takes dense F-row SVDs) and worker threads (2 never beat 1).
@@ -247,17 +247,18 @@ def eta_asymptote(scenario, K):
     return (K - 2) / (2 * K)
 
 
-def _confidential_tables(net, aset, cfg):
+def _confidential_tables(net, aset, cfg, verified=None):
     """Per-rho rows, the deficit report and the hard-check aggregate across the rho grid.
 
-    Decodability of the clamped zero-R assignment is not covered by the rate
-    rule's guarantee, so clamped grid points are reported but excluded from
-    the hard-check aggregate.
+    `spectra_table` reuses the `verified` spectra. Decodability of the
+    clamped zero-R assignment is not covered by the rate rule's guarantee,
+    so clamped grid points are reported but excluded from the hard-check
+    aggregate.
     """
     rows = []
     curve = {}
     all_checks = True
-    spectra = spectra_table(net, aset)
+    spectra = spectra_table(net, aset, verified)
     for rho in cfg.rho_grid:
         load = PowerConfig(rho=rho, epsilon_margin=cfg.epsilon_margin).effective
         rates = confidential_rates(net, spectra, load)
@@ -324,20 +325,21 @@ def _run_confidential_point(cfg, K, m):
     def draw(attempt, rows):
         net = sample_network(dims, cfg.seed, block_index=attempt)
         if known_csi:
-            net.eavesdropper = sample_eavesdropper_block(dims, cfg.seed, attempt)
-            net = augment_with_virtual_user(dims, net)
+            eavesdropper = sample_eavesdropper_block(dims, cfg.seed, attempt)
+            net = augment_with_virtual_user(dims, net, eavesdropper)
         return net.gains[None]
 
     try:
-        gains, aset, ranks, worst, drawn = align_first_valid(
-            draw, 1, m, _RETRY_BUDGET, cfg.tol, lambda row: "alignment failed"
+        gains, aset, spectra, drawn = align_first_valid(
+            draw, 1, m, _RETRY_BUDGET, cfg.tol, lambda row: "alignment failed", own_first=True
         )
     except AlignmentError as exc:
         raise NumericalError(str(exc)) from exc
-    net = NetworkRealization(dims=dims, gains=gains[0], eavesdropper=None, seed=cfg.seed)
-    rows, deficit, checks = _confidential_tables(net, aset[0], cfg)
+    net = NetworkRealization(dims=dims, gains=gains[0], seed=cfg.seed)
+    verified = [(others[0], everyone[0]) for others, everyone in spectra]
+    rows, deficit, checks = _confidential_tables(net, aset[0], cfg, verified)
     detail = {
-        "alignment": _report(dims.streams, ranks[0], worst[0], cfg.tol).as_dict(),
+        "alignment": _report(dims.streams, spectra, cfg.tol).as_dict(),
         "attempts": int(drawn[0]),
         "delta_points": [
             {"rho": p.rho, "delta_hat": None if p.degenerate else p.delta_hat}

@@ -9,13 +9,13 @@ and what remains of each user's own-stream rate is secret.
 `ergodic_pass` makes one pass over the blocks of a (K, m) point, a chunk of
 blocks at a time. A chunk's blocks are sampled, built and verified together,
 and their unit-power spectra are taken with one stacked singular-value call
-per role set; the blocks whose draw does not align are redrawn together,
-one stacked call per draw. Every mutual information at every grid rho is a
-difference of two log-dets read from the spectra, so each block yields one
-row: the rate statistics at each rho, plus the budget and inequality-audit
-statistics at the top rho. One `expectation` reduces the rows in trial
-order, and `ergodic_rates`, `eavesdropper_budget_check` and
-`mi_inequality_audit` read that estimate.
+per role set, the receivers' ones read by the verification too; blocks
+whose draw does not align are redrawn together, one stacked call per draw.
+Every mutual information at every grid rho is a difference of two log-dets
+read from the spectra, so each block yields one row: the rate statistics at
+each rho, plus the budget and inequality-audit statistics at the top rho.
+One `expectation` reduces the rows in trial order, and `ergodic_rates`,
+`eavesdropper_budget_check` and `mi_inequality_audit` read that estimate.
 """
 
 from dataclasses import dataclass
@@ -27,6 +27,7 @@ from .gaussmi import (
     McEstimate,
     _log2det,
     _log2dets,
+    _mi_bits,
     _set_mi,
     _set_spectra,
     _squared_singular_values,
@@ -84,6 +85,7 @@ class Blocks:
     eavesdropper: np.ndarray  # [B, K, F], role-ordered
     aset: AlignmentSet  # stacked beams and normalizers
     attempts: np.ndarray  # [B]
+    spectra: list  # the verification's `_receiver_spectra`: others, all roles
 
 
 def _block_bytes(dims):
@@ -116,11 +118,11 @@ def _align_blocks(dims, seed, index, residual_tol):
         at = np.arange(len(rows))[:, None, None]
         return sample_gains(dims, seeds, blocks)[at, order[..., None], order[:, None]]
 
-    gains, aset, _, _, attempts = align_first_valid(
+    gains, aset, spectra, attempts = align_first_valid(
         draw, B, dims.m, _BLOCK_ATTEMPTS, residual_tol, lambda j: f"block {index[j]}: degenerate"
     )
     eavesdropper = sample_eavesdropper_block(dims, seed, index)[np.arange(B)[:, None], perm]
-    return Blocks(dims, index, perm, gains, eavesdropper, aset, attempts)
+    return Blocks(dims, index, perm, gains, eavesdropper, aset, attempts, spectra)
 
 
 def block_network(dims, seed, block_index, residual_tol=RESIDUAL_TOL):
@@ -193,14 +195,14 @@ def ergodic_pass(dims, powers, trials, seed, workers=1, residual_tol=RESIDUAL_TO
     boundaries never change a row. Each block's spectra are those of the
     unit-power factors G_k / sqrt(c_k), from the same `gaussmi` layer the
     confidential rates read: all roles and the others at each role's
-    receiver (2K), every nonempty role set at the eavesdropper (2^K - 1), and
-    the eavesdropper's inflated set with every role weighted by its stream
-    count (1), each one stacked call per chunk. Each user loads rho - eps
-    onto its unit-power factor, so each spectrum gives its log-det at every
-    power in `powers` at once, and every MI is a difference of two of them.
-    The budget and audit statistics are taken at the last power. With
-    `workers` > 1, chunks are evaluated on that many threads; the rows do
-    not depend on it.
+    receiver (2K, which the verification read), every nonempty role set at
+    the eavesdropper (2^K - 1), and the eavesdropper's inflated set with
+    every role weighted by its stream count (1), each one stacked call per
+    chunk. Each user loads rho - eps onto its unit-power factor, so each
+    spectrum gives its log-det at every power in `powers` at once, and every
+    MI is a difference of two of them. The budget and audit statistics are
+    taken at the last power. With `workers` > 1, chunks are evaluated on
+    that many threads; the rows do not depend on it.
     """
     powers = tuple(powers)
     loads = np.array([p.effective for p in powers])
@@ -223,10 +225,8 @@ def _block_rows(blocks, loads, audit_sets):
     roles = tuple(range(K))
     users, nonempty = frozenset(roles), _subsets(roles)
     own = np.zeros((B, len(loads)))
-    for r in roles:
-        unit = _unit_factors(aset, blocks.gains[:, r])
-        sets = [roles, tuple(s for s in roles if s != r)]
-        own += _set_mi(_log2dets(_set_spectra(unit, sets), loads), users, {r})
+    for others, everyone in blocks.spectra:  # I(X_r; Y_r) = ld(all roles) - ld(the others)
+        own += _mi_bits(_log2det(everyone, loads), _log2det(others, loads))
     own /= K
     unit = _unit_factors(aset, blocks.eavesdropper)
     eaves = _log2dets(_set_spectra(unit, nonempty), loads)
@@ -400,19 +400,21 @@ def mi_inequality_audit(pass_):
     )
 
 
-def augment_with_virtual_user(aug_dims, net):
+def augment_with_virtual_user(aug_dims, net, eavesdropper):
     """Fold a known-CSI eavesdropper into the grid as one more receiver.
 
     `net` holds the real users on the first K-1 indices of an (already
-    K-user-dimensioned) grid plus an eavesdropper row; the returned network
-    routes the eavesdropper row into the last receiver's links while keeping
-    the freshly sampled virtual-transmitter column, so the confidential
-    pipeline applies unchanged.
+    K-user-dimensioned) grid, and `eavesdropper[k]` is the (K, F) row's
+    diagonal from transmitter k to the eavesdropper; the returned network
+    routes the row into the last receiver's links while keeping the freshly
+    sampled virtual-transmitter column, so the confidential pipeline applies
+    unchanged.
     """
-    if net.eavesdropper is None:
-        raise ValueError("augmentation needs the eavesdropper row (known-CSI regime)")
     if net.dims != aug_dims:
         raise ValueError("network must be sampled at the augmented dimensions")
+    K, F = aug_dims.K, aug_dims.F
+    if np.shape(eavesdropper) != (K, F):
+        raise ValueError(f"eavesdropper must have shape {(K, F)}, got {np.shape(eavesdropper)}")
     gains = net.gains.copy()
-    gains[-1, :-1] = net.eavesdropper[:-1]
-    return NetworkRealization(dims=aug_dims, gains=gains, eavesdropper=None, seed=net.seed)
+    gains[-1, :-1] = eavesdropper[:-1]
+    return NetworkRealization(dims=aug_dims, gains=gains, seed=net.seed)

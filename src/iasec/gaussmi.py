@@ -158,6 +158,23 @@ def _set_spectra(factors, sets):
     return {frozenset(s): _squared_singular_values([factors[k] for k in s]) for s in sets}
 
 
+def _receiver_spectra(gains, aset, own_first=False):
+    """Per receiver i, the spectra of the others' and of all users' unit-power factors.
+
+    `gains[..., i, k, :]` is the diagonal from transmitter k to receiver i,
+    over any batch axes `aset` shares. Returns K pairs (others, all users),
+    one SVD each; all users are in user order or, with `own_first`, i's
+    columns first, as `spectra_table` orders them.
+    """
+    K, pairs = gains.shape[-3], []
+    for i in range(K):
+        others = tuple(k for k in range(K) if k != i)
+        everyone = (i, *others) if own_first else tuple(range(K))
+        unit = _unit_factors(aset, gains[..., i, :, :])
+        pairs.append(tuple(_set_spectra(unit, [others, everyone]).values()))
+    return pairs
+
+
 def _log2dets(spectra, load):
     """The log-det of every user set of `spectra` at `load` (or one per load of an array)."""
     return {users: _log2det(s2, load) for users, s2 in spectra.items()}
@@ -175,25 +192,28 @@ def _set_mi(ld, users, signal, conditioned=()):
     return _mi_bits(top, ld[noise] if noise else 0.0 * top)
 
 
-def spectra_table(net, aset):
+def spectra_table(net, aset, spectra=None):
     """Every receiver's spectra for the confidential rate rule; rho-independent.
 
     Per receiver i, one (sets, inflated) pair. `sets` holds the spectra of
     {i}, the others and S u {i} for each nonempty subset S of the others,
     i's columns first. `inflated` is the spectrum of all users with every
     other user's factor weighted by sqrt(m_k). That is 2^(K-1) + 2 SVDs per
-    receiver.
+    receiver; those of the others and all users are `spectra` when given
+    (`_receiver_spectra` with `own_first`, as the point's verification read).
     """
     K = net.dims.K
+    if spectra is None:
+        spectra = _receiver_spectra(net.gains, aset, own_first=True)
     table = []
-    for i in range(K):
+    for i, (others_s2, everyone_s2) in enumerate(spectra):
         unit = _unit_factors(aset, net.gains[i])
         others = tuple(k for k in range(K) if k != i)
-        sets = [(i,), others] + [(i, *sub) for sub in _subsets(others)]
-        spectra = _set_spectra(unit, sets)
+        sets = _set_spectra(unit, [(i,)] + [(i, *sub) for sub in _subsets(others, proper=True)])
+        sets.update({frozenset(others): others_s2, frozenset(range(K)): everyone_s2})
         for k in others:  # weighted in place, once the sets' spectra are taken
             unit[k] *= np.sqrt(net.dims.streams[k])
-        table.append((spectra, _squared_singular_values([unit[k] for k in (i, *others)])))
+        table.append((sets, _squared_singular_values([unit[k] for k in (i, *others)])))
     return table
 
 

@@ -2,7 +2,7 @@
 
 A network is stored as gain arrays: every link of the F-slot extension is a
 diagonal F x F matrix, stored as its diagonal, so the K x K grid of links is
-one (K, K, F) array and the eavesdropper row one (K, F) array.
+one (K, K, F) array and an eavesdropper row one (K, F) array.
 
 Everything downstream (beamformers, mutual informations, rate sweeps) is a
 pure function of a :class:`SystemDims`, a master seed, and optionally a block
@@ -30,6 +30,8 @@ _TAG_LINK = 1
 _TAG_EAVES = 2
 _TAG_PERM = 3
 _TAG_RETRY = 5
+_TAG_AUDIT = 11  # Lemma 2 full-rank redraws
+_TAG_AUDIT_SEED = 23  # the audit's oracle instances
 
 # Gains with magnitude below this are resampled (probability-zero event made
 # explicit so later diagonal inversions are always safe).
@@ -151,23 +153,18 @@ class NetworkRealization:
     """A full draw of the network as diagonal gain arrays.
 
     `gains[i, k]` is the diagonal from transmitter k to receiver i, so
-    `gains` has shape (K, K, F); `eavesdropper[k]` is the diagonal from
-    transmitter k to the eavesdropper, shape (K, F), or None without one.
+    `gains` has shape (K, K, F). An eavesdropper row is drawn apart, by
+    `sample_eavesdropper_block`.
     """
 
     dims: SystemDims
     gains: np.ndarray
-    eavesdropper: np.ndarray | None
     seed: int
 
     def __post_init__(self):
         K, F = self.dims.K, self.dims.F
         if np.shape(self.gains) != (K, K, F):
             raise ValueError(f"gains must have shape {(K, K, F)}, got {np.shape(self.gains)}")
-        if self.eavesdropper is not None and np.shape(self.eavesdropper) != (K, F):
-            raise ValueError(
-                f"eavesdropper must have shape {(K, F)}, got {np.shape(self.eavesdropper)}"
-            )
 
 
 def sample_network(dims, seed, block_index=0):
@@ -176,7 +173,7 @@ def sample_network(dims, seed, block_index=0):
     Each link gets its own counter-derived substream, so the realization is a
     pure function of (dims, seed, block_index) regardless of evaluation order.
     """
-    return NetworkRealization(dims, sample_gains(dims, [seed], block_index)[0], None, int(seed))
+    return NetworkRealization(dims, sample_gains(dims, [seed], block_index)[0], int(seed))
 
 
 def sample_eavesdropper_block(dims, seed, block_index):

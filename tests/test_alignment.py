@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iasec import alignment, model
 from iasec.alignment import (
+    RANK_FLOOR,
+    RESIDUAL_TOL,
     AlignmentError,
     AlignmentSet,
     build_beamformers,
@@ -115,7 +118,7 @@ class TestVerifyAlignment:
     def test_residuals_below_tolerance(self):
         net, aset = aligned_instance(3, 3, seed=8)
         report = verify_alignment(net, aset)
-        assert report.worst_residual < 1e-8
+        assert report.worst_containment < 1e-8
 
     def test_zero_beamformer_fails_rank_check(self):
         net, aset = aligned_instance(3, 1, seed=9)
@@ -126,45 +129,54 @@ class TestVerifyAlignment:
         report = verify_alignment(net, broken)
         assert not report.passed
 
+    @pytest.mark.parametrize("normalizer", [0.0, np.nan, np.inf])
+    def test_bad_power_normalizer_fails_without_an_svd_of_nans(self, monkeypatch, normalizer):
+        # user 0's unit-power factor would divide by zero or carry NaNs
+        net, aset = aligned_instance(3, 1, seed=9)
+        aset.power_normalizers[0] = normalizer
+        svd = np.linalg.svd
+
+        def finite_only(a, *args, **kwargs):
+            assert np.isfinite(a).all()
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", finite_only)
+        report = verify_alignment(net, aset)
+        assert not report.passed
+        assert [r.interference_dim for r in report.receivers] == [0, 0, 0]
+        assert report.worst_containment == np.inf
+        assert "weakest signal 0.00e+00 below the float64 floor" in report.summary()
+
     @staticmethod
-    def per_matrix_report(net, aset, residual_tol):
-        # reference: a loop over receivers with one SVD per rank, and one QR
-        # and two 2-norms per containment residual
-        dims = net.dims
-        receivers, dims_ok = [], True
+    def per_receiver_report(net, aset, residual_tol):
+        # reference: per receiver, one SVD of the others' unit-power factors
+        # and one of all users' (i's columns first), read as in the README
+        dims, F = net.dims, net.dims.F
+        floor = 100 * np.finfo(float).eps
+        receivers, passed = [], True
         for i in range(dims.K):
-            eff = aset.apply(net.gains[i])
+            unit = [
+                g * (1 / np.sqrt(c)) for g, c in zip(aset.apply(net.gains[i]), aset.power_normalizers)
+            ]
             others = [k for k in range(dims.K) if k != i]
-            stacked = np.hstack([eff[k] for k in others])
-            ref = 1 if i == 0 else 0
-            q = np.linalg.qr(eff[ref])[0]
-            residuals = [0.0]
-            for k in others:
-                if k != ref:
-                    denom = np.linalg.norm(eff[k], 2)
-                    resid = eff[k] - q @ (q.conj().T @ eff[k])
-                    residuals.append(np.inf if denom == 0 else np.linalg.norm(resid, 2) / denom)
+            interf = np.hstack([unit[k] for k in others])
+            full = np.hstack([unit[k] for k in [i, *others]])
+            s, s_all = (np.linalg.svd(a, compute_uv=False) for a in (interf, full))
+            d = F - dims.streams[i]
             entry = {
                 "receiver": i,
-                "interference_dim": numerical_rank(stacked),
-                "expected_interference_dim": dims.F - dims.streams[i],
-                "own_rank": numerical_rank(eff[i]),
-                "expected_own_rank": dims.streams[i],
-                "concat_rank": numerical_rank(np.hstack([eff[i], stacked])),
-                "worst_residual": float(max(residuals)),
+                "interference_dim": int(np.sum(s > floor * max(interf.shape) * s[0])),
+                "expected_interference_dim": d,
+                "concat_rank": int(np.sum(s_all > floor * max(full.shape) * s_all[0])),
+                "expected_concat_rank": F,
+                "containment": s[d] / s[0] if s[0] > 0 else np.inf,
+                "weakest_interference": s[d - 1] / s[0] if s[0] > 0 else 0.0,
+                "weakest_signal": s_all[F - 1] / s_all[0] if s_all[0] > 0 else 0.0,
             }
-            dims_ok &= (entry["interference_dim"], entry["own_rank"], entry["concat_rank"]) == (
-                dims.F - dims.streams[i], dims.streams[i], dims.F
-            )
+            passed &= (entry["interference_dim"], entry["concat_rank"]) == (d, F)
+            passed &= entry["containment"] < residual_tol
             receivers.append(entry)
-        worst = max(r["worst_residual"] for r in receivers)
-        return {
-            "passed": dims_ok and worst < residual_tol,
-            "worst_residual": worst,
-            "residual_tol": residual_tol,
-            "rank_tol_factor": alignment.RANK_TOL_FACTOR,
-            "receivers": receivers,
-        }
+        return passed, receivers
 
     @pytest.mark.parametrize(
         "K, m, seed, tol, broken",
@@ -172,18 +184,23 @@ class TestVerifyAlignment:
             (3, 2, 7, 1e-8, False),
             (3, 3, 8, 1e-8, False),
             (4, 1, 4, 1e-8, False),
-            (3, 2, 7, 1e-16, False),  # fails on its residual alone
-            (3, 1, 9, 1e-8, True),  # a zero beamformer: ranks 0, residual inf
+            (3, 2, 7, 1e-16, False),  # fails on its containment alone (1.4e-16 at rx0)
+            (3, 1, 9, 1e-8, True),  # a zero beamformer under its old normalizer
         ],
     )
     def test_report_matches_per_matrix_loop(self, K, m, seed, tol, broken):
         net, aset = aligned_instance(K, m, seed=seed)
         if broken:
             aset.beams[0] = np.zeros_like(aset.beams[0])
-        report = verify_alignment(net, aset, residual_tol=tol)
-        want = self.per_matrix_report(net, aset, tol)
-        assert report.as_dict() == want
-        assert report.passed == (not broken and tol > 1e-16)
+        report = verify_alignment(net, aset, residual_tol=tol).as_dict()
+        passed, receivers = self.per_receiver_report(net, aset, tol)
+        assert report["passed"] == passed == (not broken and tol > 1e-16)
+        assert report["residual_tol"] == tol and report["rank_floor"] == 100 * np.finfo(float).eps
+        assert report["worst_containment"] == max(r["containment"] for r in report["receivers"])
+        for have, want in zip(report["receivers"], receivers, strict=True):
+            assert set(have) == set(want)
+            for key, value in want.items():
+                assert have[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
 
     def test_build_raises_on_degenerate_verification(self):
         net = sample_network(derive_dims(3, 1), 10)
@@ -191,6 +208,50 @@ class TestVerifyAlignment:
         net.gains[:] = 1
         with pytest.raises(AlignmentError):
             build_beamformers(net, build_generators(net))
+
+
+def replaced_rule_passes(net, aset, residual_tol):
+    # reference: the rule the spectral verification replaced. Per receiver,
+    # the interference, the own streams and both together must have ranks
+    # F - m_i, m_i and F under a tolerance of max(shape) * 1e-10 * sigma_1,
+    # and each interferer's part outside the span of the reference
+    # interferer (user 1 at receiver 0, user 0 elsewhere) must have a
+    # relative 2-norm below residual_tol
+    dims = net.dims
+    for i in range(dims.K):
+        eff = aset.apply(net.gains[i])
+        others = [k for k in range(dims.K) if k != i]
+        stacked = np.hstack([eff[k] for k in others])
+        ranks = (svd_rank(stacked), svd_rank(eff[i]), svd_rank(np.hstack([eff[i], stacked])))
+        if ranks != (dims.F - dims.streams[i], dims.streams[i], dims.F):
+            return False
+        ref = 1 if i == 0 else 0
+        q = np.linalg.qr(eff[ref])[0]
+        for k in others:
+            outside = eff[k] - q @ (q.conj().T @ eff[k])
+            if k != ref and not np.linalg.norm(outside, 2) < residual_tol * np.linalg.norm(eff[k], 2):
+                return False
+    return True
+
+
+class TestRuleAgainstTheReplacedOne:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        point=st.sampled_from([(3, m) for m in range(1, 13)] + [(4, 1), (4, 2)]),
+        seed=st.integers(0, 2**32 - 1),
+        block=st.integers(0, 3),
+    )
+    def test_passes_every_draw_the_replaced_rule_passes(self, point, seed, block):
+        dims = derive_dims(*point)
+        net = sample_network(dims, seed, block_index=block)
+        aset = build_beamformers(net, build_generators(net), verify=False)
+        report = verify_alignment(net, aset)
+        if replaced_rule_passes(net, aset, RESIDUAL_TOL):
+            assert report.passed, report.summary()
+        if report.passed:  # then the containment sits at or below the floor
+            for r, m_i in zip(report.receivers, dims.streams):
+                shape = (dims.F, sum(dims.streams) - m_i)
+                assert r.containment <= RANK_FLOOR * max(shape)
 
 
 class TestFullRank:
@@ -211,7 +272,7 @@ class TestFullRank:
         # reference: one network, one build and K^2 rank tests per redraw
         failing = []
         for t in range(trials):
-            net = sample_network(dims, sub_rng(seed, alignment._TAG_AUDIT, t).integers(0, 2**63))
+            net = sample_network(dims, sub_rng(seed, model._TAG_AUDIT, t).integers(0, 2**63))
             try:
                 aset = build_beamformers(net, build_generators(net), verify=False)
             except AlignmentError:
@@ -239,7 +300,7 @@ class TestFullRank:
         if chunk_bytes is not None:
             monkeypatch.setattr(alignment, "_CHUNK_BYTES", chunk_bytes)
         draw_seed = {
-            int(sub_rng(seed, alignment._TAG_AUDIT, t).integers(0, 2**63)): t
+            int(sub_rng(seed, model._TAG_AUDIT, t).integers(0, 2**63)): t
             for t in (deficient, broken)
             if t is not None
         }

@@ -10,6 +10,7 @@ from iasec.cli import (
     ConfigError,
     ExperimentConfig,
     _confidential_tables,
+    _run_confidential_point,
     emit_report,
     eta_target_confidential,
     eta_target_ergodic,
@@ -17,6 +18,7 @@ from iasec.cli import (
     run,
     sweep,
 )
+from iasec.ergodic import ergodic_pass
 from iasec.gaussmi import DEFAULT_RHO_GRID, mi_from_gains, receiver_gains, spectra_table
 from iasec.model import PowerConfig, derive_dims, sample_network
 from iasec.secrecy import confidential_rates
@@ -160,6 +162,37 @@ class TestConfidentialTables:
                 rest = set(range(K)) - {i, *sub}
                 ref = mi_from_gains(receiver_gains(net, aset, i), powers, sub, rest).bits
                 assert abs(bits - ref) <= 1e-12 * ref
+
+
+class TestSpectraTakenOnce:
+    # the verification reads spectra the rates read, so it adds no SVD
+
+    @pytest.fixture
+    def svd_shapes(self, monkeypatch):
+        svd, shapes = np.linalg.svd, []
+
+        def counted(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        return shapes
+
+    def test_confidential_point(self, svd_shapes):
+        # per receiver, the table's 2^(K-1) + 2 sets; the verification's
+        # others' and all-users spectra are two of them
+        record = _run_confidential_point(make_cfg().validate(), 3, 2)
+        assert record["detail"]["attempts"] == 0 and record["detail"]["alignment"]["passed"]
+        assert len(svd_shapes) == 3 * (2 ** (3 - 1) + 2)
+
+    def test_ergodic_chunk(self, svd_shapes):
+        # one chunk of 30 blocks: 2K receiver spectra (the verification's),
+        # 2^K - 1 eavesdropper sets and the inflated set, one stacked call each
+        dims = derive_dims(3, 2)
+        pass_ = ergodic_pass(dims, [PowerConfig(rho=r) for r in DEFAULT_RHO_GRID], 30, SEED)
+        assert pass_.resampled_blocks == []
+        assert len(svd_shapes) == 2 * 3 + 2**3
+        assert all(shape[0] == 30 for shape in svd_shapes)
 
 
 class TestSweep:
@@ -317,8 +350,8 @@ class TestMainEntry:
         assert (tmp_path / "records.csv").exists()
 
     def test_unattainable_tolerance_is_numerical_error(self, tmp_path):
-        # residual floor ~1e-16 sits above tol=1e-18, so alignment keeps
-        # failing through the retry budget
+        # the containment sigma_{d+1} / sigma_1 sits near 1e-16, above
+        # tol=1e-18, so alignment keeps failing through the retry budget
         code = main(
             ["--seed", str(SEED), "--out", str(tmp_path), "--tol", "1e-18", "rates"]
         )
@@ -357,36 +390,53 @@ class TestMainEntry:
         assert record["detail"]["alignment"] == verify_alignment(net, aset, cfg.tol).as_dict()
 
     def test_sweep_keeps_the_points_before_a_failed_one(self, tmp_path):
-        # every m=18 draw fails verification (concat rank short of F=37)
+        # every m=30 draw fails verification (all-users rank short of F=61)
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({"K": 3, "m": [2, 18], "seed": SEED}))
+        p.write_text(json.dumps({"K": 3, "m": [2, 30], "seed": SEED}))
         out = tmp_path / "o"
         assert main(["--config", str(p), "--out", str(out), "dof-sweep"]) == 3
         rows = (out / "records.csv").read_text().splitlines()
         assert len(rows) == 2 and rows[1].startswith("confidential,3,2,")
         manifest = json.loads((out / "manifest.json").read_text())
         [failed] = manifest["failed_points"]
-        assert (failed["K"], failed["m"]) == (3, 18)
+        assert (failed["K"], failed["m"]) == (3, 30)
         assert "retry budget" in failed["error"]
+        assert "weakest signal" in failed["error"] and "below the float64 floor" in failed["error"]
         assert not manifest["passed"]
-        assert "K=3 m=18 FAILED" in (out / "summary.txt").read_text()
+        assert "K=3 m=30 FAILED" in (out / "summary.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"scenario": "external-known-csi", "K": 3, "m": 2}, {"K": 4, "m": 2}],
+        ids=["known-csi-K3-m2", "confidential-K4-m2"],
+    )
+    def test_seed_4_aligns_on_its_first_draw(self, tmp_path, fields):
+        # both align on draw 0 with containments near 3e-16 (F=275); a rank
+        # tolerance of 1e-10 * max(shape) * sigma_1 would count some of the
+        # smallest singular values of every draw as zero and exit 3
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({**fields, "seed": 4}))
+        assert main(["--config", str(p), "--out", str(tmp_path / "o"), "rates"]) == 0
+        [record] = json.loads((tmp_path / "o" / "manifest.json").read_text())["records"]
+        assert record["detail"]["attempts"] == 0
+        assert record["detail"]["alignment"]["passed"]
 
     def test_audit_keeps_the_points_before_a_failed_one(self, tmp_path):
-        # block 0 of the m=18 Monte Carlo fails verification on every draw
+        # block 0 of the m=30 Monte Carlo fails verification on every draw
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({"K": 3, "m": [1, 18]}))
+        p.write_text(json.dumps({"K": 3, "m": [1, 30]}))
         out = tmp_path / "o"
         argv = ["--config", str(p), "--seed", str(SEED), "--trials", "30", "--out", str(out)]
         assert main(argv + ["audit"]) == 3
         manifest = json.loads((out / "manifest.json").read_text())
         [failed] = manifest["failed_points"]
-        assert (failed["K"], failed["m"]) == (3, 18)
+        assert (failed["K"], failed["m"]) == (3, 30)
         assert failed["error"].startswith("block 0: degenerate beyond retry budget")
         assert manifest["checks"] and all(name.startswith("K3_m1_") for name in manifest["checks"])
         assert list(manifest["audit_details"]) == ["K3_m1"]
         assert not manifest["passed"]
         summary = (out / "summary.txt").read_text()
-        assert "K=3 m=18 FAILED" in summary and "check K3_m1_lemma3: pass" in summary
+        assert "K=3 m=30 FAILED" in summary and "check K3_m1_lemma3: pass" in summary
 
     def test_manifest_records_the_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")

@@ -21,7 +21,6 @@ from iasec.ergodic import (
 from iasec.gaussmi import DEFAULT_RHO_GRID, _subsets, mi_from_gains
 from iasec.model import (
     _TAG_RETRY,
-    NetworkRealization,
     PowerConfig,
     derive_dims,
     sample_eavesdropper_block,
@@ -37,10 +36,8 @@ def one_pass(dims, rhos, trials, seed=SEED, workers=1):
 
 
 def with_eavesdropper(dims, seed):
-    """The network at (dims, seed) with the eavesdropper row of its block 0."""
-    net = sample_network(dims, seed)
-    eaves = sample_eavesdropper_block(dims, seed, 0)
-    return NetworkRealization(dims=dims, gains=net.gains, eavesdropper=eaves, seed=net.seed)
+    """The network at (dims, seed) and the eavesdropper row of its block 0."""
+    return sample_network(dims, seed), sample_eavesdropper_block(dims, seed, 0)
 
 
 class TestSchedule:
@@ -95,12 +92,12 @@ class TestBlockNetwork:
     def test_failed_verification_resamples_and_is_recorded(self, monkeypatch):
         # block 2's first draw fails verification: it is redrawn alone from
         # its first retry salt, and the pass lists it as resampled
-        checks, passes = alignment._receiver_checks, alignment._passes
+        spectra, passes = alignment._receiver_spectra, alignment._passes
         verified = []
 
-        def recorded(gains, beams):
+        def recorded(gains, aset, own_first):
             verified.append(gains.copy())
-            return checks(gains, beams)
+            return spectra(gains, aset, own_first)
 
         def fail_block_2_first(ranks, worst, streams, residual_tol):
             ok = passes(ranks, worst, streams, residual_tol)
@@ -108,7 +105,7 @@ class TestBlockNetwork:
                 ok[2] = False
             return ok
 
-        monkeypatch.setattr(alignment, "_receiver_checks", recorded)
+        monkeypatch.setattr(alignment, "_receiver_spectra", recorded)
         monkeypatch.setattr(alignment, "_passes", fail_block_2_first)
         dims = derive_dims(3, 1)
         pass_ = one_pass(dims, [1e8], 4)
@@ -124,12 +121,12 @@ class TestBlockNetwork:
     def test_redraws_shrink_as_blocks_pass(self, monkeypatch):
         # block 2 fails draws 0 and 1, block 3 fails draw 0: each draw is one
         # stacked verification of the blocks still failing
-        checks, passes = alignment._receiver_checks, alignment._passes
+        spectra, passes = alignment._receiver_spectra, alignment._passes
         verified = []
 
-        def recorded(gains, beams):
+        def recorded(gains, aset, own_first):
             verified.append(gains.copy())
-            return checks(gains, beams)
+            return spectra(gains, aset, own_first)
 
         def fail(ranks, worst, streams, residual_tol):
             ok = passes(ranks, worst, streams, residual_tol)
@@ -137,7 +134,7 @@ class TestBlockNetwork:
             ok[{1: [2, 3], 2: [0]}.get(len(verified), [])] = False
             return ok
 
-        monkeypatch.setattr(alignment, "_receiver_checks", recorded)
+        monkeypatch.setattr(alignment, "_receiver_spectra", recorded)
         monkeypatch.setattr(alignment, "_passes", fail)
         dims = derive_dims(3, 1)
         pass_ = one_pass(dims, [1e8], 4)
@@ -309,28 +306,29 @@ class TestOnePass:
     def test_estimate_does_not_depend_on_chunks_or_workers(
         self, monkeypatch, blocks_per_chunk, workers
     ):
-        # at residual_tol 1e-15 three blocks are resampled (see below)
+        # at residual_tol 2.44e-16 two blocks are resampled (see below)
         dims = derive_dims(3, 2)
         powers = [PowerConfig(rho=r) for r in DEFAULT_RHO_GRID]
-        assert alignment._chunk(ergodic._block_bytes(dims)) >= 60  # one chunk
-        whole = ergodic_pass(dims, powers, 60, SEED, residual_tol=1e-15)
+        assert alignment._chunk(ergodic._block_bytes(dims)) >= 80  # one chunk
+        whole = ergodic_pass(dims, powers, 80, SEED, residual_tol=2.44e-16)
         chunk_bytes = blocks_per_chunk * ergodic._block_bytes(dims)
         monkeypatch.setattr(alignment, "_CHUNK_BYTES", chunk_bytes)
-        chunked = ergodic_pass(dims, powers, 60, SEED, workers=workers, residual_tol=1e-15)
+        chunked = ergodic_pass(dims, powers, 80, SEED, workers=workers, residual_tol=2.44e-16)
         for field in ("mean", "ci_low", "ci_high"):
             assert np.array_equal(getattr(chunked.estimate, field), getattr(whole.estimate, field))
-        assert chunked.resampled_blocks == whole.resampled_blocks == [6, 16, 34]
+        assert chunked.resampled_blocks == whole.resampled_blocks == [1, 61]
 
     def test_golden_resamples(self):
-        # K=3, m=2, seed 16: the first draws of blocks 6, 16 and 34 have
-        # containment residuals of 1.15e-15 to 1.21e-15; every other first
-        # draw lies at least 14% below 1e-15, and each of the three passes
-        # on its first redraw, at 7.9e-16 or less
+        # K=3, m=2, seed 16: the first draws of blocks 1 and 61 have
+        # containments sigma_{d+1} / sigma_1 of 2.73e-16 and 2.77e-16, at
+        # least 11% above 2.44e-16; every other first draw of the 80 lies at
+        # least 10% below it (the nearest is 2.18e-16), and each of the two
+        # passes on its first redraw, at 1.8e-16 or less
         dims = derive_dims(3, 2)
-        pass_ = ergodic_pass(dims, [PowerConfig(rho=1e8)], 60, SEED, residual_tol=1e-15)
-        assert pass_.resampled_blocks == [6, 16, 34]
-        assert block_network(dims, SEED, 34, residual_tol=1e-15).attempts.tolist() == [1]
-        assert block_network(dims, SEED, 34).attempts.tolist() == [0]
+        pass_ = ergodic_pass(dims, [PowerConfig(rho=1e8)], 80, SEED, residual_tol=2.44e-16)
+        assert pass_.resampled_blocks == [1, 61]
+        assert block_network(dims, SEED, 61, residual_tol=2.44e-16).attempts.tolist() == [1]
+        assert block_network(dims, SEED, 61).attempts.tolist() == [0]
 
     def test_each_block_built_once(self, monkeypatch, tmp_path):
         built = []
@@ -354,13 +352,12 @@ class TestOnePass:
 class TestAugmentation:
     def test_two_real_users_become_three(self):
         aug_dims = derive_dims(3, 2)
-        net = with_eavesdropper(aug_dims, 4)
-        aug = augment_with_virtual_user(aug_dims, net)
+        net, eaves = with_eavesdropper(aug_dims, 4)
+        aug = augment_with_virtual_user(aug_dims, net, eaves)
         assert aug.dims.K == 3
-        assert aug.eavesdropper is None
         # last receiver now listens through the eavesdropper row
         for k in range(2):
-            assert np.array_equal(aug.gains[2, k], net.eavesdropper[k])
+            assert np.array_equal(aug.gains[2, k], eaves[k])
         # the virtual transmitter's links stay freshly sampled
         assert np.array_equal(aug.gains[2, 2], net.gains[2, 2])
         assert np.array_equal(aug.gains[0, 2], net.gains[0, 2])
@@ -369,8 +366,7 @@ class TestAugmentation:
     def test_augmented_network_aligns(self):
         aug_dims = derive_dims(3, 2)
         for seed in (4, 6, 8):
-            net = with_eavesdropper(aug_dims, seed)
-            aug = augment_with_virtual_user(aug_dims, net)
+            aug = augment_with_virtual_user(aug_dims, *with_eavesdropper(aug_dims, seed))
             aset = build_beamformers(aug, build_generators(aug))
             assert aset.beams[0].shape == (5, 3)
 
@@ -378,9 +374,9 @@ class TestAugmentation:
         aug_dims = derive_dims(3, 1)
         net = sample_network(aug_dims, 4)
         with pytest.raises(ValueError):
-            augment_with_virtual_user(aug_dims, net)
+            augment_with_virtual_user(aug_dims, net, None)
 
     def test_requires_matching_dims(self):
-        net = with_eavesdropper(derive_dims(3, 1), 4)
+        net, eaves = with_eavesdropper(derive_dims(3, 1), 4)
         with pytest.raises(ValueError):
-            augment_with_virtual_user(derive_dims(3, 2), net)
+            augment_with_virtual_user(derive_dims(3, 2), net, eaves)

@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from iasec import model
+from iasec import alignment, cli, ergodic, gaussmi, model, secrecy
+from iasec.ergodic import augment_with_virtual_user
 from iasec.model import (
     _TAG_LINK,
     NetworkRealization,
@@ -62,7 +65,7 @@ class TestSampling:
         dims = derive_dims(3, 1)
         net = sample_network(dims, 5)
         assert net.gains.shape == (3, 3, 3)
-        assert net.eavesdropper is None
+        assert [f.name for f in fields(net)] == ["dims", "gains", "seed"]  # no eavesdropper row
 
     def test_distinct_links_distinct_gains(self):
         dims = derive_dims(3, 2)
@@ -97,7 +100,7 @@ class TestSampling:
         dims = derive_dims(3, 1)
         row = sample_eavesdropper_block(dims, 7, 0)
         assert row.shape == (3, 3)
-        assert sample_network(dims, 7).eavesdropper is None
+        assert not hasattr(sample_network(dims, 7), "eavesdropper")
         # a block drawn among others is the row drawn alone, and no link's gains
         rows = sample_eavesdropper_block(dims, 7, [2, 0])
         assert np.array_equal(rows[1], row)
@@ -144,6 +147,15 @@ class TestSampling:
 
 
 class TestSeedSplitting:
+    def test_stream_tags_are_distinct_and_live_in_model(self):
+        # the tags keep the random streams disjoint under one master seed
+        tags = {name: value for name, value in vars(model).items() if name.startswith("_TAG_")}
+        assert len(tags) == 6 and len(set(tags.values())) == len(tags)
+        for module in (alignment, cli, ergodic, gaussmi, secrecy):
+            for name, value in vars(module).items():
+                if name.startswith("_TAG_"):
+                    assert tags.get(name) == value, (module.__name__, name)
+
     def test_rejects_out_of_range_seed(self):
         with pytest.raises(ValueError):
             sub_rng(-1)
@@ -196,12 +208,13 @@ class TestNetworkRealization:
         ],
     )
     def test_rejects_arrays_of_the_wrong_shape(self, gains_shape, eaves_shape):
-        # K=3, F=5: gains must be (3, 3, 5) and the eavesdropper row (3, 5)
-        eaves = None if eaves_shape is None else np.ones(eaves_shape, dtype=complex)
-        with pytest.raises(ValueError):
-            NetworkRealization(
-                dims=derive_dims(3, 2),
-                gains=np.ones(gains_shape, dtype=complex),
-                eavesdropper=eaves,
-                seed=0,
-            )
+        # K=3, F=5: gains must be (3, 3, 5), and the eavesdropper row that
+        # augmentation folds in (3, 5)
+        dims, gains = derive_dims(3, 2), np.ones(gains_shape, dtype=complex)
+        if eaves_shape is None:
+            with pytest.raises(ValueError):
+                NetworkRealization(dims=dims, gains=gains, seed=0)
+        else:
+            net = NetworkRealization(dims=dims, gains=gains, seed=0)
+            with pytest.raises(ValueError):
+                augment_with_virtual_user(dims, net, np.ones(eaves_shape, dtype=complex))
