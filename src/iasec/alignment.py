@@ -272,7 +272,7 @@ def _verify(gains, aset, built, residual_tol, own_first):
     ok = built & (np.isfinite(c) & (c > 0)).all(axis=-1)
     aset = AlignmentSet(_zeroed(ok, aset.beams), np.where(ok[:, None], c, 1.0))
     spectra = _receiver_spectra(gains, aset, own_first)
-    return ok & _passes(*_receiver_numbers(spectra, streams), streams, residual_tol), spectra
+    return ok & _passes(_receiver_numbers(spectra, streams)[1], streams, residual_tol), spectra
 
 
 def _zeroed(ok, beams):
@@ -280,9 +280,14 @@ def _zeroed(ok, beams):
     return beams if ok.all() else [np.where(ok[:, None, None], v, 0) for v in beams]
 
 
+def _floor(shape):
+    """The one rank floor of a matrix of `shape`, relative to its largest singular value."""
+    return RANK_FLOOR * max(shape)
+
+
 def _rank(sv, shape):
-    """The one rank rule: how many of sv[..., n] exceed RANK_FLOOR * max(shape) * sv[..., 0]."""
-    return np.count_nonzero(sv > RANK_FLOOR * max(shape) * sv[..., :1], axis=-1)
+    """How many of the singular values sv[..., n] exceed `_floor(shape)` * sv[..., 0]."""
+    return np.count_nonzero(sv > _floor(shape) * sv[..., :1], axis=-1)
 
 
 def numerical_rank(mat):
@@ -348,10 +353,11 @@ def verify_alignment(net, aset, residual_tol=RESIDUAL_TOL):
     """Check the alignment conditions at every receiver, from two spectra per receiver.
 
     Per receiver i, with d = F - m_i: the others' unit-power factors must
-    have exactly d singular values above `_rank`'s floor (the interference
-    fills d dimensions), all users' factors F (the intended streams stay
-    independent of it), and the containment sigma_{d+1} / sigma_1 must lie
-    below `residual_tol`; the spectra are those `spectra_table` reads.
+    have exactly d singular values above `_floor` (the interference fills d
+    dimensions), all users' factors F (the intended streams stay independent
+    of it), and a `residual_tol` below the floor lowers the ceiling on the
+    containment sigma_{d+1} / sigma_1 to itself; the spectra are those
+    `spectra_table` reads.
     """
     one = AlignmentSet([v[None] for v in aset.beams], np.asarray(aset.power_normalizers)[None])
     _, spectra = _verify(net.gains[None], one, np.ones(1, dtype=bool), residual_tol, True)
@@ -366,7 +372,7 @@ def _report(streams, spectra, residual_tol, row=0):
         ReceiverCheck(i, int(rank[0]), F - m, int(rank[1]), F, *map(float, ratio))
         for i, (m, rank, ratio) in enumerate(zip(streams, ranks[0], ratios[0]))
     ]
-    passed = bool(_passes(ranks, ratios, streams, residual_tol)[0])
+    passed = bool(_passes(ratios, streams, residual_tol)[0])
     return AlignmentReport(receivers=checks, residual_tol=residual_tol, passed=passed)
 
 
@@ -387,12 +393,16 @@ def _receiver_numbers(spectra, streams):
     return np.stack(ranks, axis=1), np.stack(ratios, axis=1)
 
 
-def _passes(ranks, ratios, streams, residual_tol):
-    """The rule over `_receiver_numbers`, a mask [T]: ranks F - m_i and F, containment below tol."""
-    streams = np.asarray(streams)
-    F = streams[0] + streams[1]
-    expected = np.stack([F - streams, np.full_like(streams, F)], axis=-1)
-    return (ranks == expected).all(axis=(1, 2)) & (ratios[..., 0].max(axis=1) < residual_tol)
+def _passes(ratios, streams, residual_tol):
+    """The rule over `_receiver_numbers`' ratios, a mask [T]: one comparison per singular value.
+
+    The weakest interference and signal lie above their `_floor`s (so the ranks are F - m_i
+    and F), the containment below min(residual_tol, floor): tol can only tighten the rule.
+    """
+    F, total = streams[0] + streams[1], sum(streams)
+    floors = np.array([(_floor((F, total - m)), _floor((F, total))) for m in streams])
+    contained = ratios[..., 0] < np.minimum(residual_tol, floors[:, 0])
+    return (contained & (ratios[..., 1:] > floors).all(axis=-1)).all(axis=1)
 
 
 def rank_failures(net, aset):

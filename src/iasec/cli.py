@@ -80,6 +80,10 @@ CSV_COLUMNS = [
 
 ETA_COLUMNS = ["K", "m", "eta_measured", "eta_target", "eta_asymptote"]
 
+# A record's fitted slope may miss a positive target by this fraction of it,
+# the margin the acceptance criteria hold every measured slope to
+ETA_RTOL = 0.10
+
 DELTA_COLUMNS = ["K", "m", "log2_rho", "delta_hat", "delta_reference"]
 
 ERGODIC_DETAIL_COLUMNS = [
@@ -247,18 +251,16 @@ def eta_asymptote(scenario, K):
     return (K - 2) / (2 * K)
 
 
-def _confidential_tables(net, aset, cfg, verified=None):
+def _confidential_tables(net, spectra, cfg):
     """Per-rho rows, the deficit report and the hard-check aggregate across the rho grid.
 
-    `spectra_table` reuses the `verified` spectra. Decodability of the
-    clamped zero-R assignment is not covered by the rate rule's guarantee,
-    so clamped grid points are reported but excluded from the hard-check
-    aggregate.
+    `spectra` is the point's `spectra_table`. Decodability of the clamped
+    zero-R assignment is not covered by the rate rule's guarantee, so clamped
+    grid points are reported but excluded from the hard-check aggregate.
     """
     rows = []
     curve = {}
     all_checks = True
-    spectra = spectra_table(net, aset, verified)
     for rho in cfg.rho_grid:
         load = PowerConfig(rho=rho, epsilon_margin=cfg.epsilon_margin).effective
         rates = confidential_rates(net, spectra, load)
@@ -282,9 +284,13 @@ def _confidential_tables(net, aset, cfg, verified=None):
 
 
 def _record(cfg, K, dims, rows, trials, eta_target, delta_hat, checks, detail):
-    """One grid point's record, read at the top rho; eta_measured is R's slope over the rows."""
+    """One grid point's record, read at the top rho; eta_measured is R's slope over the rows.
+
+    A slope that misses a positive target by more than ETA_RTOL of it fails the record.
+    """
     by_rho = {row["rho"]: row["R"] for row in rows}
     fit = estimate_slope(lambda r: by_rho[r], cfg.rho_grid)
+    slope_ok = eta_target <= 0 or abs(fit.slope - eta_target) <= ETA_RTOL * eta_target
     top = rows[-1]
     return {
         "scenario": cfg.scenario,
@@ -301,9 +307,10 @@ def _record(cfg, K, dims, rows, trials, eta_target, delta_hat, checks, detail):
         "eta_target": eta_target,
         "delta_hat": delta_hat,
         "clamped": top["clamped"],
-        "checks_passed": checks,
+        "checks_passed": checks and slope_ok,
         "detail": {
             "per_rho": rows,
+            "slope_passed": slope_ok,
             "slope_residual": fit.residual,
             "eta_asymptote": eta_asymptote(cfg.scenario, K),
             **detail,
@@ -337,7 +344,7 @@ def _run_confidential_point(cfg, K, m):
         raise NumericalError(str(exc)) from exc
     net = NetworkRealization(dims=dims, gains=gains[0], seed=cfg.seed)
     verified = [(others[0], everyone[0]) for others, everyone in spectra]
-    rows, deficit, checks = _confidential_tables(net, aset[0], cfg, verified)
+    rows, deficit, checks = _confidential_tables(net, spectra_table(net, aset[0], verified), cfg)
     detail = {
         "alignment": _report(dims.streams, spectra, cfg.tol).as_dict(),
         "attempts": int(drawn[0]),

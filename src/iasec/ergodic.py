@@ -178,12 +178,7 @@ class ErgodicPass:
 
     def _columns(self, start, stop):
         est, cols = self.estimate, slice(start, stop)
-        return McEstimate(
-            mean=est.mean[cols],
-            ci_low=est.ci_low[cols],
-            ci_high=est.ci_high[cols],
-            trials=est.trials,
-        )
+        return McEstimate(est.mean[cols], est.ci_low[cols], est.ci_high[cols], est.trials)
 
 
 def ergodic_pass(dims, powers, trials, seed, workers=1, residual_tol=RESIDUAL_TOL):
@@ -332,8 +327,7 @@ def eavesdropper_budget_check(pass_, rx_rate):
         slack = est.mean[2 * idx + 1] - len(sub) * (rx_rate - rx_mean)
         half = est.ci_halfwidth[2 * idx + 1]
         entries.append((sub, lhs, rhs, half, slack))
-        if slack < -(half + _TOL * max(1.0, lhs)):
-            ok = False
+        ok &= bool(slack >= -(half + _TOL * max(1.0, lhs)))
     return BudgetReport(entries=entries, passed=ok)
 
 
@@ -367,18 +361,10 @@ def mi_inequality_audit(pass_):
         raise ValueError("audits need at least 30 trials")
     _, strict, sym_conds = _audit_sets(K)
     est = pass_.audit()
-    idx = 0
-    lemma3_viol = int(round(float(est.mean[idx] * pass_.trials)))
-    idx += 1
-    lemma4_entries = []
-    lemma4_ok = True
-    for sub in strict:
-        diff_mean = est.mean[idx]
-        half = est.ci_halfwidth[idx]
-        lemma4_entries.append((sub, diff_mean, half))
-        if diff_mean > half + _TOL:
-            lemma4_ok = False
-        idx += 1
+    lemma3_viol = int(round(float(est.mean[0] * pass_.trials)))
+    idx = 1 + len(strict)
+    diffs, spread = est.mean[1:idx], est.ci_halfwidth[1:idx]
+    lemma4_entries = list(zip(strict, diffs, spread))
     sym_entries = []
     sym_ok = True
     for cond in sym_conds:
@@ -387,14 +373,12 @@ def mi_inequality_audit(pass_):
         halves = est.ci_halfwidth[idx : idx + len(users)]
         idx += len(users)
         sym_entries.append((cond, dict(zip(users, means)), dict(zip(users, halves))))
-        for a in range(len(users)):
-            for b in range(a + 1, len(users)):
-                if abs(means[a] - means[b]) > halves[a] + halves[b]:
-                    sym_ok = False
+        # every pair of users agrees within the sum of their half-widths
+        sym_ok &= bool((np.abs(means[:, None] - means) <= halves[:, None] + halves).all())
     return InequalityAuditReport(
         lemma3_violations=lemma3_viol,
         lemma4_entries=lemma4_entries,
-        lemma4_passed=lemma4_ok,
+        lemma4_passed=not (diffs > spread + _TOL).any(),
         symmetry_entries=sym_entries,
         symmetry_passed=sym_ok,
     )

@@ -7,9 +7,11 @@ from iasec import alignment, gaussmi
 from iasec.alignment import build_beamformers, build_generators, stream_power, verify_alignment
 from iasec.cli import (
     CSV_COLUMNS,
+    ETA_RTOL,
     ConfigError,
     ExperimentConfig,
     _confidential_tables,
+    _record,
     _run_confidential_point,
     emit_report,
     eta_target_confidential,
@@ -109,6 +111,35 @@ class TestRun:
         assert abs(rec["eta_measured"] - target) / target < 0.10
 
 
+class TestSlopeCheck:
+    @staticmethod
+    def record(slope, target, checks=True):
+        rows = [
+            {"rho": rho, "R": slope * np.log2(rho), "Rx": 0.0, "clamped": False}
+            for rho in DEFAULT_RHO_GRID
+        ]
+        cfg = make_cfg().validate()
+        return _record(cfg, 3, derive_dims(3, 2), rows, None, target, None, checks, {})
+
+    @pytest.mark.parametrize(
+        "slope, target, passed",
+        [
+            (0.1, 0.1, True),
+            (0.1 * (1 - 0.9 * ETA_RTOL), 0.1, True),
+            (0.1 * (1 - 1.1 * ETA_RTOL), 0.1, False),
+            (0.1 * (1 + 1.1 * ETA_RTOL), 0.1, False),
+            (0.0, 0.0, True),  # a target clamped to zero claims nothing
+        ],
+    )
+    def test_slope_is_held_to_its_target(self, slope, target, passed):
+        rec = self.record(slope, target)
+        assert rec["eta_measured"] == pytest.approx(slope, rel=1e-12, abs=1e-15)
+        assert rec["checks_passed"] is passed and rec["detail"]["slope_passed"] is passed
+
+    def test_a_passing_slope_keeps_a_failed_check(self):
+        assert self.record(0.1, 0.1, checks=False)["checks_passed"] is False
+
+
 class TestConfidentialTables:
     # per receiver: I(X_i;Y_i), I(X_S;Y_i|X_rest) for each nonempty S of the
     # K-1 others (the S = all-others entry is the cross term) and the
@@ -126,7 +157,7 @@ class TestConfidentialTables:
 
         monkeypatch.setattr(gaussmi, "_mi_bits", counted)
         cfg = make_cfg(K=K, m=m).validate()
-        _confidential_tables(net, aset, cfg)
+        _confidential_tables(net, spectra_table(net, aset), cfg)
         assert len(calls) == distinct * len(cfg.rho_grid)
 
     # one SVD per receiver and set: {i}, the others, all users, S u {i} for
@@ -146,7 +177,7 @@ class TestConfidentialTables:
 
         monkeypatch.setattr(np.linalg, "svd", counted)
         cfg = make_cfg(K=K, m=m, rho_grid=list(np.logspace(4, 12, points))).validate()
-        _confidential_tables(net, aset, cfg)
+        _confidential_tables(net, spectra_table(net, aset), cfg)
         assert len(calls) == svds
 
     @pytest.mark.parametrize("K, m", [(3, 2), (4, 1)])
@@ -372,8 +403,8 @@ class TestMainEntry:
         # the network sampled at block index 1
         passes, calls = alignment._passes, []
 
-        def fail_first(ranks, worst, streams, residual_tol):
-            ok = passes(ranks, worst, streams, residual_tol)
+        def fail_first(*args):
+            ok = passes(*args)
             calls.append(len(ok))
             return ok & (len(calls) > 1)
 
@@ -384,7 +415,7 @@ class TestMainEntry:
         cfg = make_cfg().validate()
         net = sample_network(derive_dims(3, 2), SEED, block_index=1)
         aset = build_beamformers(net, build_generators(net), verify=False)
-        rows, _, checks = _confidential_tables(net, aset, cfg)
+        rows, _, checks = _confidential_tables(net, spectra_table(net, aset), cfg)
         assert record["detail"]["per_rho"] == rows
         assert record["checks_passed"] == checks
         assert record["detail"]["alignment"] == verify_alignment(net, aset, cfg.tol).as_dict()
@@ -420,6 +451,20 @@ class TestMainEntry:
         [record] = json.loads((tmp_path / "o" / "manifest.json").read_text())["records"]
         assert record["detail"]["attempts"] == 0
         assert record["detail"]["alignment"]["passed"]
+
+    def test_a_record_short_of_its_slope_fails_its_checks(self, tmp_path):
+        # K=3, m=18 aligns on draw 2, whose weakest signal directions
+        # (sigma_F^2 near 1e-18 against sigma_1^2 near 50) carry no rate on
+        # the grid: R's slope is 0.175 against a target of 0.230, so the run
+        # exits 1 instead of writing a record that passes 24% short
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"K": 3, "m": 18, "seed": SEED}))
+        code = main(["--config", str(p), "--out", str(tmp_path / "o"), "rates"])
+        [record] = json.loads((tmp_path / "o" / "manifest.json").read_text())["records"]
+        eta, target = record["eta_measured"], record["eta_target"]
+        assert code == 1 and abs(eta - target) > ETA_RTOL * target
+        assert not record["checks_passed"] and not record["detail"]["slope_passed"]
+        assert record["detail"]["alignment"]["passed"] and record["detail"]["attempts"] == 2
 
     def test_audit_keeps_the_points_before_a_failed_one(self, tmp_path):
         # block 0 of the m=30 Monte Carlo fails verification on every draw
