@@ -198,7 +198,7 @@ def build_beamformers(net, gens, verify=True, residual_tol=RESIDUAL_TOL):
     return aset
 
 
-def align_first_valid(draw, count, m, attempts, residual_tol, context, own_first=False):
+def align_first_valid(draw, count, m, attempts, residual_tol, context):
     """Align `count` networks, each on the first of up to `attempts` draws that verifies.
 
     `draw(attempt, rows)` returns the gains [len(rows), K, K, F] of draw
@@ -212,14 +212,14 @@ def align_first_valid(draw, count, m, attempts, residual_tol, context, own_first
     last draw.
     """
     gains = draw(0, np.arange(count))
-    aset, passed, spectra = _align_stack(gains, m, residual_tol, own_first)
+    aset, passed, spectra = _align_stack(gains, m, residual_tol)
     drawn = np.zeros(count, dtype=int)
     rows = np.flatnonzero(~passed)
     for attempt in range(1, attempts):
         if not len(rows):
             break
         redraw = draw(attempt, rows)
-        one, ok, taken = _align_stack(redraw, m, residual_tol, own_first)
+        one, ok, taken = _align_stack(redraw, m, residual_tol)
         for s2, s2_new in zip(itertools.chain(*spectra), itertools.chain(*taken)):
             s2[rows] = s2_new
         drawn[rows] = attempt
@@ -249,7 +249,7 @@ def _build(gains, m):
     return beams, ~(zero | zero_rot)
 
 
-def _align_stack(gains, m, residual_tol, own_first=False):
+def _align_stack(gains, m, residual_tol):
     """Build and verify every network of gains[T, K, K, F] at once.
 
     Returns the stacked beamformers (beams [T, F, m_k], normalizers [T, K])
@@ -258,20 +258,20 @@ def _align_stack(gains, m, residual_tol, own_first=False):
     beams, built = _build(gains, m)
     with np.errstate(invalid="ignore", over="ignore"):
         aset = AlignmentSet(beams=beams, power_normalizers=_power_normalizers(beams))
-    return aset, *_verify(gains, aset, built, residual_tol, own_first)
+    return aset, *_verify(gains, aset, built, residual_tol)
 
 
-def _verify(gains, aset, built, residual_tol, own_first):
+def _verify(gains, aset, built, residual_tol):
     """`verify_alignment`'s rule over a stack: a mask [T], and the spectra it read.
 
-    The spectra are `_receiver_spectra`'s K pairs, each [T, n], all users in
-    the order `own_first` picks. A network that did not build, or has a zero
-    or non-finite power normalizer, fails; it is read with zero beams.
+    The spectra are `_receiver_spectra`'s K pairs, each [T, n]. A network
+    that did not build, or has a zero or non-finite power normalizer, fails;
+    it is read with zero beams.
     """
     c, streams = aset.power_normalizers, [v.shape[-1] for v in aset.beams]
     ok = built & (np.isfinite(c) & (c > 0)).all(axis=-1)
     aset = AlignmentSet(_zeroed(ok, aset.beams), np.where(ok[:, None], c, 1.0))
-    spectra = _receiver_spectra(gains, aset, own_first)
+    spectra = _receiver_spectra(gains, aset)
     return ok & _passes(_receiver_numbers(spectra, streams)[1], streams, residual_tol), spectra
 
 
@@ -360,7 +360,7 @@ def verify_alignment(net, aset, residual_tol=RESIDUAL_TOL):
     `spectra_table` reads.
     """
     one = AlignmentSet([v[None] for v in aset.beams], np.asarray(aset.power_normalizers)[None])
-    _, spectra = _verify(net.gains[None], one, np.ones(1, dtype=bool), residual_tol, True)
+    _, spectra = _verify(net.gains[None], one, np.ones(1, dtype=bool), residual_tol)
     return _report(net.dims.streams, spectra, residual_tol)
 
 

@@ -181,7 +181,7 @@ class ErgodicPass:
         return McEstimate(est.mean[cols], est.ci_low[cols], est.ci_high[cols], est.trials)
 
 
-def ergodic_pass(dims, powers, trials, seed, workers=1, residual_tol=RESIDUAL_TOL):
+def ergodic_pass(dims, powers, trials, seed, residual_tol=RESIDUAL_TOL):
     """Build each of `trials` fading blocks once and reduce one row per block.
 
     Block t is the block `block_network(dims, seed, t, residual_tol)` draws;
@@ -196,8 +196,7 @@ def ergodic_pass(dims, powers, trials, seed, workers=1, residual_tol=RESIDUAL_TO
     chunk. Each user loads rho - eps onto its unit-power factor, so each
     spectrum gives its log-det at every power in `powers` at once, and every
     MI is a difference of two of them. The budget and audit statistics are
-    taken at the last power. With `workers` > 1, chunks are evaluated on
-    that many threads; the rows do not depend on it.
+    taken at the last power.
     """
     powers = tuple(powers)
     loads = np.array([p.effective for p in powers])
@@ -209,7 +208,7 @@ def ergodic_pass(dims, powers, trials, seed, workers=1, residual_tol=RESIDUAL_TO
         resampled.extend(t for t, a in zip(blocks.index, blocks.attempts) if a)
         return _block_rows(blocks, loads, audit_sets)
 
-    est = expectation(rows, trials, _chunk(_block_bytes(dims)), workers)
+    est = expectation(rows, trials, _chunk(_block_bytes(dims)))
     return ErgodicPass(dims=dims, powers=powers, estimate=est, resampled_blocks=sorted(resampled))
 
 

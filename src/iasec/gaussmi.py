@@ -15,7 +15,6 @@ independent cross-check oracle.
 """
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,20 +157,18 @@ def _set_spectra(factors, sets):
     return {frozenset(s): _squared_singular_values([factors[k] for k in s]) for s in sets}
 
 
-def _receiver_spectra(gains, aset, own_first=False):
+def _receiver_spectra(gains, aset):
     """Per receiver i, the spectra of the others' and of all users' unit-power factors.
 
     `gains[..., i, k, :]` is the diagonal from transmitter k to receiver i,
     over any batch axes `aset` shares. Returns K pairs (others, all users),
-    one SVD each; all users are in user order or, with `own_first`, i's
-    columns first, as `spectra_table` orders them.
+    one SVD each, every set stacked in user order.
     """
     K, pairs = gains.shape[-3], []
     for i in range(K):
         others = tuple(k for k in range(K) if k != i)
-        everyone = (i, *others) if own_first else tuple(range(K))
         unit = _unit_factors(aset, gains[..., i, :, :])
-        pairs.append(tuple(_set_spectra(unit, [others, everyone]).values()))
+        pairs.append(tuple(_set_spectra(unit, [others, tuple(range(K))]).values()))
     return pairs
 
 
@@ -196,24 +193,24 @@ def spectra_table(net, aset, spectra=None):
     """Every receiver's spectra for the confidential rate rule; rho-independent.
 
     Per receiver i, one (sets, inflated) pair. `sets` holds the spectra of
-    {i}, the others and S u {i} for each nonempty subset S of the others,
-    i's columns first. `inflated` is the spectrum of all users with every
-    other user's factor weighted by sqrt(m_k). That is 2^(K-1) + 2 SVDs per
-    receiver; those of the others and all users are `spectra` when given
-    (`_receiver_spectra` with `own_first`, as the point's verification read).
+    every user set that contains i, and of the others. `inflated` is the
+    spectrum of all users with every other user's factor weighted by
+    sqrt(m_k). Every set is stacked in user order. That is 2^(K-1) + 2 SVDs
+    per receiver; those of the others and all users are `spectra` when given
+    (`_receiver_spectra`, as the point's verification read).
     """
     K = net.dims.K
     if spectra is None:
-        spectra = _receiver_spectra(net.gains, aset, own_first=True)
+        spectra = _receiver_spectra(net.gains, aset)
     table = []
     for i, (others_s2, everyone_s2) in enumerate(spectra):
         unit = _unit_factors(aset, net.gains[i])
         others = tuple(k for k in range(K) if k != i)
-        sets = _set_spectra(unit, [(i,)] + [(i, *sub) for sub in _subsets(others, proper=True)])
+        sets = _set_spectra(unit, [s for s in _subsets(range(K), proper=True) if i in s])
         sets.update({frozenset(others): others_s2, frozenset(range(K)): everyone_s2})
         for k in others:  # weighted in place, once the sets' spectra are taken
             unit[k] *= np.sqrt(net.dims.streams[k])
-        table.append((sets, _squared_singular_values([unit[k] for k in (i, *others)])))
+        table.append((sets, _squared_singular_values(unit)))
     return table
 
 
@@ -268,29 +265,21 @@ def estimate_slope(f, grid=DEFAULT_RHO_GRID):
     return SlopeEstimate(slope=float(coef[0]), residual=residual)
 
 
-def expectation(rows, trials, batch, workers=1):
+def expectation(rows, trials, batch):
     """Monte Carlo mean with a normal-approximation 95% interval.
 
-    Trials come `batch` at a time: `rows(r)` returns one row (a 1-D vector)
-    per trial of the range r, as a 2-D array. Batches may be evaluated
-    concurrently on `workers` threads; the reduction always runs in trial
-    order, so the result is a pure function of the caller's seeding.
+    Trials come `batch` at a time, in trial order: `rows(r)` returns one row
+    (a 1-D vector) per trial of the range r, as a 2-D array, so the result
+    is a pure function of the caller's seeding.
     """
     if trials < 2:
         raise ValueError("trials must be >= 2")
-    starts = range(0, trials, batch)
-
-    def table(start):
-        return np.asarray(rows(range(start, min(start + batch, trials))), dtype=float)
-
-    # no thread starts until a task is submitted, so workers=1 maps serially
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        tables = pool.map(table, starts) if workers > 1 else map(table, starts)
-        data = None
-        for start, block in zip(starts, tables):
-            if data is None:  # each table lands in one preallocated array
-                data = np.empty((trials, block.shape[1]))
-            data[start : start + len(block)] = block
+    data = None
+    for start in range(0, trials, batch):
+        block = np.asarray(rows(range(start, min(start + batch, trials))), dtype=float)
+        if data is None:  # each table lands in one preallocated array
+            data = np.empty((trials, block.shape[1]))
+        data[start : start + len(block)] = block
     mean = data.mean(axis=0)
     half = 1.96 * (data.std(axis=0, ddof=1) / np.sqrt(trials))
     return McEstimate(

@@ -150,7 +150,7 @@ class TestVerifyAlignment:
     @staticmethod
     def per_receiver_report(net, aset, residual_tol):
         # reference: per receiver, one SVD of the others' unit-power factors
-        # and one of all users' (i's columns first), read as in the README
+        # and one of all users' (in user order), read as in the README
         dims, F = net.dims, net.dims.F
         floor = 100 * np.finfo(float).eps
         receivers, passed = [], True
@@ -160,7 +160,7 @@ class TestVerifyAlignment:
             ]
             others = [k for k in range(dims.K) if k != i]
             interf = np.hstack([unit[k] for k in others])
-            full = np.hstack([unit[k] for k in [i, *others]])
+            full = np.hstack(unit)
             s, s_all = (np.linalg.svd(a, compute_uv=False) for a in (interf, full))
             d = F - dims.streams[i]
             entry = {

@@ -67,12 +67,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             make_cfg(K=5, m=2).validate()  # F = 3**11 + 2**11 >> 4100
 
-    def test_workers_cap(self):
-        # validation only: no pass runs and no thread starts
-        make_cfg(scenario="external-ergodic", workers=16).validate()
-        with pytest.raises(ConfigError, match="workers must be in 1..16"):
-            make_cfg(scenario="external-ergodic", K=4, m=2, trials=5000, workers=5000).validate()
-
     def test_digest_stable_under_key_order(self):
         a = ExperimentConfig.from_dict({"seed": 1, "scenario": "confidential"})
         b = ExperimentConfig.from_dict({"scenario": "confidential", "seed": 1})
@@ -107,19 +101,22 @@ class TestRun:
         rec = manifest["records"][0]
         assert rec["trials"] == 30
         assert rec["detail"]["lemma5"]["passed"]
+        assert rec["detail"]["checks"] == {"lemma5": True, "inequality_audit": True, "slope": True}
+        for row in rec["detail"]["per_rho"]:  # Rx is never clamped
+            assert row["R"] == max(row["R_raw"], 0.0) and row["Rx"] == row["Rx_raw"]
         target = eta_target_ergodic(3, 1)
         assert abs(rec["eta_measured"] - target) / target < 0.10
 
 
 class TestSlopeCheck:
     @staticmethod
-    def record(slope, target, checks=True):
+    def record(slope, target, checks=None):
         rows = [
             {"rho": rho, "R": slope * np.log2(rho), "Rx": 0.0, "clamped": False}
             for rho in DEFAULT_RHO_GRID
         ]
         cfg = make_cfg().validate()
-        return _record(cfg, 3, derive_dims(3, 2), rows, None, target, None, checks, {})
+        return _record(cfg, 3, derive_dims(3, 2), rows, None, target, None, checks or {}, {})
 
     @pytest.mark.parametrize(
         "slope, target, passed",
@@ -134,10 +131,18 @@ class TestSlopeCheck:
     def test_slope_is_held_to_its_target(self, slope, target, passed):
         rec = self.record(slope, target)
         assert rec["eta_measured"] == pytest.approx(slope, rel=1e-12, abs=1e-15)
-        assert rec["checks_passed"] is passed and rec["detail"]["slope_passed"] is passed
+        assert rec["checks_passed"] is passed
+        # a record with no other check and a zero target evaluated nothing
+        assert rec["detail"]["checks"] == {"slope": passed if target > 0 else None}
+        assert rec["detail"]["vacuous"] is (target == 0)
+        assert rec["detail"]["failed_checks"] == ([] if passed else ["slope"])
 
     def test_a_passing_slope_keeps_a_failed_check(self):
-        assert self.record(0.1, 0.1, checks=False)["checks_passed"] is False
+        rec = self.record(0.1, 0.1, checks={"decodability": np.False_, "region": True})
+        assert rec["checks_passed"] is False
+        assert rec["detail"]["checks"] == {"decodability": False, "region": True, "slope": True}
+        assert rec["detail"]["failed_checks"] == ["decodability"]
+        assert rec["detail"]["vacuous"] is False
 
 
 class TestConfidentialTables:
@@ -304,6 +309,14 @@ class TestMainEntry:
             assert main(["--config", str(p), "--out", str(out), command]) == 2, command
             assert not (out / "records.csv").exists()
 
+    def test_workers_is_an_unknown_field(self, tmp_path, capsys):
+        # the Monte Carlo pass runs in trial order on one thread; there is no knob
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"K": 3, "m": 1, "seed": SEED, "workers": 1}))
+        assert main(["--config", str(p), "--out", str(tmp_path / "o"), "ergodic"]) == 2
+        assert "unknown config fields: ['workers']" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "records.csv").exists()
+
     def test_rates_roundtrip(self, tmp_path):
         code = main(["--seed", str(SEED), "--out", str(tmp_path), "rates"])
         assert code == 0
@@ -315,29 +328,6 @@ class TestMainEntry:
         assert main(["--seed", str(SEED), "--out", str(a), "rates"]) == 0
         assert main(["--seed", str(SEED), "--out", str(b), "rates"]) == 0
         assert (a / "records.csv").read_bytes() == (b / "records.csv").read_bytes()
-
-    def test_concurrent_execution_identical_records(self, tmp_path):
-        cfg = {
-            "scenario": "external-ergodic",
-            "K": 3,
-            "m": 1,
-            "trials": 30,
-            "seed": SEED,
-        }
-        serial = dict(cfg, workers=1)
-        threaded = dict(cfg, workers=4)
-        pa, pb = tmp_path / "serial.json", tmp_path / "threaded.json"
-        pa.write_text(json.dumps(serial))
-        pb.write_text(json.dumps(threaded))
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["--config", str(pa), "--out", str(a), "ergodic"]) == 0
-        assert main(["--config", str(pb), "--out", str(b), "ergodic"]) == 0
-        assert (a / "records.csv").read_bytes() == (b / "records.csv").read_bytes()
-        assert (a / "ergodic_details.csv").read_bytes() == (b / "ergodic_details.csv").read_bytes()
-        lines = (a / "records.csv").read_text().splitlines()
-        assert lines[0] == ",".join(CSV_COLUMNS)  # schema stable across scenarios
-        eta = (a / "plot_eta_vs_m.csv").read_text().splitlines()
-        assert eta[1].endswith(repr(1 / 6))  # ergodic asymptote reference series
 
     def test_audit_command(self, tmp_path):
         code = main(
@@ -417,7 +407,7 @@ class TestMainEntry:
         aset = build_beamformers(net, build_generators(net), verify=False)
         rows, _, checks = _confidential_tables(net, spectra_table(net, aset), cfg)
         assert record["detail"]["per_rho"] == rows
-        assert record["checks_passed"] == checks
+        assert record["detail"]["checks"] == {**checks, "slope": True}
         assert record["detail"]["alignment"] == verify_alignment(net, aset, cfg.tol).as_dict()
 
     def test_sweep_keeps_the_points_before_a_failed_one(self, tmp_path):
@@ -463,8 +453,24 @@ class TestMainEntry:
         [record] = json.loads((tmp_path / "o" / "manifest.json").read_text())["records"]
         eta, target = record["eta_measured"], record["eta_target"]
         assert code == 1 and abs(eta - target) > ETA_RTOL * target
-        assert not record["checks_passed"] and not record["detail"]["slope_passed"]
+        assert not record["checks_passed"] and record["detail"]["failed_checks"] == ["slope"]
         assert record["detail"]["alignment"]["passed"] and record["detail"]["attempts"] == 2
+        assert "checks False (failed: slope)" in (tmp_path / "o" / "summary.txt").read_text()
+
+    def test_a_point_clamped_everywhere_is_vacuous(self, tmp_path):
+        # K=4, m=1: the confidential target is negative and R_raw < 0 at every
+        # grid rho, so no hard check is evaluated and the record says so
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"K": 4, "m": 1, "seed": SEED}))
+        assert main(["--config", str(p), "--out", str(tmp_path / "o"), "rates"]) == 0
+        [record] = json.loads((tmp_path / "o" / "manifest.json").read_text())["records"]
+        detail = record["detail"]
+        assert detail["checks"] == {"decodability": None, "region": None, "slope": None}
+        assert detail["vacuous"] and detail["failed_checks"] == [] and record["checks_passed"]
+        for row in detail["per_rho"]:
+            assert row["clamped"] and row["R"] == 0.0 and row["R_raw"] < 0
+            assert row["Rx"] == max(row["Rx_raw"], 0.0)
+        assert "checks True (vacuous)" in (tmp_path / "o" / "summary.txt").read_text()
 
     def test_audit_keeps_the_points_before_a_failed_one(self, tmp_path):
         # block 0 of the m=30 Monte Carlo fails verification on every draw

@@ -213,23 +213,13 @@ class TestExpectation:
         b = expectation(rows, 50, 7)
         assert a.mean[0] == b.mean[0]
 
-    def test_workers_do_not_change_result(self):
-        def rows(r):
-            draws = [np.random.default_rng(t).standard_normal(8) for t in r]
-            return [[x.mean(), x.std()] for x in draws]
-
-        serial = expectation(rows, 40, 3, workers=1)
-        threaded = expectation(rows, 40, 3, workers=4)
-        assert np.array_equal(serial.mean, threaded.mean)
-        assert np.array_equal(serial.ci_low, threaded.ci_low)
-
-    @pytest.mark.parametrize("batch, workers", [(1, 1), (5, 1), (23, 1), (5, 3)])
-    def test_batches_reduce_as_single_trials(self, batch, workers):
+    @pytest.mark.parametrize("batch", [1, 5, 23])
+    def test_batches_reduce_as_single_trials(self, batch):
         def rows(r):
             return np.array([np.random.default_rng(t).standard_normal(3) for t in r])
 
         single = expectation(rows, 23, 1)
-        batched = expectation(rows, 23, batch, workers)
+        batched = expectation(rows, 23, batch)
         assert np.array_equal(single.mean, batched.mean)
         assert np.array_equal(single.ci_low, batched.ci_low)
 

@@ -3,8 +3,9 @@
 `perfbench/tracer.py` records a function's per-layer metrics only when the
 function is defined in its layer's module and listed in that module's
 `__all__`, so a renamed or unlisted function silently drops them. The
-tracer's hooks read a call's arguments by name, and the precision probe
-calls a handful of functions by name and signature.
+tracer's hooks read a call's arguments by name, the precision probe calls a
+handful of functions by name and signature, and every workload's config must
+pass the schema its set-up step validates.
 """
 
 import importlib
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from iasec.alignment import build_beamformers, build_generators, stream_power
+from iasec.cli import ExperimentConfig
 from iasec.gaussmi import receiver_gains
 from iasec.model import PowerConfig, derive_dims, sample_network
 
@@ -29,7 +31,7 @@ def perfbench():
     path = str(ROOT / "perfbench")
     sys.path.insert(0, path)
     try:
-        yield {name: importlib.import_module(name) for name in ("tracer", "probe")}
+        yield {name: importlib.import_module(name) for name in ("tracer", "probe", "run")}
     finally:
         sys.path.remove(path)
 
@@ -73,3 +75,13 @@ def test_tracer_hooks_tag_real_calls(perfbench):
         layer, attr = name.split(".")
         fn = getattr(importlib.import_module(f"iasec.{layer}"), attr)
         assert hooks[name](inspect.signature(fn).bind(*args).arguments) is not None, name
+
+
+def test_workload_configs_validate(perfbench):
+    # as perfbench/child.py's set-up step reads them: a config the schema
+    # rejects would turn every run of its workload into exit 2
+    run = perfbench["run"]
+    for spec in run.WORKLOADS.values():
+        for seed in run.RECORDED_SEEDS:
+            cfg = ExperimentConfig.from_dict(spec["config"])
+            cfg.override(seed=seed, trials=spec["trials"]).validate()
