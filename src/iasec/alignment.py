@@ -42,9 +42,6 @@ __all__ = [
 # zero: a hundred times the float64 rounding a matrix's SVD can carry.
 RANK_FLOOR = 100 * np.finfo(float).eps
 
-# Default ceiling for the containment sigma_{d+1} / sigma_max.
-RESIDUAL_TOL = 1e-8
-
 # The stacked arrays of one chunk of networks (full-rank-audit redraws or
 # ergodic fading blocks) stay near this size. On a 2-core x86-64 host with
 # OpenBLAS, chunks of 1 MiB ran no faster at K=3 or 4 and raised peak
@@ -172,7 +169,7 @@ def _beams(rx0, gens, s0, w, m):
     return beams, _has_zero(rot).any(axis=-1)
 
 
-def build_beamformers(net, gens, verify=True, residual_tol=RESIDUAL_TOL):
+def build_beamformers(net, gens, verify=True):
     """Construct the aligned beamformers for every user.
 
     User 0 spans all exponent products with exponents in 0..m; users j >= 1
@@ -192,13 +189,13 @@ def build_beamformers(net, gens, verify=True, residual_tol=RESIDUAL_TOL):
             raise AlignmentError(f"user {k}: got {v.shape[1]} columns, want {dims.streams[k]}")
     aset = AlignmentSet(beams=beams, power_normalizers=_power_normalizers(beams))
     if verify:
-        report = verify_alignment(net, aset, residual_tol=residual_tol)
+        report = verify_alignment(net, aset)
         if not report.passed:
             raise AlignmentError(f"alignment verification failed: {report.summary()}")
     return aset
 
 
-def align_first_valid(draw, count, m, attempts, residual_tol, context):
+def align_first_valid(draw, count, m, attempts, context):
     """Align `count` networks, each on the first of up to `attempts` draws that verifies.
 
     `draw(attempt, rows)` returns the gains [len(rows), K, K, F] of draw
@@ -212,14 +209,14 @@ def align_first_valid(draw, count, m, attempts, residual_tol, context):
     last draw.
     """
     gains = draw(0, np.arange(count))
-    aset, passed, spectra = _align_stack(gains, m, residual_tol)
+    aset, passed, spectra = _align_stack(gains, m)
     drawn = np.zeros(count, dtype=int)
     rows = np.flatnonzero(~passed)
     for attempt in range(1, attempts):
         if not len(rows):
             break
         redraw = draw(attempt, rows)
-        one, ok, taken = _align_stack(redraw, m, residual_tol)
+        one, ok, taken = _align_stack(redraw, m)
         for s2, s2_new in zip(itertools.chain(*spectra), itertools.chain(*taken)):
             s2[rows] = s2_new
         drawn[rows] = attempt
@@ -229,7 +226,7 @@ def align_first_valid(draw, count, m, attempts, residual_tol, context):
             v[done] = beam[ok]
         rows = rows[~ok]
     if len(rows):
-        report = _report([v.shape[-1] for v in aset.beams], spectra, residual_tol, rows[0])
+        report = _report([v.shape[-1] for v in aset.beams], spectra, rows[0])
         failure = f"alignment verification failed: {report.summary()}"
         raise AlignmentError(f"{context(rows[0])} beyond retry budget: {failure}")
     return gains, aset, spectra, drawn
@@ -249,7 +246,7 @@ def _build(gains, m):
     return beams, ~(zero | zero_rot)
 
 
-def _align_stack(gains, m, residual_tol):
+def _align_stack(gains, m):
     """Build and verify every network of gains[T, K, K, F] at once.
 
     Returns the stacked beamformers (beams [T, F, m_k], normalizers [T, K])
@@ -258,10 +255,10 @@ def _align_stack(gains, m, residual_tol):
     beams, built = _build(gains, m)
     with np.errstate(invalid="ignore", over="ignore"):
         aset = AlignmentSet(beams=beams, power_normalizers=_power_normalizers(beams))
-    return aset, *_verify(gains, aset, built, residual_tol)
+    return aset, *_verify(gains, aset, built)
 
 
-def _verify(gains, aset, built, residual_tol):
+def _verify(gains, aset, built):
     """`verify_alignment`'s rule over a stack: a mask [T], and the spectra it read.
 
     The spectra are `_receiver_spectra`'s K pairs, each [T, n]. A network
@@ -272,7 +269,7 @@ def _verify(gains, aset, built, residual_tol):
     ok = built & (np.isfinite(c) & (c > 0)).all(axis=-1)
     aset = AlignmentSet(_zeroed(ok, aset.beams), np.where(ok[:, None], c, 1.0))
     spectra = _receiver_spectra(gains, aset)
-    return ok & _passes(_receiver_numbers(spectra, streams)[1], streams, residual_tol), spectra
+    return ok & _passes(_receiver_numbers(spectra, streams)[0], streams), spectra
 
 
 def _zeroed(ok, beams):
@@ -280,14 +277,9 @@ def _zeroed(ok, beams):
     return beams if ok.all() else [np.where(ok[:, None, None], v, 0) for v in beams]
 
 
-def _floor(shape):
-    """The one rank floor of a matrix of `shape`, relative to its largest singular value."""
-    return RANK_FLOOR * max(shape)
-
-
 def _rank(sv, shape):
-    """How many of the singular values sv[..., n] exceed `_floor(shape)` * sv[..., 0]."""
-    return np.count_nonzero(sv > _floor(shape) * sv[..., :1], axis=-1)
+    """How many of the singular values sv[..., n] exceed RANK_FLOOR * max(shape) * sv[..., 0]."""
+    return np.count_nonzero(sv > RANK_FLOOR * max(shape) * sv[..., :1], axis=-1)
 
 
 def numerical_rank(mat):
@@ -311,8 +303,8 @@ class ReceiverCheck:
     weakest_interference: float  # sigma_d / sigma_1 of the others' spectrum
     weakest_signal: float  # sigma_F / sigma_1 of the all-users spectrum
 
-    def diagnosis(self, residual_tol):
-        """The receiver's numbers, with what fails under `residual_tol`, if anything."""
+    def diagnosis(self):
+        """The receiver's numbers, with what fails at the float64 floor, if anything."""
         interf, want = self.interference_dim, self.expected_interference_dim
         text = f"rx{self.receiver}: interf {interf}/{want} concat {self.concat_rank}/"
         text += f"{self.expected_concat_rank} containment {self.containment:.2e}"
@@ -321,15 +313,12 @@ class ReceiverCheck:
         if interf != want:
             weak = f"weakest interference {self.weakest_interference:.2e} below"
             text += f", {weak if interf < want else 'containment above'} the float64 floor"
-        elif not self.containment < residual_tol:
-            text += f", containment above tol {residual_tol:.2e}"
         return text
 
 
 @dataclass
 class AlignmentReport:
     receivers: list
-    residual_tol: float
     passed: bool
 
     @property
@@ -337,34 +326,32 @@ class AlignmentReport:
         return max(r.containment for r in self.receivers)
 
     def summary(self):
-        return "; ".join(r.diagnosis(self.residual_tol) for r in self.receivers)
+        return "; ".join(r.diagnosis() for r in self.receivers)
 
     def as_dict(self):
         return {
             "passed": bool(self.passed),
             "worst_containment": float(self.worst_containment),
-            "residual_tol": self.residual_tol,
             "rank_floor": RANK_FLOOR,
             "receivers": [asdict(r) for r in self.receivers],
         }
 
 
-def verify_alignment(net, aset, residual_tol=RESIDUAL_TOL):
+def verify_alignment(net, aset):
     """Check the alignment conditions at every receiver, from two spectra per receiver.
 
     Per receiver i, with d = F - m_i: the others' unit-power factors must
-    have exactly d singular values above `_floor` (the interference fills d
-    dimensions), all users' factors F (the intended streams stay independent
-    of it), and a `residual_tol` below the floor lowers the ceiling on the
-    containment sigma_{d+1} / sigma_1 to itself; the spectra are those
-    `spectra_table` reads.
+    have exactly d singular values above `_rank`'s floor (the interference
+    fills d dimensions and no more), all users' factors F (the intended
+    streams stay independent of it); the spectra are those `spectra_table`
+    reads.
     """
     one = AlignmentSet([v[None] for v in aset.beams], np.asarray(aset.power_normalizers)[None])
-    _, spectra = _verify(net.gains[None], one, np.ones(1, dtype=bool), residual_tol)
-    return _report(net.dims.streams, spectra, residual_tol)
+    _, spectra = _verify(net.gains[None], one, np.ones(1, dtype=bool))
+    return _report(net.dims.streams, spectra)
 
 
-def _report(streams, spectra, residual_tol, row=0):
+def _report(streams, spectra, row=0):
     """The report of network `row` of a stack, from `_verify`'s spectra."""
     ranks, ratios = _receiver_numbers([(o[[row]], a[[row]]) for o, a in spectra], streams)
     F = streams[0] + streams[1]
@@ -372,8 +359,7 @@ def _report(streams, spectra, residual_tol, row=0):
         ReceiverCheck(i, int(rank[0]), F - m, int(rank[1]), F, *map(float, ratio))
         for i, (m, rank, ratio) in enumerate(zip(streams, ranks[0], ratios[0]))
     ]
-    passed = bool(_passes(ratios, streams, residual_tol)[0])
-    return AlignmentReport(receivers=checks, residual_tol=residual_tol, passed=passed)
+    return AlignmentReport(receivers=checks, passed=bool(_passes(ranks, streams)[0]))
 
 
 def _receiver_numbers(spectra, streams):
@@ -393,16 +379,10 @@ def _receiver_numbers(spectra, streams):
     return np.stack(ranks, axis=1), np.stack(ratios, axis=1)
 
 
-def _passes(ratios, streams, residual_tol):
-    """The rule over `_receiver_numbers`' ratios, a mask [T]: one comparison per singular value.
-
-    The weakest interference and signal lie above their `_floor`s (so the ranks are F - m_i
-    and F), the containment below min(residual_tol, floor): tol can only tighten the rule.
-    """
-    F, total = streams[0] + streams[1], sum(streams)
-    floors = np.array([(_floor((F, total - m)), _floor((F, total))) for m in streams])
-    contained = ratios[..., 0] < np.minimum(residual_tol, floors[:, 0])
-    return (contained & (ratios[..., 1:] > floors).all(axis=-1)).all(axis=1)
+def _passes(ranks, streams):
+    """The rule over `_receiver_numbers`' ranks, a mask [T]: (F - m_i, F) at every receiver i."""
+    F = streams[0] + streams[1]
+    return (ranks == [(F - m, F) for m in streams]).all(axis=(1, 2))
 
 
 def rank_failures(net, aset):

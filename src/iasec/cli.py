@@ -125,7 +125,6 @@ class ExperimentConfig:
     trials: int | None = None
     seed: int | None = None
     epsilon_margin: float = 1.0
-    tol: float = 1e-8
     out: str = "results"
 
     @staticmethod
@@ -144,8 +143,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         return ExperimentConfig(**data)
 
-    def override(self, seed=None, out=None, trials=None, tol=None):
-        for name, value in {"seed": seed, "out": out, "trials": trials, "tol": tol}.items():
+    def override(self, seed=None, out=None, trials=None):
+        for name, value in {"seed": seed, "out": out, "trials": trials}.items():
             if value is not None:
                 setattr(self, name, value)
         return self
@@ -172,7 +171,6 @@ class ExperimentConfig:
             "trials": ([] if self.trials is None else [self.trials], whole),
             "rho_grid": (_listed(self.rho_grid), real),
             "epsilon_margin": ([self.epsilon_margin], real),
-            "tol": ([self.tol], real),
         }
         for name, (values, types) in typed.items():
             if not all(isinstance(v, types) and not isinstance(v, bool) for v in values):
@@ -180,8 +178,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be {kind}, got {getattr(self, name)!r}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in a u64")
-        if not self.tol > 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
         grid = tuple(float(r) for r in _listed(self.rho_grid))
         if len(grid) < 3 or not all(a < b < math.inf for a, b in zip(grid, grid[1:])):
             raise ConfigError("rho_grid must be finite and strictly increasing with >= 3 points")
@@ -345,13 +341,13 @@ def _run_confidential_point(cfg, K, m):
         return net.gains[None]
 
     gains, aset, spectra, drawn = align_first_valid(
-        draw, 1, m, _RETRY_BUDGET, cfg.tol, lambda row: "alignment failed"
+        draw, 1, m, _RETRY_BUDGET, lambda row: "alignment failed"
     )
     net = NetworkRealization(dims=dims, gains=gains[0], seed=cfg.seed)
     verified = [(others[0], everyone[0]) for others, everyone in spectra]
     rows, deficit, checks = _confidential_tables(net, spectra_table(net, aset[0], verified), cfg)
     detail = {
-        "alignment": _report(dims.streams, spectra, cfg.tol).as_dict(),
+        "alignment": _report(dims.streams, spectra).as_dict(),
         "attempts": int(drawn[0]),
         "delta_points": [
             {"rho": p.rho, "delta_hat": None if p.degenerate else p.delta_hat}
@@ -370,7 +366,7 @@ def _run_ergodic_point(cfg, K, m):
     dims = derive_dims(K, m)
     trials = cfg.effective_trials(200)
     powers = [PowerConfig(rho=rho, epsilon_margin=cfg.epsilon_margin) for rho in cfg.rho_grid]
-    pass_ = ergodic_pass(dims, powers, trials, cfg.seed, residual_tol=cfg.tol)
+    pass_ = ergodic_pass(dims, powers, trials, cfg.seed)
     rows = []
     for rho in cfg.rho_grid:
         est = ergodic_rates(pass_, rho)
@@ -386,7 +382,7 @@ def _run_ergodic_point(cfg, K, m):
                 "ci_high": est.R_ci[1],
             }
         )
-    budget = eavesdropper_budget_check(pass_, rows[-1]["Rx"])
+    budget = eavesdropper_budget_check(pass_)
     # disjoint-pair enumeration is exhaustive only up to K=4
     ineq = mi_inequality_audit(pass_) if K <= 4 else None
     checks = {"lemma5": budget.passed, "inequality_audit": getattr(ineq, "passed", None)}
@@ -487,7 +483,7 @@ def _alignment_suite(cfg, K, m, trials):
     dims = derive_dims(K, m)
     net = sample_network(dims, cfg.seed)
     aset = build_beamformers(net, build_generators(net), verify=False)
-    report = verify_alignment(net, aset, residual_tol=cfg.tol)
+    report = verify_alignment(net, aset)
     rank_audit = check_full_rank(dims, trials, cfg.seed)
     return {"alignment": report.passed, "lemma2": rank_audit.passed}, {
         "alignment": report.as_dict(),
@@ -548,7 +544,7 @@ def _monte_carlo_suite(cfg, K, m, trials):
     mc_trials = max(30, min(trials, 100))
     power = PowerConfig(rho=cfg.rho_grid[-1], epsilon_margin=cfg.epsilon_margin)
     pass_ = ergodic_pass(derive_dims(K, m), [power], mc_trials, cfg.seed)
-    budget = eavesdropper_budget_check(pass_, ergodic_rates(pass_, power.rho).Rx)
+    budget = eavesdropper_budget_check(pass_)
     ineq = mi_inequality_audit(pass_)
     return {
         "lemma3": ineq.lemma3_violations == 0,
@@ -706,7 +702,6 @@ def _build_parser():
     parser.add_argument("--seed", type=int, help="master seed (u64), overrides config")
     parser.add_argument("--out", help="output directory, overrides config")
     parser.add_argument("--trials", type=int, help="Monte Carlo trials, overrides config")
-    parser.add_argument("--tol", type=float, help="alignment residual tolerance override")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("align-verify", help="sample, align, verify, and rank-audit one point")
     sub.add_parser("rates", help="single-point rate pipeline for the configured scenario")
@@ -720,7 +715,7 @@ def _build_parser():
 
 def _load_config(args):
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    cfg.override(seed=args.seed, out=args.out, trials=args.trials, tol=args.tol)
+    cfg.override(seed=args.seed, out=args.out, trials=args.trials)
     return cfg
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import RESIDUAL_TOL, AlignmentSet, _chunk, align_first_valid
+from .alignment import AlignmentSet, _chunk, align_first_valid
 from .gaussmi import (
     McEstimate,
     _log2det,
@@ -93,13 +93,13 @@ def _block_bytes(dims):
     return 16 * dims.F * (dims.K**2 + dims.K + 2 * sum(dims.streams))
 
 
-def _align_blocks(dims, seed, index, residual_tol):
+def _align_blocks(dims, seed, index):
     """Draw and align the fading blocks `index` together, each under its drawn ordering perm.
 
     The blocks' link gains and eavesdropper rows come from one sampler call
     each, on the same (seed, link, block) streams as a block drawn alone.
     Each grid is reindexed so that user perm[0] takes the large-stream role,
-    and `align_first_valid` builds and verifies the beams at `residual_tol`.
+    and `align_first_valid` builds and verifies the beams.
     The blocks whose draw fails (numerically degenerate realizations) are
     redrawn together, one stacked call per draw: draw a >= 1 of block t is
     sampled at a seed taken from (seed, t, a), up to `_BLOCK_ATTEMPTS` draws
@@ -119,20 +119,20 @@ def _align_blocks(dims, seed, index, residual_tol):
         return sample_gains(dims, seeds, blocks)[at, order[..., None], order[:, None]]
 
     gains, aset, spectra, attempts = align_first_valid(
-        draw, B, dims.m, _BLOCK_ATTEMPTS, residual_tol, lambda j: f"block {index[j]}: degenerate"
+        draw, B, dims.m, _BLOCK_ATTEMPTS, lambda j: f"block {index[j]}: degenerate"
     )
     eavesdropper = sample_eavesdropper_block(dims, seed, index)[np.arange(B)[:, None], perm]
     return Blocks(dims, index, perm, gains, eavesdropper, aset, attempts, spectra)
 
 
-def block_network(dims, seed, block_index, residual_tol=RESIDUAL_TOL):
+def block_network(dims, seed, block_index):
     """Draw and align one fading block as `ergodic_pass` does: its one-block `Blocks`.
 
     The grid and eavesdropper row are reindexed so that user perm[0] takes
-    the large-stream role, the beams are verified at `residual_tol`, and a
-    degenerate draw is redrawn at the pass's retry seeds.
+    the large-stream role, the beams are verified, and a degenerate draw is
+    redrawn at the pass's retry seeds.
     """
-    return _align_blocks(dims, seed, [block_index], residual_tol)
+    return _align_blocks(dims, seed, [block_index])
 
 
 def _audit_sets(K):
@@ -181,10 +181,10 @@ class ErgodicPass:
         return McEstimate(est.mean[cols], est.ci_low[cols], est.ci_high[cols], est.trials)
 
 
-def ergodic_pass(dims, powers, trials, seed, residual_tol=RESIDUAL_TOL):
+def ergodic_pass(dims, powers, trials, seed):
     """Build each of `trials` fading blocks once and reduce one row per block.
 
-    Block t is the block `block_network(dims, seed, t, residual_tol)` draws;
+    Block t is the block `block_network(dims, seed, t)` draws;
     blocks are drawn, built and verified a chunk at a time, sized so that a
     chunk's stacked arrays stay near the shared chunk size, and the chunk
     boundaries never change a row. Each block's spectra are those of the
@@ -204,7 +204,7 @@ def ergodic_pass(dims, powers, trials, seed, residual_tol=RESIDUAL_TOL):
     resampled = []
 
     def rows(index):
-        blocks = _align_blocks(dims, seed, index, residual_tol)
+        blocks = _align_blocks(dims, seed, index)
         resampled.extend(t for t, a in zip(blocks.index, blocks.attempts) if a)
         return _block_rows(blocks, loads, audit_sets)
 
@@ -305,25 +305,24 @@ class BudgetReport:
     passed: bool
 
 
-def eavesdropper_budget_check(pass_, rx_rate):
+def eavesdropper_budget_check(pass_):
     """Check |S| Rx <= E[I(X_S;Y_e|X_rest,H,H_e)]/F for every nonempty user set S.
 
-    Read at the pass's top rho. The confidence allowance comes from the
-    paired per-block differences against the same block's randomization-rate
-    sample, which cancels the role-rotation swing shared by both sides. With
-    the full set the inequality is an identity of the rate rule, so its slack
-    sits at numerical zero when `rx_rate` is this pass's own Rx.
+    Rx is the pass's own randomization rate, and everything is read at its
+    top rho. The confidence allowance comes from the paired per-block
+    differences against the same block's randomization-rate sample, which
+    cancels the role-rotation swing shared by both sides. With the full set
+    the inequality is an identity of the rate rule, so its slack sits at
+    numerical zero.
     """
     est = pass_.budget()
-    rx_mean = pass_.rates(pass_.powers[-1].rho).mean[4]
+    rx = float(pass_.rates(pass_.powers[-1].rho).mean[4])
     entries = []
     ok = True
     for idx, sub in enumerate(_subsets(range(pass_.dims.K))):
-        lhs = len(sub) * rx_rate
+        lhs = len(sub) * rx
         rhs = est.mean[2 * idx]
-        # shift the paired slack if the caller's rate differs from this
-        # pass's own mean (zero when it is that mean)
-        slack = est.mean[2 * idx + 1] - len(sub) * (rx_rate - rx_mean)
+        slack = est.mean[2 * idx + 1]
         half = est.ci_halfwidth[2 * idx + 1]
         entries.append((sub, lhs, rhs, half, slack))
         ok &= bool(slack >= -(half + _TOL * max(1.0, lhs)))

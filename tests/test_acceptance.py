@@ -155,7 +155,7 @@ def test_criterion_6_ergodic_rate_prelimit():
         slope = estimate_slope(lambda r: curve[r].R, GRID).slope
         assert abs(slope - target) / target < 0.10, (m, slope, target)
         measured[m] = slope
-        budget = eavesdropper_budget_check(pass_, curve[GRID[-1]].Rx)
+        budget = eavesdropper_budget_check(pass_)
         assert budget.passed
         ineq = mi_inequality_audit(pass_)
         assert ineq.lemma3_violations == 0

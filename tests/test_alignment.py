@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from iasec import alignment, model
 from iasec.alignment import (
     RANK_FLOOR,
-    RESIDUAL_TOL,
     AlignmentError,
     AlignmentSet,
     build_beamformers,
@@ -148,11 +147,10 @@ class TestVerifyAlignment:
         assert "weakest signal 0.00e+00 below the float64 floor" in report.summary()
 
     @staticmethod
-    def per_receiver_report(net, aset, residual_tol):
+    def per_receiver_report(net, aset, floor):
         # reference: per receiver, one SVD of the others' unit-power factors
         # and one of all users' (in user order), read as in the README
         dims, F = net.dims, net.dims.F
-        floor = 100 * np.finfo(float).eps
         receivers, passed = [], True
         for i in range(dims.K):
             unit = [
@@ -174,28 +172,31 @@ class TestVerifyAlignment:
                 "weakest_signal": s_all[F - 1] / s_all[0] if s_all[0] > 0 else 0.0,
             }
             passed &= (entry["interference_dim"], entry["concat_rank"]) == (d, F)
-            passed &= entry["containment"] < residual_tol
             receivers.append(entry)
         return passed, receivers
 
     @pytest.mark.parametrize(
-        "K, m, seed, tol, broken",
+        "K, m, seed, floor, broken",
         [
-            (3, 2, 7, 1e-8, False),
-            (3, 3, 8, 1e-8, False),
-            (4, 1, 4, 1e-8, False),
-            (3, 2, 7, 1e-16, False),  # fails on its containment alone (1.4e-16 at rx0)
-            (3, 1, 9, 1e-8, True),  # a zero beamformer under its old normalizer
+            (3, 2, 7, RANK_FLOOR, False),
+            (3, 3, 8, RANK_FLOOR, False),
+            (4, 1, 4, RANK_FLOOR, False),
+            # the others' floor at rx0 is 5 * 2e-17 = 1e-16, so it fails on its
+            # containment alone (1.4e-16 at rx0)
+            (3, 2, 7, 2e-17, False),
+            (3, 1, 9, RANK_FLOOR, True),  # a zero beamformer under its old normalizer
         ],
+        ids=["3-2-7", "3-3-8", "4-1-4", "3-2-7-floor-2e-17", "3-1-9-zero-beam"],
     )
-    def test_report_matches_per_matrix_loop(self, K, m, seed, tol, broken):
+    def test_report_matches_per_matrix_loop(self, monkeypatch, K, m, seed, floor, broken):
         net, aset = aligned_instance(K, m, seed=seed)
         if broken:
             aset.beams[0] = np.zeros_like(aset.beams[0])
-        report = verify_alignment(net, aset, residual_tol=tol).as_dict()
-        passed, receivers = self.per_receiver_report(net, aset, tol)
-        assert report["passed"] == passed == (not broken and tol > 1e-16)
-        assert report["residual_tol"] == tol and report["rank_floor"] == 100 * np.finfo(float).eps
+        monkeypatch.setattr(alignment, "RANK_FLOOR", floor)
+        report = verify_alignment(net, aset).as_dict()
+        passed, receivers = self.per_receiver_report(net, aset, floor)
+        assert report["passed"] == passed == (not broken and floor == RANK_FLOOR)
+        assert report["rank_floor"] == floor and RANK_FLOOR == 100 * np.finfo(float).eps
         assert report["worst_containment"] == max(r["containment"] for r in report["receivers"])
         for have, want in zip(report["receivers"], receivers, strict=True):
             assert set(have) == set(want)
@@ -210,13 +211,14 @@ class TestVerifyAlignment:
             build_beamformers(net, build_generators(net))
 
 
-def replaced_rule_passes(net, aset, residual_tol):
+def replaced_rule_passes(net, aset):
     # reference: the rule the spectral verification replaced. Per receiver,
     # the interference, the own streams and both together must have ranks
     # F - m_i, m_i and F under a tolerance of max(shape) * 1e-10 * sigma_1,
     # and each interferer's part outside the span of the reference
     # interferer (user 1 at receiver 0, user 0 elsewhere) must have a
-    # relative 2-norm below residual_tol
+    # relative 2-norm below residual_tol, that rule's own ceiling
+    residual_tol = 1e-8
     dims = net.dims
     for i in range(dims.K):
         eff = aset.apply(net.gains[i])
@@ -246,7 +248,7 @@ class TestRuleAgainstTheReplacedOne:
         net = sample_network(dims, seed, block_index=block)
         aset = build_beamformers(net, build_generators(net), verify=False)
         report = verify_alignment(net, aset)
-        if replaced_rule_passes(net, aset, RESIDUAL_TOL):
+        if replaced_rule_passes(net, aset):
             assert report.passed, report.summary()
         if report.passed:  # then the containment sits at or below the floor
             for r, m_i in zip(report.receivers, dims.streams):

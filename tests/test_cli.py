@@ -1,4 +1,7 @@
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from iasec.cli import (
     ETA_RTOL,
     ConfigError,
     ExperimentConfig,
+    _build_parser,
     _confidential_tables,
     _record,
     _run_confidential_point,
@@ -354,14 +358,16 @@ class TestMainEntry:
         }
         assert detail == {key: full["audit_details"]["K3_m2"][key] for key in detail}
 
-    def test_tight_tolerance_reported_not_crashed(self, tmp_path):
+    def test_tight_tolerance_reported_not_crashed(self, monkeypatch, tmp_path):
+        # under a floor of 1e-20 the containment (near 1e-16) counts as a rank:
+        # align-verify reports the failed verification as a finding, exit 1
+        monkeypatch.setattr(alignment, "RANK_FLOOR", 1e-20)
         code = main(
-            [
-                "--seed", str(SEED), "--out", str(tmp_path),
-                "--trials", "5", "--tol", "1e-16", "audit",
-            ]
+            ["--seed", str(SEED), "--out", str(tmp_path), "--trials", "5", "align-verify"]
         )
-        assert code in (0, 1)  # findings allowed, crash not
+        assert code == 1
+        checks = json.loads((tmp_path / "manifest.json").read_text())["checks"]
+        assert checks == {"K3_m2_alignment": False, "K3_m2_lemma2": True}
 
     def test_report_command(self, tmp_path):
         assert main(["--seed", str(SEED), "--out", str(tmp_path), "rates"]) == 0
@@ -370,23 +376,36 @@ class TestMainEntry:
         assert code == 0
         assert (tmp_path / "records.csv").exists()
 
-    def test_unattainable_tolerance_is_numerical_error(self, tmp_path):
-        # the containment sigma_{d+1} / sigma_1 sits near 1e-16, above
-        # tol=1e-18, so alignment keeps failing through the retry budget
-        code = main(
-            ["--seed", str(SEED), "--out", str(tmp_path), "--tol", "1e-18", "rates"]
-        )
-        assert code == 3
+    def test_unattainable_tolerance_is_numerical_error(self, monkeypatch, tmp_path):
+        # the containment sigma_{d+1} / sigma_1 sits near 1e-16, above a
+        # floor of 1e-20, so alignment keeps failing through the retry budget
+        monkeypatch.setattr(alignment, "RANK_FLOOR", 1e-20)
+        assert main(["--seed", str(SEED), "--out", str(tmp_path), "rates"]) == 3
 
-    def test_unattainable_tolerance_fails_the_ergodic_point(self, tmp_path):
-        # every block is verified at --tol, so no draw of block 0 aligns
-        argv = ["--seed", str(SEED), "--trials", "30", "--tol", "1e-30", "--out", str(tmp_path)]
+    def test_unattainable_tolerance_fails_the_ergodic_point(self, monkeypatch, tmp_path):
+        # every block is verified at the floor, so no draw of block 0 aligns
+        monkeypatch.setattr(alignment, "RANK_FLOOR", 1e-20)
+        argv = ["--seed", str(SEED), "--trials", "30", "--out", str(tmp_path)]
         assert main(argv + ["ergodic"]) == 3
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         [failed] = manifest["failed_points"]
         assert (failed["K"], failed["m"]) == (3, 2)
         assert "retry budget" in failed["error"]
-        assert manifest["config"]["tol"] == 1e-30 and not manifest["passed"]
+        assert not manifest["passed"]
+
+    def test_tol_is_an_unknown_field(self, tmp_path, capsys):
+        # the float64 rank floor is the whole alignment rule; there is no ceiling to set
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"K": 3, "m": 1, "seed": SEED, "tol": 1e-8}))
+        assert main(["--config", str(p), "--out", str(tmp_path / "o"), "rates"]) == 2
+        assert "unknown config fields: ['tol']" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "records.csv").exists()
+
+    def test_tol_flag_is_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", str(SEED), "--out", str(tmp_path), "--tol", "1e-8", "rates"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "records.csv").exists()
 
     def test_confidential_point_passes_on_a_later_draw(self, monkeypatch, tmp_path):
         # the first verification (draw 0) fails, so the point runs on draw 1,
@@ -408,7 +427,7 @@ class TestMainEntry:
         rows, _, checks = _confidential_tables(net, spectra_table(net, aset), cfg)
         assert record["detail"]["per_rho"] == rows
         assert record["detail"]["checks"] == {**checks, "slope": True}
-        assert record["detail"]["alignment"] == verify_alignment(net, aset, cfg.tol).as_dict()
+        assert record["detail"]["alignment"] == verify_alignment(net, aset).as_dict()
 
     def test_sweep_keeps_the_points_before_a_failed_one(self, tmp_path):
         # every m=30 draw fails verification (all-users rank short of F=61)
@@ -525,3 +544,20 @@ class TestMainEntry:
             assert details[tag]["lemma2_trials"] == 20
             assert details[tag]["mc_trials"] == 30
             assert details[tag]["oracle_instances"] == 20
+
+
+class TestReadme:
+    README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+    def test_schema_table_lists_the_config_fields(self):
+        section = self.README.split("## Configuration schema")[1].split("\n## ")[0]
+        listed = re.findall(r"^\| `(\w+)` ", section, flags=re.MULTILINE)
+        assert listed == [f.name for f in fields(ExperimentConfig)]
+
+    def test_flag_sentence_lists_the_global_options(self):
+        sentence = self.README.split("Command-line flags")[1].split("apply to")[0]
+        options = [
+            opt for action in _build_parser()._actions for opt in action.option_strings
+            if opt.startswith("--") and opt != "--help"
+        ]
+        assert re.findall(r"--[\w-]+", sentence) == options

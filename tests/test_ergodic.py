@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from scipy import stats
 
 from iasec import alignment, ergodic
 from iasec.alignment import (
-    RESIDUAL_TOL,
     _report,
     align_first_valid,
     build_beamformers,
@@ -91,7 +91,7 @@ class TestBlockNetwork:
         b = next(b for b in range(100) if _block_permutation(K, SEED, b).tolist() == [*range(K)])
         net = sample_network(dims, SEED, block_index=b)
         gains, aset, spectra, _ = align_first_valid(
-            lambda attempt, rows: net.gains[None], 1, m, 1, RESIDUAL_TOL, str
+            lambda attempt, rows: net.gains[None], 1, m, 1, str
         )
         block = block_network(dims, SEED, b)
         assert np.array_equal(block.gains, gains)
@@ -104,8 +104,8 @@ class TestBlockNetwork:
             assert np.array_equal(table[i][0][users], everyone[0])
         report = verify_alignment(net, aset[0]).as_dict()
         assert report["passed"]
-        assert report == _report(dims.streams, spectra, RESIDUAL_TOL).as_dict()
-        assert report == _report(dims.streams, block.spectra, RESIDUAL_TOL).as_dict()
+        assert report == _report(dims.streams, spectra).as_dict()
+        assert report == _report(dims.streams, block.spectra).as_dict()
 
     def test_role_rotation_frequency(self):
         large_role_user = np.array([_block_permutation(3, 4, b)[0] for b in range(3000)])
@@ -215,19 +215,30 @@ class TestBudget:
         return one_pass(derive_dims(3, 1), [1e8], 60)
 
     def test_rule_rate_decodable_for_every_subset(self, pass_):
-        report = eavesdropper_budget_check(pass_, ergodic_rates(pass_, 1e8).Rx)
+        report = eavesdropper_budget_check(pass_)
         assert report.passed
 
     def test_full_set_is_tight(self, pass_):
-        report = eavesdropper_budget_check(pass_, ergodic_rates(pass_, 1e8).Rx)
+        report = eavesdropper_budget_check(pass_)
         full = [e for e in report.entries if e[0] == (0, 1, 2)][0]
+        assert full[1] == 3 * ergodic_rates(pass_, 1e8).Rx
         assert abs(full[4]) < 1e-9
 
-    def test_doubled_rx_fails_at_full_set(self, pass_):
-        report = eavesdropper_budget_check(pass_, 2 * ergodic_rates(pass_, 1e8).Rx)
+    def test_slack_below_its_allowance_fails_at_full_set(self, pass_):
+        # lower the full set's paired slack, with its interval, by 3 Rx: the
+        # slack a pass whose Rx were twice the rule's would read
+        est = pass_.estimate
+        col = ergodic._RATE_STATS * len(pass_.powers) + 2 * 6 + 1  # the last of 7 sets
+        shift = np.zeros_like(est.mean)
+        shift[col] = -3 * ergodic_rates(pass_, 1e8).Rx
+        moved = replace(est, mean=est.mean + shift, ci_low=est.ci_low + shift,
+                        ci_high=est.ci_high + shift)
+        report = eavesdropper_budget_check(replace(pass_, estimate=moved))
         assert not report.passed
-        full = [e for e in report.entries if e[0] == (0, 1, 2)][0]
-        assert full[4] < 0
+        *rest, full = report.entries
+        assert full[0] == (0, 1, 2) and full[4] < -full[3]
+        assert full[4] == pytest.approx(-full[1], abs=1e-9)
+        assert rest == eavesdropper_budget_check(pass_).entries[:-1]
 
 
 class TestInequalityAudit:
@@ -322,7 +333,7 @@ class TestOnePass:
             have = [est.own_mean, est.eaves_mean, est.eaves_upper_mean, est.R_raw]
             for h, w in zip(have, rates[g]):
                 assert _close(h, w), (rho, h, w)
-        report = eavesdropper_budget_check(pass_, ergodic_rates(pass_, DEFAULT_RHO_GRID[-1]).Rx)
+        report = eavesdropper_budget_check(pass_)
         for entry, want in zip(report.entries, budget, strict=True):
             assert _close(entry[2], want), (entry, want)
         audit = mi_inequality_audit(pass_)
@@ -332,37 +343,42 @@ class TestOnePass:
 
     @pytest.mark.parametrize("blocks_per_chunk", [1, 7])
     def test_estimate_does_not_depend_on_chunks(self, monkeypatch, blocks_per_chunk):
-        # at residual_tol 2.44e-16 two blocks are resampled (see below)
+        # with the others' floor at 2.44e-16 two blocks are resampled (see below)
+        monkeypatch.setattr(alignment, "RANK_FLOOR", 2.44e-16 / 5)
         dims = derive_dims(3, 2)
         powers = [PowerConfig(rho=r) for r in DEFAULT_RHO_GRID]
         assert alignment._chunk(ergodic._block_bytes(dims)) >= 80  # one chunk
-        whole = ergodic_pass(dims, powers, 80, SEED, residual_tol=2.44e-16)
+        whole = ergodic_pass(dims, powers, 80, SEED)
         chunk_bytes = blocks_per_chunk * ergodic._block_bytes(dims)
         monkeypatch.setattr(alignment, "_CHUNK_BYTES", chunk_bytes)
-        chunked = ergodic_pass(dims, powers, 80, SEED, residual_tol=2.44e-16)
+        chunked = ergodic_pass(dims, powers, 80, SEED)
         for field in ("mean", "ci_low", "ci_high"):
             assert np.array_equal(getattr(chunked.estimate, field), getattr(whole.estimate, field))
         assert chunked.resampled_blocks == whole.resampled_blocks == [1, 61]
 
-    def test_golden_resamples(self):
+    def test_golden_resamples(self, monkeypatch):
         # K=3, m=2, seed 16: the first draws of blocks 1 and 61 have
         # containments sigma_{d+1} / sigma_1 of 2.73e-16 and 2.77e-16, at
         # least 11% above 2.44e-16; every other first draw of the 80 lies at
         # least 10% below it (the nearest is 2.18e-16), and each of the two
-        # passes on its first redraw, at 1.8e-16 or less
+        # passes on its first redraw, at 1.8e-16 or less. With the floor at
+        # 2.44e-16 / 5 the others' floor (5 columns or rows at most) is
+        # 2.44e-16, and the weakest singular values stay far above it
         dims = derive_dims(3, 2)
-        pass_ = ergodic_pass(dims, [PowerConfig(rho=1e8)], 80, SEED, residual_tol=2.44e-16)
-        assert pass_.resampled_blocks == [1, 61]
-        assert block_network(dims, SEED, 61, residual_tol=2.44e-16).attempts.tolist() == [1]
+        with monkeypatch.context() as patched:
+            patched.setattr(alignment, "RANK_FLOOR", 2.44e-16 / 5)
+            pass_ = ergodic_pass(dims, [PowerConfig(rho=1e8)], 80, SEED)
+            assert pass_.resampled_blocks == [1, 61]
+            assert block_network(dims, SEED, 61).attempts.tolist() == [1]
         assert block_network(dims, SEED, 61).attempts.tolist() == [0]
 
     def test_each_block_built_once(self, monkeypatch, tmp_path):
         built = []
         align = ergodic._align_blocks
 
-        def counted(dims, seed, index, residual_tol):
+        def counted(dims, seed, index):
             built.extend(index)
-            return align(dims, seed, index, residual_tol)
+            return align(dims, seed, index)
 
         monkeypatch.setattr(ergodic, "_align_blocks", counted)
         cfg = tmp_path / "cfg.json"
