@@ -242,41 +242,35 @@ def eta_asymptote(scenario, K):
     return (K - 2) / (2 * K)
 
 
+def _rows(**columns):
+    """Per-rho rows from curves over the grid: one dict of plain values per grid point."""
+    lists = {name: np.asarray(values).tolist() for name, values in columns.items()}
+    return [dict(zip(lists, row)) for row in zip(*lists.values())]
+
+
 def _confidential_tables(net, spectra, cfg):
     """Per-rho rows, the deficit report and the named hard checks across the rho grid.
 
-    `spectra` is the point's `spectra_table`. Decodability of the clamped
-    zero-R assignment is not covered by the rate rule's guarantee, so clamped
-    grid points are reported but excluded from the checks, which read None
-    (not evaluated) when every grid point is clamped.
+    `spectra` is the point's `spectra_table`; the rate rule reads it once,
+    at every grid load rho - eps. Decodability of the clamped zero-R
+    assignment is not covered by the rate rule's guarantee, so clamped grid
+    points are reported but excluded from the checks, which read None (not
+    evaluated) when every grid point is clamped.
     """
-    rows = []
-    curve = {}
-    verdicts = {"decodability": [], "region": []}
-    for rho in cfg.rho_grid:
-        load = PowerConfig(rho=rho, epsilon_margin=cfg.epsilon_margin).effective
-        rates = confidential_rates(net, spectra, load)
-        curve[rho] = rates
-        dec = decodability_check(rates)
-        reg = randomization_region_check(rates)
-        if not rates.clamped:
-            verdicts["decodability"].append(dec.passed)
-            verdicts["region"].append(reg.passed)
-        rows.append(
-            {
-                "rho": rho,
-                "R": rates.R,
-                "Rx": rates.Rx,
-                "R_raw": rates.R_raw,
-                "Rx_raw": rates.Rx_raw,
-                "clamped": rates.clamped,
-                "decodable": dec.passed,
-                "region_ok": reg.passed,
-                "worst_slack": dec.worst_slack,
-            }
-        )
-    checks = {name: all(oks) if oks else None for name, oks in verdicts.items()}
-    return rows, equivocation_deficit(curve), checks
+    rates = confidential_rates(net, spectra, np.subtract(cfg.rho_grid, cfg.epsilon_margin))
+    slack, decodable = decodability_check(rates)
+    _, region_ok = randomization_region_check(rates)
+    live = ~rates.clamped
+    checks = {
+        name: bool(ok[live].all()) if live.any() else None
+        for name, ok in (("decodability", decodable), ("region", region_ok))
+    }
+    rows = _rows(
+        rho=cfg.rho_grid, R=rates.R, Rx=rates.Rx, R_raw=rates.R_raw, Rx_raw=rates.Rx_raw,
+        clamped=rates.clamped, decodable=decodable, region_ok=region_ok,
+        worst_slack=slack.min(axis=0),
+    )
+    return rows, equivocation_deficit(rates, cfg.rho_grid), checks
 
 
 def _record(cfg, K, dims, rows, trials, eta_target, delta_hat, checks, detail):
@@ -287,8 +281,7 @@ def _record(cfg, K, dims, rows, trials, eta_target, delta_hat, checks, detail):
     by more than ETA_RTOL of it fails, and a target clamped to zero claims
     nothing. A record whose checks all read None is vacuous.
     """
-    by_rho = {row["rho"]: row["R"] for row in rows}
-    fit = estimate_slope(lambda r: by_rho[r], cfg.rho_grid)
+    fit = estimate_slope([row["R"] for row in rows], cfg.rho_grid)
     slope = abs(fit.slope - eta_target) <= ETA_RTOL * eta_target if eta_target > 0 else None
     checks = {name: None if ok is None else bool(ok) for name, ok in checks.items()}
     checks["slope"] = slope
@@ -349,10 +342,10 @@ def _run_confidential_point(cfg, K, m):
     detail = {
         "alignment": _report(dims.streams, spectra).as_dict(),
         "attempts": int(drawn[0]),
-        "delta_points": [
-            {"rho": p.rho, "delta_hat": None if p.degenerate else p.delta_hat}
-            for p in deficit.points
-        ],
+        "delta_points": _rows(
+            rho=cfg.rho_grid,
+            delta_hat=np.where(np.isnan(deficit.pointwise), None, deficit.pointwise),
+        ),
         "delta_slope_parts": {"num": deficit.num_slope, "den": deficit.den_slope},
     }
     if known_csi:
@@ -367,21 +360,12 @@ def _run_ergodic_point(cfg, K, m):
     trials = cfg.effective_trials(200)
     powers = [PowerConfig(rho=rho, epsilon_margin=cfg.epsilon_margin) for rho in cfg.rho_grid]
     pass_ = ergodic_pass(dims, powers, trials, cfg.seed)
-    rows = []
-    for rho in cfg.rho_grid:
-        est = ergodic_rates(pass_, rho)
-        rows.append(
-            {
-                "rho": rho,
-                "R": est.R,
-                "Rx": est.Rx,
-                "R_raw": est.R_raw,
-                "Rx_raw": est.Rx,  # Rx is never clamped
-                "clamped": est.clamped,
-                "ci_low": est.R_ci[0],
-                "ci_high": est.R_ci[1],
-            }
-        )
+    est = ergodic_rates(pass_)
+    rows = _rows(
+        rho=cfg.rho_grid, R=est.R, Rx=est.Rx, R_raw=est.R_raw,
+        Rx_raw=est.Rx,  # Rx is never clamped
+        clamped=est.clamped, ci_low=est.R_ci[0], ci_high=est.R_ci[1],
+    )
     budget = eavesdropper_budget_check(pass_)
     # disjoint-pair enumeration is exhaustive only up to K=4
     ineq = mi_inequality_audit(pass_) if K <= 4 else None
@@ -444,14 +428,15 @@ def _each_point(cfg, runner):
     """`runner(K, m)` at every grid point, in order: the (K, m, result) of each and the failures.
 
     A point that fails alignment or its numerics is listed among the
-    failures, with its error, and does not stop the loop.
+    failures, with its error and whatever the runner attached to the error
+    as `completed`, and does not stop the loop.
     """
     done, failed = [], []
     for K, m in _grid(cfg):
         try:
             done.append((K, m, runner(K, m)))
         except _NUMERICAL_ERRORS as exc:
-            failed.append({"K": K, "m": m, "error": str(exc)})
+            failed.append({"K": K, "m": m, "error": str(exc), **getattr(exc, "completed", {})})
     return done, failed
 
 
@@ -519,7 +504,7 @@ def _oracle_suite(cfg, K, m, trials):
         conditioned = mi_from_gains(gains, powers, {1}, conditioned={2}).bits
         if first > conditioned + 1e-9 * max(1.0, first):
             lemma3_ok = False
-    scalar = estimate_slope(lambda r: math.log2(1.0 + r), cfg.rho_grid)
+    scalar = estimate_slope(np.log2(np.add(cfg.rho_grid, 1.0)), cfg.rho_grid)
     return {
         "oracle_chain_rule": worst_chain < 1e-9,
         "oracle_schur": worst_schur < 1e-9,
@@ -558,16 +543,21 @@ def _check_grid(cfg, suites):
     """Run every suite at each grid point: checks keyed K{K}_m{m}_{name}, details per point.
 
     A point where a suite fails its numerics is listed in `failed_points`
-    and writes no checks; the other points still run.
+    with the checks of the suites that completed before it, which stay out
+    of the manifest's `checks`; the other points still run.
     """
     t0 = time.perf_counter()
 
     def point(K, m):
         checks, details = {}, {}
-        for suite in suites:
-            suite_checks, detail = suite(cfg, K, m, cfg.effective_trials(100))
-            checks.update((f"K{K}_m{m}_{name}", ok) for name, ok in suite_checks.items())
-            details.update(detail)
+        try:
+            for suite in suites:
+                suite_checks, detail = suite(cfg, K, m, cfg.effective_trials(100))
+                checks.update((f"K{K}_m{m}_{name}", ok) for name, ok in suite_checks.items())
+                details.update(detail)
+        except _NUMERICAL_ERRORS as exc:
+            exc.completed = {"checks": checks}
+            raise
         return checks, details
 
     done, failed = _each_point(cfg, point)

@@ -14,8 +14,9 @@ whose draw does not align are redrawn together, one stacked call per draw.
 Every mutual information at every grid rho is a difference of two log-dets
 read from the spectra, so each block yields one row: the rate statistics at
 each rho, plus the budget and inequality-audit statistics at the top rho.
-One `expectation` reduces the rows in trial order, and `ergodic_rates`,
-`eavesdropper_budget_check` and `mi_inequality_audit` read that estimate.
+One `expectation` reduces the rows in trial order. `ergodic_rates` reads the
+rate curves over the whole grid from that estimate, and
+`eavesdropper_budget_check` and `mi_inequality_audit` read its top rho.
 """
 
 from dataclasses import dataclass
@@ -162,10 +163,11 @@ class ErgodicPass:
     def trials(self):
         return self.estimate.trials
 
-    def rates(self, rho):
-        """The five rate statistics at grid point rho."""
-        g = [p.rho for p in self.powers].index(rho)
-        return self._columns(_RATE_STATS * g, _RATE_STATS * (g + 1))
+    def rates(self):
+        """The five rate statistics at every power, one row per power: [G, 5]."""
+        est = self._columns(0, _RATE_STATS * len(self.powers))
+        rows = (a.reshape(-1, _RATE_STATS) for a in (est.mean, est.ci_low, est.ci_high))
+        return McEstimate(*rows, est.trials)
 
     def budget(self):
         """Per nonempty user set: the budget's right-hand side and paired slack."""
@@ -260,41 +262,41 @@ def _block_rows(blocks, loads, audit_sets):
 
 @dataclass
 class ErgodicEstimate:
-    R: float
-    Rx: float
-    R_raw: float
-    clamped: bool
-    own_mean: float
-    eaves_mean: float
-    eaves_upper_mean: float
-    R_ci: tuple
+    R: np.ndarray
+    Rx: np.ndarray
+    R_raw: np.ndarray
+    clamped: np.ndarray
+    own_mean: np.ndarray
+    eaves_mean: np.ndarray
+    eaves_upper_mean: np.ndarray
+    R_ci: tuple  # (low, high) arrays
     trials: int
 
 
-def ergodic_rates(pass_, rho):
-    """Monte Carlo rate assignment for the ergodic external-eavesdropper model.
+def ergodic_rates(pass_):
+    """Monte Carlo rate curves for the ergodic external-eavesdropper model.
 
     R  = (K E[I(X;Y|H)] - E_upper[I(X_all;Y_e|H,H_e)]) / (K F)
     Rx = E[I(X_all;Y_e|H,H_e)] / (K F)
 
     E[I(X;Y|H)] averages each user's own-stream MI over blocks and the random
     role rotation; the eavesdropper term's input maximization is bracketed by
-    inflating every user's per-stream power to its whole budget. Read at grid
-    point rho of the pass.
+    inflating every user's per-stream power to its whole budget. Every field
+    but `trials` is an array with one entry per power of the pass.
     """
     if pass_.trials < 30:
         raise ValueError("ergodic estimates need at least 30 trials")
-    est = pass_.rates(rho)
-    own_m, eav_m, up_m, r_m, rx_m = (float(v) for v in est.mean)
+    est = pass_.rates()
+    own_m, eav_m, up_m, r_m, rx_m = est.mean.T
     return ErgodicEstimate(
-        R=max(r_m, 0.0),
+        R=np.maximum(r_m, 0.0),
         Rx=rx_m,
         R_raw=r_m,
         clamped=r_m < 0,
         own_mean=own_m,
         eaves_mean=eav_m,
         eaves_upper_mean=up_m,
-        R_ci=(float(est.ci_low[3]), float(est.ci_high[3])),
+        R_ci=(est.ci_low[:, 3], est.ci_high[:, 3]),
         trials=pass_.trials,
     )
 
@@ -316,7 +318,7 @@ def eavesdropper_budget_check(pass_):
     numerical zero.
     """
     est = pass_.budget()
-    rx = float(pass_.rates(pass_.powers[-1].rho).mean[4])
+    rx = float(pass_.rates().mean[-1, 4])
     entries = []
     ok = True
     for idx, sub in enumerate(_subsets(range(pass_.dims.K))):

@@ -240,9 +240,10 @@ def mi_schur(gains, powers, signal, conditioned=()):
     return float(logdet / np.log(2.0))
 
 
-def estimate_slope(f, grid=DEFAULT_RHO_GRID):
-    """Least-squares slope of f(rho) against log2(rho) on the top half of the grid.
+def estimate_slope(values, grid=DEFAULT_RHO_GRID):
+    """Least-squares slope of a curve against log2(rho) on the top half of the grid.
 
+    `values` holds the curve at each grid rho, as a rate rule returns it.
     Regression over several top points suppresses the O(1/log rho) transients
     that two-point differencing would inherit.
     """
@@ -253,7 +254,7 @@ def estimate_slope(f, grid=DEFAULT_RHO_GRID):
         raise ValueError("grid must be strictly increasing")
     if grid[-1] / grid[0] < 1e4:
         raise ValueError("grid must span at least 4 decades")
-    values = np.array([float(f(r)) for r in grid])
+    values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise NumericalError("non-finite evaluation on the rho grid")
     lo = len(grid) // 2

@@ -1,22 +1,23 @@
-"""Rate calculus for the confidential-messages model.
+"""Rate calculus for the confidential-messages model, as curves over the rho grid.
 
 The common secrecy rate R and randomization rate Rx come from the aligned
 channel's mutual informations: R trades the worst own-stream rate against the
 worst leakage, Rx fills the smallest per-user share of any cross multiple
 access region so the randomization indices saturate every eavesdropping
 receiver. The equivocation deficit delta_hat tracks how far the scheme sits
-from perfect secrecy at finite SNR.
+from perfect secrecy at finite SNR. Each rule takes the whole grid at once:
+every quantity is an array with one entry per grid point, the last axis.
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .gaussmi import _log2det, _log2dets, _set_mi, _subsets, estimate_slope
 
 __all__ = [
     "MAX_ENUM_USERS",
-    "RateAssignment",
-    "DecodabilityReport",
-    "RegionReport",
+    "RateCurve",
     "EquivocationReport",
     "confidential_rates",
     "decodability_check",
@@ -31,38 +32,37 @@ _SLACK_TOL = 1e-9
 
 
 @dataclass
-class RateAssignment:
-    """Common secrecy/randomization rates in bits per frequency-time slot.
+class RateCurve:
+    """Common secrecy/randomization rates in bits per frequency-time slot, per grid point.
 
     The per-receiver mutual informations the rates come from are kept, in
     bits over the F-slot extension, so every check reads them instead of
-    recomputing them.
+    recomputing them. G is the number of grid points.
     """
 
-    R: float
-    Rx: float
-    R_raw: float
-    Rx_raw: float
-    clamped: bool
+    R: np.ndarray  # [G], R_raw clamped at zero
+    Rx: np.ndarray  # [G]
+    R_raw: np.ndarray  # [G]
+    Rx_raw: np.ndarray  # [G]
+    clamped: np.ndarray  # [G], either raw rate negative
     F: int
-    own_bits: tuple  # I(X_i; Y_i) per receiver
-    cross_bits: tuple  # I(X_{K-i}; Y_i) per receiver
-    leak_upper_bits: tuple  # relaxed upper bound on I(X_{K-i}; Y_i) per receiver
-    binding_receiver: int
-    binding_subset: tuple
-    subset_bits: dict  # (receiver, subset) -> I(X_S; Y_i | X_rest)
+    own_bits: np.ndarray  # [K, G]: I(X_i; Y_i) per receiver
+    cross_bits: np.ndarray  # [K, G]: I(X_{K-i}; Y_i) per receiver
+    leak_upper_bits: np.ndarray  # [K, G]: relaxed upper bound on I(X_{K-i}; Y_i)
+    subset_bits: dict  # (receiver, subset) -> [G]: I(X_S; Y_i | X_rest)
+    binding: list  # the (receiver, subset) that sets Rx, per grid point
 
 
-def confidential_rates(net, spectra, load):
-    """Rate assignment for the confidential-messages model at one rho.
+def confidential_rates(net, spectra, loads):
+    """Rate curve of the confidential-messages model over the array of loads.
 
     R  = min_i I(X_i;Y_i)/F - max_i I(X_{K-i};Y_i) / ((K-1)F)
     Rx = min over receivers i and nonempty S of I(X_S;Y_i|X_rest)/(|S| F)
 
     Every mutual information is read from `spectra` (`spectra_table`) at
-    load = rho - eps. Negative formula outputs clamp to zero with the flag
-    set; the subset minimum is enumerated exhaustively (2^(K-1)-1 subsets per
-    receiver).
+    each load rho - eps of `loads`. Negative formula outputs clamp to zero
+    with the flag set; the subset minimum is enumerated exhaustively
+    (2^(K-1)-1 subsets per receiver), the first minimal one binding.
 
     The leakage bound brackets the input-distribution maximization of
     I(X_{K-i}; Y_i) from above: every other user's per-stream power is
@@ -75,12 +75,9 @@ def confidential_rates(net, spectra, load):
     if K > MAX_ENUM_USERS:
         raise ValueError(f"subset enumeration capped at K={MAX_ENUM_USERS}")
     everyone = frozenset(range(K))
-    own = []
-    cross = []
-    leak_upper = []
-    subset_bits = {}
+    own, cross, leak_upper, subset_bits = [], [], [], {}
     for i, (sets, inflated) in enumerate(spectra):
-        ld = _log2dets(sets, load)
+        ld = _log2dets(sets, loads)
         others = tuple(k for k in range(K) if k != i)
         own.append(_set_mi(ld, everyone, {i}))
         for sub in _subsets(others):
@@ -88,74 +85,43 @@ def confidential_rates(net, spectra, load):
             subset_bits[(i, sub)] = _set_mi(ld, everyone, sub, set(others).difference(sub))
         cross.append(subset_bits[(i, others)])
         # the cross term with every other user at its whole budget: only ld(all users) changes
-        leak_upper.append(_set_mi({**ld, everyone: _log2det(inflated, load)}, everyone, others))
-    r_raw = min(own) / F - max(cross) / ((K - 1) * F)
-    binding = min(subset_bits, key=lambda key: subset_bits[key] / len(key[1]))
-    rx_raw = subset_bits[binding] / (len(binding[1]) * F)
-    clamped = r_raw < 0 or rx_raw < 0
-    return RateAssignment(
-        R=max(r_raw, 0.0),
-        Rx=max(rx_raw, 0.0),
+        leak_upper.append(_set_mi({**ld, everyone: _log2det(inflated, loads)}, everyone, others))
+    own, cross = np.array(own), np.array(cross)
+    r_raw = own.min(axis=0) / F - cross.max(axis=0) / ((K - 1) * F)
+    keys = list(subset_bits)
+    bits, sizes = np.array(list(subset_bits.values())), np.array([len(s) for _, s in keys])
+    pick = np.argmin(bits / sizes[:, None], axis=0)
+    rx_raw = bits[pick, np.arange(len(pick))] / (sizes[pick] * F)
+    return RateCurve(
+        R=np.maximum(r_raw, 0.0),
+        Rx=np.maximum(rx_raw, 0.0),
         R_raw=r_raw,
         Rx_raw=rx_raw,
-        clamped=clamped,
+        clamped=(r_raw < 0) | (rx_raw < 0),
         F=F,
-        own_bits=tuple(own),
-        cross_bits=tuple(cross),
-        leak_upper_bits=tuple(leak_upper),
-        binding_receiver=binding[0],
-        binding_subset=binding[1],
+        own_bits=own,
+        cross_bits=cross,
+        leak_upper_bits=np.array(leak_upper),
         subset_bits=subset_bits,
+        binding=[keys[j] for j in pick],
     )
 
 
-@dataclass
-class DecodabilityReport:
-    slack: tuple  # per user, bits per slot
-    passed: bool
-
-    @property
-    def worst_slack(self):
-        return min(self.slack)
-
-
 def decodability_check(rates):
-    """Assert R + Rx <= I(X_k;Y_k)/F for every user, reporting the slack."""
+    """Check R + Rx <= I(X_k;Y_k)/F for every user: the slack [K, G] and a pass mask [G]."""
     total = rates.R + rates.Rx
-    slack = tuple(b / rates.F - total for b in rates.own_bits)
-    passed = all(s >= -_SLACK_TOL * max(1.0, total) for s in slack)
-    return DecodabilityReport(slack=slack, passed=passed)
-
-
-@dataclass
-class RegionReport:
-    entries: list  # (receiver, subset, slack)
-    passed: bool
-
-    @property
-    def binding(self):
-        return min(self.entries, key=lambda e: e[2])
+    slack = rates.own_bits / rates.F - total
+    return slack, (slack >= -_SLACK_TOL * np.maximum(1.0, total)).all(axis=0)
 
 
 def randomization_region_check(rates):
-    """Check |S| Rx <= I(X_S;Y_i|X_rest)/F for every receiver and subset."""
-    entries = [
-        (i, sub, bits / rates.F - len(sub) * rates.Rx)
-        for (i, sub), bits in sorted(rates.subset_bits.items())
-    ]
-    passed = all(s >= -_SLACK_TOL * max(1.0, rates.Rx) for _, _, s in entries)
-    return RegionReport(entries=entries, passed=passed)
+    """Check |S| Rx <= I(X_S;Y_i|X_rest)/F for every receiver and subset.
 
-
-@dataclass
-class EquivocationPoint:
-    rho: float
-    delta_hat: float
-    numerator_worst: float
-    numerators: tuple
-    denominator: float
-    degenerate: bool
-    clamped: bool
+    Returns the slack, one row per `subset_bits` entry in its order, and a
+    pass mask over the grid.
+    """
+    slack = np.array([b / rates.F - len(s) * rates.Rx for (_, s), b in rates.subset_bits.items()])
+    return slack, (slack >= -_SLACK_TOL * np.maximum(1.0, rates.Rx)).all(axis=0)
 
 
 @dataclass
@@ -164,52 +130,35 @@ class EquivocationReport:
 
     `delta_hat` is the trend value: the regression slopes of the worst-case
     numerator and of the denominator, taken over the top of the rho grid and
-    divided. Pointwise ratios at each grid rho are kept in `points`; they
-    carry O(1) mutual-information constants that die off only as log(rho)
-    grows, so the trend value is the one to compare against analytic targets.
-    The Fano residual is taken as zero throughout (no finite-blocklength
-    decoder exists in this laboratory).
+    divided. The pointwise ratios at each grid rho are `pointwise` (NaN where
+    the denominator is not positive); they carry O(1) mutual-information
+    constants that die off only as log(rho) grows, so the trend value is the
+    one to compare against analytic targets. The Fano residual is taken as
+    zero throughout (no finite-blocklength decoder exists in this laboratory).
     """
 
-    points: list
+    pointwise: np.ndarray
     delta_hat: float
     num_slope: float
     den_slope: float
     degenerate: bool
 
 
-def equivocation_deficit(curve):
-    """Evaluate the deficit bound from the rate assignments on a rho grid.
+def equivocation_deficit(rates, grid):
+    """Evaluate the deficit bound from the rate curve on the increasing rho `grid`.
 
-    `curve` maps each grid rho, in increasing order, to its RateAssignment.
     Per receiver the numerator is the relaxed upper bound on the leakage MI
     minus (K-1) F Rx; the common denominator is (K-1) F R. Worst case over
     receivers is reported.
     """
-    points = []
-    for rho, rates in curve.items():
-        K, F = len(rates.own_bits), rates.F
-        nums = tuple(upper - (K - 1) * F * rates.Rx_raw for upper in rates.leak_upper_bits)
-        den = (K - 1) * F * rates.R_raw
-        worst = max(nums)
-        degenerate = den <= 0
-        points.append(
-            EquivocationPoint(
-                rho=float(rho),
-                delta_hat=worst / den if not degenerate else float("nan"),
-                numerator_worst=worst,
-                numerators=nums,
-                denominator=den,
-                degenerate=degenerate,
-                clamped=rates.clamped,
-            )
-        )
-    by_rho = dict(zip(curve, points))
-    num_fit = estimate_slope(lambda r: by_rho[r].numerator_worst, tuple(curve))
-    den_fit = estimate_slope(lambda r: by_rho[r].denominator, tuple(curve))
+    K, F = len(rates.own_bits), rates.F
+    worst = (rates.leak_upper_bits - (K - 1) * F * rates.Rx_raw).max(axis=0)
+    den = (K - 1) * F * rates.R_raw
+    pointwise = np.divide(worst, den, out=np.full(den.shape, np.nan), where=den > 0)
+    num_fit, den_fit = estimate_slope(worst, grid), estimate_slope(den, grid)
     degenerate = den_fit.slope <= 0
     return EquivocationReport(
-        points=points,
+        pointwise=pointwise,
         delta_hat=num_fit.slope / den_fit.slope if not degenerate else float("nan"),
         num_slope=num_fit.slope,
         den_slope=den_fit.slope,

@@ -152,22 +152,25 @@ class TestSlopeCheck:
 class TestConfidentialTables:
     # per receiver: I(X_i;Y_i), I(X_S;Y_i|X_rest) for each nonempty S of the
     # K-1 others (the S = all-others entry is the cross term) and the
-    # inflated-power leakage bound, each one difference of two table log-dets
+    # inflated-power leakage bound, each one difference of two table log-dets,
+    # taken once for the whole grid: one call carries every grid rho
     @pytest.mark.parametrize("K, m, distinct", [(3, 2, 15), (4, 1, 36)])
     def test_each_mutual_information_evaluated_once_per_rho(self, monkeypatch, K, m, distinct):
         net = sample_network(derive_dims(K, m), SEED)
         aset = build_beamformers(net, build_generators(net))
-        calls = []
         mi_bits = gaussmi._mi_bits
+        for points in (5, 7):
+            calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return mi_bits(*args, **kwargs)
+            def counted(*args, **kwargs):
+                calls.append(args)
+                return mi_bits(*args, **kwargs)
 
-        monkeypatch.setattr(gaussmi, "_mi_bits", counted)
-        cfg = make_cfg(K=K, m=m).validate()
-        _confidential_tables(net, spectra_table(net, aset), cfg)
-        assert len(calls) == distinct * len(cfg.rho_grid)
+            monkeypatch.setattr(gaussmi, "_mi_bits", counted)
+            cfg = make_cfg(K=K, m=m, rho_grid=list(np.logspace(4, 12, points))).validate()
+            _confidential_tables(net, spectra_table(net, aset), cfg)
+            assert len(calls) == distinct
+            assert all(np.shape(a) == (points,) for args in calls for a in args)
 
     # one SVD per receiver and set: {i}, the others, all users, S u {i} for
     # each proper nonempty S of the others, and the inflated all-users set;
@@ -193,15 +196,14 @@ class TestConfidentialTables:
     def test_subset_terms_match_mi_from_gains(self, K, m):
         net = sample_network(derive_dims(K, m), SEED)
         aset = build_beamformers(net, build_generators(net))
-        spectra = spectra_table(net, aset)
-        for rho in DEFAULT_RHO_GRID:
-            power = PowerConfig(rho=rho)
-            rates = confidential_rates(net, spectra, power.effective)
-            powers = stream_power(aset, power)
+        loads = np.array([PowerConfig(rho=rho).effective for rho in DEFAULT_RHO_GRID])
+        rates = confidential_rates(net, spectra_table(net, aset), loads)
+        for g, rho in enumerate(DEFAULT_RHO_GRID):
+            powers = stream_power(aset, PowerConfig(rho=rho))
             for (i, sub), bits in rates.subset_bits.items():
                 rest = set(range(K)) - {i, *sub}
                 ref = mi_from_gains(receiver_gains(net, aset, i), powers, sub, rest).bits
-                assert abs(bits - ref) <= 1e-12 * ref
+                assert abs(bits[g] - ref) <= 1e-12 * ref
 
 
 class TestSpectraTakenOnce:
@@ -368,6 +370,23 @@ class TestMainEntry:
         assert code == 1
         checks = json.loads((tmp_path / "manifest.json").read_text())["checks"]
         assert checks == {"K3_m2_alignment": False, "K3_m2_lemma2": True}
+
+    def test_audit_keeps_a_failed_points_completed_checks(self, monkeypatch, tmp_path):
+        # under the same floor the Monte Carlo suite runs out of draws; the
+        # alignment and oracle suites ran before it, and their checks stay on
+        # the point's failure entry
+        monkeypatch.setattr(alignment, "RANK_FLOOR", 1e-20)
+        code = main(["--seed", str(SEED), "--out", str(tmp_path), "--trials", "5", "audit"])
+        assert code == 3
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        [failed] = manifest["failed_points"]
+        assert (failed["K"], failed["m"]) == (3, 2) and manifest["checks"] == {}
+        oracles = ("chain_rule", "schur", "monotonicity", "lemma3_instances", "scalar_slope")
+        assert failed["checks"] == {
+            "K3_m2_alignment": False,
+            "K3_m2_lemma2": True,
+            **{f"K3_m2_oracle_{name}": True for name in oracles},
+        }
 
     def test_report_command(self, tmp_path):
         assert main(["--seed", str(SEED), "--out", str(tmp_path), "rates"]) == 0

@@ -185,17 +185,19 @@ class TestBlockNetwork:
 class TestErgodicRates:
     def test_rate_identities(self):
         dims = derive_dims(3, 1)
-        est = ergodic_rates(one_pass(dims, [1e8], 40), 1e8)
+        pass_ = one_pass(dims, [1e4, 1e8], 40)
+        assert pass_.rates().mean.shape == (2, 5)  # five statistics per power
+        est = ergodic_rates(pass_)
         K, F = dims.K, dims.F
         assert est.Rx == pytest.approx(est.eaves_mean / (K * F), rel=1e-12)
         assert est.R_raw == pytest.approx(
             (K * est.own_mean - est.eaves_upper_mean) / (K * F), rel=1e-9
         )
-        assert est.R >= 0
+        assert (est.R >= 0).all()
 
     def test_needs_thirty_trials(self):
         with pytest.raises(ValueError):
-            ergodic_rates(one_pass(derive_dims(3, 1), [1e4], 10, seed=1), 1e4)
+            ergodic_rates(one_pass(derive_dims(3, 1), [1e4], 10, seed=1))
 
     def test_own_stream_expectation_slope(self):
         # role rotation mixes stream counts: slope (m1 + (K-1) m2) / K
@@ -203,8 +205,7 @@ class TestErgodicRates:
 
         dims = derive_dims(3, 2)
         pass_ = one_pass(dims, DEFAULT_RHO_GRID, 60)
-        curve = {rho: ergodic_rates(pass_, rho).own_mean for rho in DEFAULT_RHO_GRID}
-        fit = estimate_slope(lambda r: curve[r], DEFAULT_RHO_GRID)
+        fit = estimate_slope(ergodic_rates(pass_).own_mean, DEFAULT_RHO_GRID)
         target = (dims.streams[0] + 2 * dims.streams[1]) / 3
         assert abs(fit.slope - target) / target < 0.05
 
@@ -221,7 +222,7 @@ class TestBudget:
     def test_full_set_is_tight(self, pass_):
         report = eavesdropper_budget_check(pass_)
         full = [e for e in report.entries if e[0] == (0, 1, 2)][0]
-        assert full[1] == 3 * ergodic_rates(pass_, 1e8).Rx
+        assert full[1] == 3 * ergodic_rates(pass_).Rx[-1]
         assert abs(full[4]) < 1e-9
 
     def test_slack_below_its_allowance_fails_at_full_set(self, pass_):
@@ -230,7 +231,7 @@ class TestBudget:
         est = pass_.estimate
         col = ergodic._RATE_STATS * len(pass_.powers) + 2 * 6 + 1  # the last of 7 sets
         shift = np.zeros_like(est.mean)
-        shift[col] = -3 * ergodic_rates(pass_, 1e8).Rx
+        shift[col] = -3 * ergodic_rates(pass_).Rx[-1]
         moved = replace(est, mean=est.mean + shift, ci_low=est.ci_low + shift,
                         ci_high=est.ci_high + shift)
         report = eavesdropper_budget_check(replace(pass_, estimate=moved))
@@ -328,9 +329,9 @@ class TestOnePass:
         powers = [PowerConfig(rho=r) for r in DEFAULT_RHO_GRID]
         pass_ = ergodic_pass(dims, powers, 30, SEED)
         rates, budget, lemma4, lemma3 = _reference_rows(dims, powers, 30)
+        est = ergodic_rates(pass_)
         for g, rho in enumerate(DEFAULT_RHO_GRID):
-            est = ergodic_rates(pass_, rho)
-            have = [est.own_mean, est.eaves_mean, est.eaves_upper_mean, est.R_raw]
+            have = [est.own_mean[g], est.eaves_mean[g], est.eaves_upper_mean[g], est.R_raw[g]]
             for h, w in zip(have, rates[g]):
                 assert _close(h, w), (rho, h, w)
         report = eavesdropper_budget_check(pass_)

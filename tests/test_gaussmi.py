@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from iasec.alignment import build_beamformers, build_generators, stream_power
 from iasec.gaussmi import (
@@ -98,7 +99,7 @@ class TestEngine:
                 p = stream_power(scaled, PowerConfig(rho=rho))
                 return mi(net, scaled, p, 0, {0})
 
-            return estimate_slope(f, DEFAULT_RHO_GRID).slope
+            return estimate_slope([f(rho) for rho in DEFAULT_RHO_GRID], DEFAULT_RHO_GRID).slope
 
         assert abs(slope_with_scale(1.0) - slope_with_scale(0.2)) < 1e-4
 
@@ -115,6 +116,25 @@ class TestLogdetPrimitive:
     def test_empty_spectrum_is_zero_bits(self):
         assert _log2det(np.zeros(0), 1e12) == 0.0
 
+    # The rate rules read every grid load in one call; their records equal
+    # the one-load evaluations only while each load's log-det is summed in
+    # the same order. Lengths straddle numpy's pairwise-summation block
+    # (128) and reach the F=275 spectra of K=4, m=2.
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        loads=st.lists(st.floats(0.0, 1e13), min_size=1, max_size=9),
+    )
+    @example(n=128, seed=0, loads=[1e4 - 1, 1e12 - 1])
+    @example(n=129, seed=1, loads=[1e4 - 1, 1e8 - 1, 1e12 - 1])
+    @example(n=275, seed=2, loads=list(np.array(DEFAULT_RHO_GRID) - 1))
+    @example(n=300, seed=3, loads=[0.0])
+    def test_grid_of_loads_sums_as_each_load_alone(self, n, seed, loads):
+        s2 = (10.0 ** np.random.default_rng(seed).uniform(-18, 2, n)) ** 2
+        together = _log2det(s2, np.array(loads))
+        assert together.tolist() == [_log2det(s2, load) for load in loads]
+
 
 class TestSumCapacityBound:
     """The leakage bracket a rate assignment carries: the codebook's isotropic
@@ -122,25 +142,23 @@ class TestSumCapacityBound:
 
     def test_upper_dominates(self):
         net, aset, _ = instance(seed=5)
-        rates = confidential_rates(net, spectra_table(net, aset), PowerConfig(rho=1e4).effective)
-        for upper, achievable in zip(rates.leak_upper_bits, rates.cross_bits):
-            assert upper >= achievable
+        loads = np.array([PowerConfig(rho=1e4).effective])
+        rates = confidential_rates(net, spectra_table(net, aset), loads)
+        assert (rates.leak_upper_bits >= rates.cross_bits).all()
 
     def test_zero_power_both_zero(self):
         net, aset, _ = instance(seed=5)
-        rates = confidential_rates(net, spectra_table(net, aset), 0.0)
-        assert rates.cross_bits == (0.0,) * 3 and rates.leak_upper_bits == (0.0,) * 3
+        rates = confidential_rates(net, spectra_table(net, aset), np.zeros(1))
+        assert rates.cross_bits.tolist() == [[0.0]] * 3
+        assert rates.leak_upper_bits.tolist() == [[0.0]] * 3
 
     def test_brackets_share_slope(self):
         net, aset, _ = instance(3, 1, seed=6)
-        spectra = spectra_table(net, aset)
+        loads = np.array([PowerConfig(rho=rho).effective for rho in DEFAULT_RHO_GRID])
+        rates = confidential_rates(net, spectra_table(net, aset), loads)
 
         def slope_of(which):
-            def f(rho):
-                rates = confidential_rates(net, spectra, PowerConfig(rho=rho).effective)
-                return getattr(rates, which)[0]
-
-            return estimate_slope(f, DEFAULT_RHO_GRID).slope
+            return estimate_slope(getattr(rates, which)[0], DEFAULT_RHO_GRID).slope
 
         # F - m_1 = 1 for K=3, m=1
         assert abs(slope_of("cross_bits") - 1.0) < 0.02
@@ -149,7 +167,7 @@ class TestSumCapacityBound:
 
 class TestSlopeEstimation:
     def test_scalar_channel_slope(self):
-        fit = estimate_slope(lambda r: math.log2(1 + r), DEFAULT_RHO_GRID)
+        fit = estimate_slope([math.log2(1 + r) for r in DEFAULT_RHO_GRID], DEFAULT_RHO_GRID)
         assert abs(fit.slope - 1.0) < 1e-3
 
     def test_own_stream_slope_matches_stream_count(self):
@@ -159,7 +177,7 @@ class TestSlopeEstimation:
             p = stream_power(aset, PowerConfig(rho=rho))
             return mi(net, aset, p, 0, {0})
 
-        fit = estimate_slope(f, DEFAULT_RHO_GRID)
+        fit = estimate_slope([f(rho) for rho in DEFAULT_RHO_GRID], DEFAULT_RHO_GRID)
         assert abs(fit.slope - 3.0) / 3.0 < 0.02
 
     def test_cross_slope_matches_complement(self):
@@ -169,22 +187,22 @@ class TestSlopeEstimation:
             p = stream_power(aset, PowerConfig(rho=rho))
             return mi(net, aset, p, 0, {1, 2})
 
-        fit = estimate_slope(f, DEFAULT_RHO_GRID)
+        fit = estimate_slope([f(rho) for rho in DEFAULT_RHO_GRID], DEFAULT_RHO_GRID)
         assert abs(fit.slope - 2.0) / 2.0 < 0.02
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):
-            estimate_slope(lambda r: r, (1.0, 2.0))
+            estimate_slope([1.0, 2.0], (1.0, 2.0))
         with pytest.raises(ValueError):
-            estimate_slope(lambda r: r, (1e4, 1e3, 1e5))
+            estimate_slope([1e4, 1e3, 1e5], (1e4, 1e3, 1e5))
         with pytest.raises(ValueError):
-            estimate_slope(lambda r: r, (1.0, 2.0, 3.0))
+            estimate_slope([1.0, 2.0, 3.0], (1.0, 2.0, 3.0))
 
     def test_rejects_non_finite_evaluations(self):
         from iasec.gaussmi import NumericalError
 
         with pytest.raises(NumericalError):
-            estimate_slope(lambda r: float("nan"), DEFAULT_RHO_GRID)
+            estimate_slope([float("nan")] * len(DEFAULT_RHO_GRID), DEFAULT_RHO_GRID)
 
     def test_factorization_failure_carries_condition_number(self):
         from iasec.gaussmi import NumericalError
