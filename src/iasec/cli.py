@@ -336,7 +336,7 @@ def _run_confidential_point(cfg, K, m):
     gains, aset, spectra, drawn = align_first_valid(
         draw, 1, m, _RETRY_BUDGET, lambda row: "alignment failed"
     )
-    net = NetworkRealization(dims=dims, gains=gains[0], seed=cfg.seed)
+    net = NetworkRealization(dims=dims, gains=gains[0])
     verified = [(others[0], everyone[0]) for others, everyone in spectra]
     rows, deficit, checks = _confidential_tables(net, spectra_table(net, aset[0], verified), cfg)
     detail = {
@@ -358,8 +358,7 @@ def _run_confidential_point(cfg, K, m):
 def _run_ergodic_point(cfg, K, m):
     dims = derive_dims(K, m)
     trials = cfg.effective_trials(200)
-    powers = [PowerConfig(rho=rho, epsilon_margin=cfg.epsilon_margin) for rho in cfg.rho_grid]
-    pass_ = ergodic_pass(dims, powers, trials, cfg.seed)
+    pass_ = ergodic_pass(dims, np.subtract(cfg.rho_grid, cfg.epsilon_margin), trials, cfg.seed)
     est = ergodic_rates(pass_)
     rows = _rows(
         rho=cfg.rho_grid, R=est.R, Rx=est.Rx, R_raw=est.R_raw,
@@ -527,8 +526,8 @@ def _monte_carlo_suite(cfg, K, m, trials):
     if K > 4:
         return {}, {"mc_trials": 0}
     mc_trials = max(30, min(trials, 100))
-    power = PowerConfig(rho=cfg.rho_grid[-1], epsilon_margin=cfg.epsilon_margin)
-    pass_ = ergodic_pass(derive_dims(K, m), [power], mc_trials, cfg.seed)
+    top_load = np.subtract(cfg.rho_grid[-1:], cfg.epsilon_margin)
+    pass_ = ergodic_pass(derive_dims(K, m), top_load, mc_trials, cfg.seed)
     budget = eavesdropper_budget_check(pass_)
     ineq = mi_inequality_audit(pass_)
     return {
@@ -543,8 +542,9 @@ def _check_grid(cfg, suites):
     """Run every suite at each grid point: checks keyed K{K}_m{m}_{name}, details per point.
 
     A point where a suite fails its numerics is listed in `failed_points`
-    with the checks of the suites that completed before it, which stay out
-    of the manifest's `checks`; the other points still run.
+    with the checks and details of the suites that completed before it,
+    which stay out of the manifest's `checks` and `audit_details`; the other
+    points still run.
     """
     t0 = time.perf_counter()
 
@@ -556,7 +556,7 @@ def _check_grid(cfg, suites):
                 checks.update((f"K{K}_m{m}_{name}", ok) for name, ok in suite_checks.items())
                 details.update(detail)
         except _NUMERICAL_ERRORS as exc:
-            exc.completed = {"checks": checks}
+            exc.completed = {"checks": checks, "details": details}
             raise
         return checks, details
 
@@ -643,9 +643,10 @@ def emit_report(manifest, out_dir):
             _write_csv(path, columns, rows)
             written.append(path)
 
+    # an audit's scenario field is the config's default, which it never runs
+    scenario = "" if "audit_details" in manifest else f"scenario: {manifest['scenario']}  "
     lines = [
-        f"scenario: {manifest['scenario']}  seed: {manifest['seed']}  "
-        f"config: {manifest['config_hash'][:12]}",
+        f"{scenario}seed: {manifest['seed']}  config: {manifest['config_hash'][:12]}",
         f"records: {len(records)}  passed: {manifest['passed']}",
     ]
     for r in records:
@@ -659,10 +660,14 @@ def emit_report(manifest, out_dir):
             f" at rho {_fmt_cell(r['rho'])}"
             f" delta_hat {_fmt_cell(r['delta_hat'])} checks {r['checks_passed']}{verdict}"
         )
+
+    def check_lines(checks, indent):
+        return [f"{indent}check {name}: {'pass' if ok else 'FAIL'}" for name, ok in checks.items()]
+
     for point in manifest.get("failed_points", []):
         lines.append(f"  K={point['K']} m={point['m']} FAILED: {point['error']}")
-    for name, ok in manifest.get("checks", {}).items():
-        lines.append(f"  check {name}: {'pass' if ok else 'FAIL'}")
+        lines += check_lines(point.get("checks", {}), "    ")  # the suites that completed
+    lines += check_lines(manifest.get("checks", {}), "  ")
     summary_path = out / "summary.txt"
     summary_path.write_text("\n".join(lines) + "\n")
     written.append(summary_path)

@@ -11,12 +11,13 @@ blocks at a time. A chunk's blocks are sampled, built and verified together,
 and their unit-power spectra are taken with one stacked singular-value call
 per role set, the receivers' ones read by the verification too; blocks
 whose draw does not align are redrawn together, one stacked call per draw.
-Every mutual information at every grid rho is a difference of two log-dets
-read from the spectra, so each block yields one row: the rate statistics at
-each rho, plus the budget and inequality-audit statistics at the top rho.
-One `expectation` reduces the rows in trial order. `ergodic_rates` reads the
-rate curves over the whole grid from that estimate, and
-`eavesdropper_budget_check` and `mi_inequality_audit` read its top rho.
+Every mutual information at every grid load rho - eps is a difference of two
+log-dets read from the spectra, so each block yields one row of named
+statistics: the rate statistics at each load, plus the budget and
+inequality-audit statistics at the top load. One `expectation` reduces the
+rows in trial order, and `ErgodicPass.stats(name)` reads one statistic's
+columns. `ergodic_rates` reads the rate curves over the whole grid, and
+`eavesdropper_budget_check` and `mi_inequality_audit` read the top load.
 """
 
 from dataclasses import dataclass
@@ -61,7 +62,6 @@ __all__ = [
 ]
 
 _TOL = 1e-9
-_RATE_STATS = 5  # own, eav, eav_up, R, Rx at one grid rho
 _BLOCK_ATTEMPTS = 4  # draws per block before a degenerate block aborts the pass
 
 
@@ -147,43 +147,27 @@ def _audit_sets(K):
 
 @dataclass
 class ErgodicPass:
-    """Per-block rows of one pass over fading blocks, reduced in trial order.
+    """One pass over fading blocks: every block's statistics, reduced in trial order.
 
-    A row holds the five rate statistics (own, eav, eav_up, R, Rx) at every
-    power of `powers`, then, at the last power, the Lemma 5 budget statistics
-    and (for K <= 4) the Lemma 3/4/symmetry statistics.
+    `layout` maps each statistic's name to its columns of `estimate`, in the
+    order `_block_rows` makes them: own, eav, eav_up, R and Rx (one column
+    per load), the Lemma 5 budget's rhs and paired slack (one column per
+    nonempty user set, at the top load) and, for K <= 4, lemma3, lemma4 and
+    one ("symmetry", cond) group per conditioning set.
     """
 
     dims: SystemDims
-    powers: tuple
     estimate: McEstimate
+    layout: dict  # name -> slice of the estimate's columns
     resampled_blocks: list  # indices of the blocks whose first draw did not align
 
-    @property
-    def trials(self):
-        return self.estimate.trials
-
-    def rates(self):
-        """The five rate statistics at every power, one row per power: [G, 5]."""
-        est = self._columns(0, _RATE_STATS * len(self.powers))
-        rows = (a.reshape(-1, _RATE_STATS) for a in (est.mean, est.ci_low, est.ci_high))
-        return McEstimate(*rows, est.trials)
-
-    def budget(self):
-        """Per nonempty user set: the budget's right-hand side and paired slack."""
-        start = _RATE_STATS * len(self.powers)
-        return self._columns(start, start + 2 * (2**self.dims.K - 1))
-
-    def audit(self):
-        """Lemma 3 violation share, Lemma 4 differences, symmetry MIs."""
-        return self._columns(_RATE_STATS * len(self.powers) + 2 * (2**self.dims.K - 1), None)
-
-    def _columns(self, start, stop):
-        est, cols = self.estimate, slice(start, stop)
+    def stats(self, name):
+        """The estimate of one named statistic, one entry per column."""
+        est, cols = self.estimate, self.layout[name]
         return McEstimate(est.mean[cols], est.ci_low[cols], est.ci_high[cols], est.trials)
 
 
-def ergodic_pass(dims, powers, trials, seed):
+def ergodic_pass(dims, loads, trials, seed):
     """Build each of `trials` fading blocks once and reduce one row per block.
 
     Block t is the block `block_network(dims, seed, t)` draws;
@@ -196,68 +180,73 @@ def ergodic_pass(dims, powers, trials, seed):
     the eavesdropper (2^K - 1), and the eavesdropper's inflated set with
     every role weighted by its stream count (1), each one stacked call per
     chunk. Each user loads rho - eps onto its unit-power factor, so each
-    spectrum gives its log-det at every power in `powers` at once, and every
-    MI is a difference of two of them. The budget and audit statistics are
-    taken at the last power.
+    spectrum gives its log-det at every entry of the array `loads` at once,
+    and every MI is a difference of two of them. The budget and audit
+    statistics are taken at the last load. All statistics are reduced in
+    one table, whose columns `ErgodicPass.layout` names.
     """
-    powers = tuple(powers)
-    loads = np.array([p.effective for p in powers])
     audit_sets = _audit_sets(dims.K) if dims.K <= 4 else None
-    resampled = []
+    resampled, layout = [], {}
 
     def rows(index):
         blocks = _align_blocks(dims, seed, index)
         resampled.extend(t for t, a in zip(blocks.index, blocks.attempts) if a)
-        return _block_rows(blocks, loads, audit_sets)
+        groups = _block_rows(blocks, loads, audit_sets)
+        if not layout:
+            ends = np.cumsum([0, *(g.shape[1] for g in groups.values())]).tolist()
+            layout.update(zip(groups, map(slice, ends, ends[1:])))
+        return np.column_stack(list(groups.values()))
 
     est = expectation(rows, trials, _chunk(_block_bytes(dims)))
-    return ErgodicPass(dims=dims, powers=powers, estimate=est, resampled_blocks=sorted(resampled))
+    return ErgodicPass(dims=dims, estimate=est, layout=layout, resampled_blocks=sorted(resampled))
 
 
 def _block_rows(blocks, loads, audit_sets):
-    """One row per block of a chunk: see `ErgodicPass` for the layout."""
+    """The named statistics of each block of a chunk, [B, n] each: see `ErgodicPass`."""
     dims, aset, B = blocks.dims, blocks.aset, len(blocks.index)
     K, F = dims.K, dims.F
     roles = tuple(range(K))
     users, nonempty = frozenset(roles), _subsets(roles)
-    own = np.zeros((B, len(loads)))
-    for others, everyone in blocks.spectra:  # I(X_r; Y_r) = ld(all roles) - ld(the others)
-        own += _mi_bits(_log2det(everyone, loads), _log2det(others, loads))
-    own /= K
+    # I(X_r; Y_r) = ld(all roles) - ld(the others), averaged over the roles
+    own = sum(_mi_bits(_log2det(a, loads), _log2det(o, loads)) for o, a in blocks.spectra) / K
     unit = _unit_factors(aset, blocks.eavesdropper)
     eaves = _log2dets(_set_spectra(unit, nonempty), loads)
     # with no noise users left, each eavesdropper MI is its log-det alone
     eav = eaves[users]
     inflated = [np.sqrt(dims.streams[r]) * unit[r] for r in roles]
     eav_up = _log2det(_squared_singular_values(inflated), loads)
-    rates = np.stack([own, eav, eav_up, (K * own - eav_up) / (K * F), eav / (K * F)], axis=-1)
+    groups = {
+        "own": own, "eav": eav, "eav_up": eav_up,
+        "R": (K * own - eav_up) / (K * F), "Rx": eav / (K * F),
+    }
 
-    # top-power log-dets keyed by user set: role r belongs to user perm[r],
+    # top-load log-dets keyed by user set: role r belongs to user perm[r],
     # so a role set's users are the bitmask summing 1 << perm[r]
     top = np.zeros((B, 2**K))
     for role_set, v in eaves.items():
         top[np.arange(B), (1 << blocks.perm[:, sorted(role_set)]).sum(axis=-1)] = v[:, -1]
     ld = {frozenset(s): top[:, sum(1 << u for u in s)] for s in nonempty}
-    rx_block = eav[:, -1] / (K * F)
-    vals = []
-    for sub in nonempty:
-        rhs = _set_mi(ld, users, sub, users.difference(sub)) / F
-        vals.extend([rhs, rhs - len(sub) * rx_block])
+    rhs = np.column_stack([_set_mi(ld, users, s, users.difference(s)) / F for s in nonempty])
+    sizes = np.array([len(s) for s in nonempty])
+    groups.update(rhs=rhs, slack=rhs - sizes * (eav[:, -1:] / (K * F)))
     if audit_sets is not None:
         pairs, strict, sym_conds = audit_sets
         viol = np.zeros(B)
         for m_set, l_set in pairs:
             plain = _set_mi(ld, users, m_set)
             viol += plain > _set_mi(ld, users, m_set, l_set) + _TOL * np.fmax(1.0, plain)
-        vals.append(viol)
+        groups["lemma3"] = viol[:, None]
+        lemma4 = []
         for sub in strict:
             rest = tuple(u for u in range(K) if u not in sub)
-            vals.append(
-                _set_mi(ld, users, rest) / len(rest) - _set_mi(ld, users, sub, rest) / len(sub)
-            )
+            rest_mi, sub_mi = _set_mi(ld, users, rest), _set_mi(ld, users, sub, rest)
+            lemma4.append(rest_mi / len(rest) - sub_mi / len(sub))
+        groups["lemma4"] = np.column_stack(lemma4)
         for cond in sym_conds:
-            vals.extend(_set_mi(ld, users, (u,), cond) for u in range(K) if u not in cond)
-    return np.column_stack([rates.reshape(B, -1), *vals])
+            groups["symmetry", cond] = np.column_stack(
+                [_set_mi(ld, users, (u,), cond) for u in range(K) if u not in cond]
+            )
+    return groups
 
 
 @dataclass
@@ -266,11 +255,7 @@ class ErgodicEstimate:
     Rx: np.ndarray
     R_raw: np.ndarray
     clamped: np.ndarray
-    own_mean: np.ndarray
-    eaves_mean: np.ndarray
-    eaves_upper_mean: np.ndarray
     R_ci: tuple  # (low, high) arrays
-    trials: int
 
 
 def ergodic_rates(pass_):
@@ -282,22 +267,17 @@ def ergodic_rates(pass_):
     E[I(X;Y|H)] averages each user's own-stream MI over blocks and the random
     role rotation; the eavesdropper term's input maximization is bracketed by
     inflating every user's per-stream power to its whole budget. Every field
-    but `trials` is an array with one entry per power of the pass.
+    is an array with one entry per load of the pass.
     """
-    if pass_.trials < 30:
+    if pass_.estimate.trials < 30:
         raise ValueError("ergodic estimates need at least 30 trials")
-    est = pass_.rates()
-    own_m, eav_m, up_m, r_m, rx_m = est.mean.T
+    r = pass_.stats("R")
     return ErgodicEstimate(
-        R=np.maximum(r_m, 0.0),
-        Rx=rx_m,
-        R_raw=r_m,
-        clamped=r_m < 0,
-        own_mean=own_m,
-        eaves_mean=eav_m,
-        eaves_upper_mean=up_m,
-        R_ci=(est.ci_low[:, 3], est.ci_high[:, 3]),
-        trials=pass_.trials,
+        R=np.maximum(r.mean, 0.0),
+        Rx=pass_.stats("Rx").mean,
+        R_raw=r.mean,
+        clamped=r.mean < 0,
+        R_ci=(r.ci_low, r.ci_high),
     )
 
 
@@ -311,23 +291,21 @@ def eavesdropper_budget_check(pass_):
     """Check |S| Rx <= E[I(X_S;Y_e|X_rest,H,H_e)]/F for every nonempty user set S.
 
     Rx is the pass's own randomization rate, and everything is read at its
-    top rho. The confidence allowance comes from the paired per-block
+    top load. The confidence allowance comes from the paired per-block
     differences against the same block's randomization-rate sample, which
     cancels the role-rotation swing shared by both sides. With the full set
     the inequality is an identity of the rate rule, so its slack sits at
     numerical zero.
     """
-    est = pass_.budget()
-    rx = float(pass_.rates().mean[-1, 4])
+    rhs, slack = pass_.stats("rhs"), pass_.stats("slack")
+    rx = float(pass_.stats("Rx").mean[-1])
     entries = []
     ok = True
-    for idx, sub in enumerate(_subsets(range(pass_.dims.K))):
+    sets = _subsets(range(pass_.dims.K))
+    for sub, mean, gap, half in zip(sets, rhs.mean, slack.mean, slack.ci_halfwidth):
         lhs = len(sub) * rx
-        rhs = est.mean[2 * idx]
-        slack = est.mean[2 * idx + 1]
-        half = est.ci_halfwidth[2 * idx + 1]
-        entries.append((sub, lhs, rhs, half, slack))
-        ok &= bool(slack >= -(half + _TOL * max(1.0, lhs)))
+        entries.append((sub, lhs, mean, half, gap))
+        ok &= bool(gap >= -(half + _TOL * max(1.0, lhs)))
     return BudgetReport(entries=entries, passed=ok)
 
 
@@ -352,26 +330,24 @@ def mi_inequality_audit(pass_):
     pair, exhaustively for K <= 4). In expectation: the per-user normalized
     conditional MI of S given its complement dominates that of the complement
     alone, and single-user conditional MIs agree across users. Read at the
-    pass's top rho.
+    pass's top load.
     """
     K = pass_.dims.K
     if K > 4:
         raise ValueError("disjoint-pair enumeration is exhaustive only up to K=4")
-    if pass_.trials < 30:
+    if pass_.estimate.trials < 30:
         raise ValueError("audits need at least 30 trials")
     _, strict, sym_conds = _audit_sets(K)
-    est = pass_.audit()
-    lemma3_viol = int(round(float(est.mean[0] * pass_.trials)))
-    idx = 1 + len(strict)
-    diffs, spread = est.mean[1:idx], est.ci_halfwidth[1:idx]
+    lemma3_viol = int(round(float(pass_.stats("lemma3").mean[0] * pass_.estimate.trials)))
+    lemma4 = pass_.stats("lemma4")
+    diffs, spread = lemma4.mean, lemma4.ci_halfwidth
     lemma4_entries = list(zip(strict, diffs, spread))
     sym_entries = []
     sym_ok = True
     for cond in sym_conds:
         users = [u for u in range(K) if u not in cond]
-        means = est.mean[idx : idx + len(users)]
-        halves = est.ci_halfwidth[idx : idx + len(users)]
-        idx += len(users)
+        sym = pass_.stats(("symmetry", cond))
+        means, halves = sym.mean, sym.ci_halfwidth
         sym_entries.append((cond, dict(zip(users, means)), dict(zip(users, halves))))
         # every pair of users agrees within the sum of their half-widths
         sym_ok &= bool((np.abs(means[:, None] - means) <= halves[:, None] + halves).all())
@@ -401,4 +377,4 @@ def augment_with_virtual_user(aug_dims, net, eavesdropper):
         raise ValueError(f"eavesdropper must have shape {(K, F)}, got {np.shape(eavesdropper)}")
     gains = net.gains.copy()
     gains[-1, :-1] = eavesdropper[:-1]
-    return NetworkRealization(dims=aug_dims, gains=gains, seed=net.seed)
+    return NetworkRealization(dims=aug_dims, gains=gains)

@@ -159,7 +159,6 @@ class NetworkRealization:
 
     dims: SystemDims
     gains: np.ndarray
-    seed: int
 
     def __post_init__(self):
         K, F = self.dims.K, self.dims.F
@@ -173,7 +172,7 @@ def sample_network(dims, seed, block_index=0):
     Each link gets its own counter-derived substream, so the realization is a
     pure function of (dims, seed, block_index) regardless of evaluation order.
     """
-    return NetworkRealization(dims, sample_gains(dims, [seed], block_index)[0], int(seed))
+    return NetworkRealization(dims, sample_gains(dims, [seed], block_index)[0])
 
 
 def sample_eavesdropper_block(dims, seed, block_index):

@@ -231,7 +231,7 @@ class TestSpectraTakenOnce:
         # one chunk of 30 blocks: 2K receiver spectra (the verification's),
         # 2^K - 1 eavesdropper sets and the inflated set, one stacked call each
         dims = derive_dims(3, 2)
-        pass_ = ergodic_pass(dims, [PowerConfig(rho=r) for r in DEFAULT_RHO_GRID], 30, SEED)
+        pass_ = ergodic_pass(dims, np.subtract(DEFAULT_RHO_GRID, 1.0), 30, SEED)
         assert pass_.resampled_blocks == []
         assert len(svd_shapes) == 2 * 3 + 2**3
         assert all(shape[0] == 30 for shape in svd_shapes)
@@ -373,8 +373,8 @@ class TestMainEntry:
 
     def test_audit_keeps_a_failed_points_completed_checks(self, monkeypatch, tmp_path):
         # under the same floor the Monte Carlo suite runs out of draws; the
-        # alignment and oracle suites ran before it, and their checks stay on
-        # the point's failure entry
+        # alignment and oracle suites ran before it, and their checks and
+        # details stay on the point's failure entry and in the summary
         monkeypatch.setattr(alignment, "RANK_FLOOR", 1e-20)
         code = main(["--seed", str(SEED), "--out", str(tmp_path), "--trials", "5", "audit"])
         assert code == 3
@@ -387,6 +387,17 @@ class TestMainEntry:
             "K3_m2_lemma2": True,
             **{f"K3_m2_oracle_{name}": True for name in oracles},
         }
+        assert manifest["audit_details"] == {}
+        details = failed["details"]
+        assert details["alignment"]["passed"] is False
+        assert (details["lemma2_trials"], details["lemma2_failures"]) == (5, 0)
+        assert details["oracle_instances"] == 5 and "mc_trials" not in details
+        header, _, point, *checks = (tmp_path / "summary.txt").read_text().splitlines()
+        assert header.startswith(f"seed: {SEED}  config: ")  # an audit runs no scenario
+        assert point.startswith("  K=3 m=2 FAILED: ")
+        assert sorted(checks) == [
+            f"    check {name}: {'pass' if ok else 'FAIL'}" for name, ok in failed["checks"].items()
+        ]  # the manifest's keys are sorted
 
     def test_report_command(self, tmp_path):
         assert main(["--seed", str(SEED), "--out", str(tmp_path), "rates"]) == 0

@@ -41,7 +41,8 @@ SEED = 16
 
 
 def one_pass(dims, rhos, trials, seed=SEED):
-    return ergodic_pass(dims, [PowerConfig(rho=r) for r in rhos], trials, seed)
+    """A pass at the loads rho - eps, eps = 1."""
+    return ergodic_pass(dims, np.subtract(rhos, 1.0), trials, seed)
 
 
 def with_eavesdropper(dims, seed):
@@ -186,13 +187,12 @@ class TestErgodicRates:
     def test_rate_identities(self):
         dims = derive_dims(3, 1)
         pass_ = one_pass(dims, [1e4, 1e8], 40)
-        assert pass_.rates().mean.shape == (2, 5)  # five statistics per power
+        mean = {name: pass_.stats(name).mean for name in ("own", "eav", "eav_up", "R", "Rx")}
+        assert all(v.shape == (2,) for v in mean.values())  # five statistics per load
         est = ergodic_rates(pass_)
         K, F = dims.K, dims.F
-        assert est.Rx == pytest.approx(est.eaves_mean / (K * F), rel=1e-12)
-        assert est.R_raw == pytest.approx(
-            (K * est.own_mean - est.eaves_upper_mean) / (K * F), rel=1e-9
-        )
+        assert est.Rx == pytest.approx(mean["eav"] / (K * F), rel=1e-12)
+        assert est.R_raw == pytest.approx((K * mean["own"] - mean["eav_up"]) / (K * F), rel=1e-9)
         assert (est.R >= 0).all()
 
     def test_needs_thirty_trials(self):
@@ -205,7 +205,7 @@ class TestErgodicRates:
 
         dims = derive_dims(3, 2)
         pass_ = one_pass(dims, DEFAULT_RHO_GRID, 60)
-        fit = estimate_slope(ergodic_rates(pass_).own_mean, DEFAULT_RHO_GRID)
+        fit = estimate_slope(pass_.stats("own").mean, DEFAULT_RHO_GRID)
         target = (dims.streams[0] + 2 * dims.streams[1]) / 3
         assert abs(fit.slope - target) / target < 0.05
 
@@ -229,9 +229,8 @@ class TestBudget:
         # lower the full set's paired slack, with its interval, by 3 Rx: the
         # slack a pass whose Rx were twice the rule's would read
         est = pass_.estimate
-        col = ergodic._RATE_STATS * len(pass_.powers) + 2 * 6 + 1  # the last of 7 sets
         shift = np.zeros_like(est.mean)
-        shift[col] = -3 * ergodic_rates(pass_).Rx[-1]
+        shift[pass_.layout["slack"]][-1] = -3 * ergodic_rates(pass_).Rx[-1]  # the last of 7 sets
         moved = replace(est, mean=est.mean + shift, ci_low=est.ci_low + shift,
                         ci_high=est.ci_high + shift)
         report = eavesdropper_budget_check(replace(pass_, estimate=moved))
@@ -252,10 +251,7 @@ class TestInequalityAudit:
 
     def test_enumeration_guard(self):
         # the guard reads only the dimensions, so no K=5 (F=2049) block is built
-        five = ErgodicPass(
-            dims=derive_dims(5, 1), powers=(PowerConfig(rho=1e4),), estimate=None,
-            resampled_blocks=[],
-        )
+        five = ErgodicPass(dims=derive_dims(5, 1), estimate=None, layout={}, resampled_blocks=[])
         with pytest.raises(ValueError):
             mi_inequality_audit(five)
 
@@ -327,11 +323,12 @@ class TestOnePass:
     def test_columns_match_per_block_recomputation(self, K, m):
         dims = derive_dims(K, m)
         powers = [PowerConfig(rho=r) for r in DEFAULT_RHO_GRID]
-        pass_ = ergodic_pass(dims, powers, 30, SEED)
+        pass_ = ergodic_pass(dims, [p.effective for p in powers], 30, SEED)
         rates, budget, lemma4, lemma3 = _reference_rows(dims, powers, 30)
         est = ergodic_rates(pass_)
+        own, eav, eav_up = (pass_.stats(name).mean for name in ("own", "eav", "eav_up"))
         for g, rho in enumerate(DEFAULT_RHO_GRID):
-            have = [est.own_mean[g], est.eaves_mean[g], est.eaves_upper_mean[g], est.R_raw[g]]
+            have = [own[g], eav[g], eav_up[g], est.R_raw[g]]
             for h, w in zip(have, rates[g]):
                 assert _close(h, w), (rho, h, w)
         report = eavesdropper_budget_check(pass_)
@@ -347,12 +344,12 @@ class TestOnePass:
         # with the others' floor at 2.44e-16 two blocks are resampled (see below)
         monkeypatch.setattr(alignment, "RANK_FLOOR", 2.44e-16 / 5)
         dims = derive_dims(3, 2)
-        powers = [PowerConfig(rho=r) for r in DEFAULT_RHO_GRID]
+        loads = np.subtract(DEFAULT_RHO_GRID, 1.0)
         assert alignment._chunk(ergodic._block_bytes(dims)) >= 80  # one chunk
-        whole = ergodic_pass(dims, powers, 80, SEED)
+        whole = ergodic_pass(dims, loads, 80, SEED)
         chunk_bytes = blocks_per_chunk * ergodic._block_bytes(dims)
         monkeypatch.setattr(alignment, "_CHUNK_BYTES", chunk_bytes)
-        chunked = ergodic_pass(dims, powers, 80, SEED)
+        chunked = ergodic_pass(dims, loads, 80, SEED)
         for field in ("mean", "ci_low", "ci_high"):
             assert np.array_equal(getattr(chunked.estimate, field), getattr(whole.estimate, field))
         assert chunked.resampled_blocks == whole.resampled_blocks == [1, 61]
@@ -368,7 +365,7 @@ class TestOnePass:
         dims = derive_dims(3, 2)
         with monkeypatch.context() as patched:
             patched.setattr(alignment, "RANK_FLOOR", 2.44e-16 / 5)
-            pass_ = ergodic_pass(dims, [PowerConfig(rho=1e8)], 80, SEED)
+            pass_ = one_pass(dims, [1e8], 80)
             assert pass_.resampled_blocks == [1, 61]
             assert block_network(dims, SEED, 61).attempts.tolist() == [1]
         assert block_network(dims, SEED, 61).attempts.tolist() == [0]
@@ -390,6 +387,33 @@ class TestOnePass:
         built.clear()
         assert main(base + ["--out", str(tmp_path / "a"), "audit"]) in (0, 1)
         assert sorted(built) == list(range(40))
+
+
+class TestLayout:
+    @pytest.mark.parametrize("K, m", [(3, 1), (4, 1)])
+    def test_named_groups_tile_the_table(self, K, m):
+        dims = derive_dims(K, m)
+        loads = np.subtract([1e4, 1e8], 1.0)
+        pass_ = ergodic_pass(dims, loads, 2, SEED)
+        spans = list(pass_.layout.values())
+        # in order, with no gap and no overlap, over every column
+        assert spans[0].start == 0 and spans[-1].stop == pass_.estimate.mean.size
+        assert all(a.stop == b.start for a, b in zip(spans, spans[1:]))
+        assert all(span.start < span.stop and span.step is None for span in spans)
+        # each group the row is made of has one name, and its name's columns
+        audit_sets = ergodic._audit_sets(K)
+        groups = ergodic._block_rows(block_network(dims, SEED, 0), loads, audit_sets)
+        assert list(groups) == list(pass_.layout)
+        assert [g.shape for g in groups.values()] == [(1, s.stop - s.start) for s in spans]
+        _, strict, sym_conds = audit_sets
+        sets = 2**K - 1
+        assert {name: s.stop - s.start for name, s in pass_.layout.items()} == {
+            "own": 2, "eav": 2, "eav_up": 2, "R": 2, "Rx": 2, "rhs": sets, "slack": sets,
+            "lemma3": 1, "lemma4": len(strict),
+            **{("symmetry", cond): K - len(cond) for cond in sym_conds},
+        }
+        for name, span in pass_.layout.items():
+            assert pass_.stats(name).mean.tolist() == pass_.estimate.mean[span].tolist()
 
 
 class TestAugmentation:

@@ -264,3 +264,29 @@ class TestExpectation:
     def test_requires_two_trials(self):
         with pytest.raises(ValueError):
             expectation(lambda r: [[t] for t in r], 1, 1)
+
+    # An ergodic pass reduces all of its statistics in one table and reads
+    # each by its columns, which gives the same bits as reducing that
+    # statistic alone only while a column's reduction ignores its
+    # neighbours. numpy reduces each column of a table at least two columns
+    # wide row by row; a one-column table is contiguous and summed pairwise,
+    # which rounds differently, so width 1 is left out.
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        trials=st.integers(2, 1500),
+        batch=st.integers(1, 300),
+        width=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(trials=1500, batch=300, width=2, seed=0)
+    @example(trials=1500, batch=1, width=12, seed=1)
+    @example(trials=2, batch=1, width=3, seed=2)
+    def test_a_column_subset_reduces_as_in_the_whole_table(self, trials, batch, width, seed):
+        rng = np.random.default_rng(seed)
+        magnitude = 10.0 ** rng.uniform(-8, 8, (trials, width))
+        table = np.where(rng.random((trials, width)) < 0.5, -magnitude, magnitude)
+        cols = rng.permutation(width)[: rng.integers(2, width + 1)]  # any order
+        whole = expectation(lambda r: table[r.start : r.stop], trials, batch)
+        part = expectation(lambda r: table[r.start : r.stop, cols], trials, batch)
+        for field in ("mean", "ci_low", "ci_high"):
+            assert getattr(part, field).tolist() == getattr(whole, field)[cols].tolist()

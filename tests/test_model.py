@@ -65,7 +65,7 @@ class TestSampling:
         dims = derive_dims(3, 1)
         net = sample_network(dims, 5)
         assert net.gains.shape == (3, 3, 3)
-        assert [f.name for f in fields(net)] == ["dims", "gains", "seed"]  # no eavesdropper row
+        assert [f.name for f in fields(net)] == ["dims", "gains"]  # no eavesdropper row, no seed
 
     def test_distinct_links_distinct_gains(self):
         dims = derive_dims(3, 2)
@@ -213,8 +213,8 @@ class TestNetworkRealization:
         dims, gains = derive_dims(3, 2), np.ones(gains_shape, dtype=complex)
         if eaves_shape is None:
             with pytest.raises(ValueError):
-                NetworkRealization(dims=dims, gains=gains, seed=0)
+                NetworkRealization(dims=dims, gains=gains)
         else:
-            net = NetworkRealization(dims=dims, gains=gains, seed=0)
+            net = NetworkRealization(dims=dims, gains=gains)
             with pytest.raises(ValueError):
                 augment_with_virtual_user(dims, net, np.ones(eaves_shape, dtype=complex))
