@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .gaussmi import _receiver_spectra
-from .model import _TAG_AUDIT, sample_gains, sub_rng
+from .model import _TAG_AUDIT, _stream_seeds, sample_gains
 
 __all__ = [
     "AlignmentError",
@@ -416,7 +416,7 @@ def check_full_rank(dims, trials, seed):
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    seeds = [sub_rng(seed, _TAG_AUDIT, t).integers(0, 2**63) for t in range(trials)]
+    seeds = _stream_seeds(seed, _TAG_AUDIT, np.arange(trials))
     # bytes per redraw of the chunk's gains, bases and largest effective-channel stack
     per_redraw = 16 * dims.F * (dims.K**2 + sum(dims.streams) + dims.streams[0])
     chunk = _chunk(per_redraw)

@@ -8,6 +8,7 @@ across scenarios so downstream tooling never has to branch on shape.
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -21,6 +22,7 @@ import numpy as np
 from . import __version__
 from .alignment import (
     AlignmentError,
+    _chunk,
     _report,
     align_first_valid,
     build_beamformers,
@@ -49,10 +51,11 @@ from .model import (
     _TAG_AUDIT_SEED,
     NetworkRealization,
     PowerConfig,
+    _stream_seeds,
     derive_dims,
     sample_eavesdropper_block,
+    sample_gains,
     sample_network,
-    sub_rng,
 )
 from .secrecy import (
     confidential_rates,
@@ -486,9 +489,12 @@ def _oracle_suite(cfg, K, m, trials):
     mono_ok = True
     lemma3_ok = True
     rho = 1e4
-    for t in range(instances):
-        inst_seed = sub_rng(cfg.seed, _TAG_AUDIT_SEED, t).integers(0, 2**63)
-        net = sample_network(dims, inst_seed)
+    seeds = _stream_seeds(cfg.seed, _TAG_AUDIT_SEED, np.arange(instances))
+    # sampled a chunk at a time: per link, 2F normals, F gains and two complex temporaries
+    chunk = _chunk(64 * dims.F * dims.K**2)
+    chunks = (sample_gains(dims, seeds[t : t + chunk]) for t in range(0, instances, chunk))
+    for links in itertools.chain.from_iterable(chunks):
+        net = NetworkRealization(dims, links)
         aset = build_beamformers(net, build_generators(net), verify=False)
         powers = stream_power(aset, PowerConfig(rho=rho, epsilon_margin=cfg.epsilon_margin))
         gains = receiver_gains(net, aset, 0)
@@ -678,7 +684,7 @@ def _write_manifest(manifest, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2, default=_json_default))
+    path.write_text(json.dumps(manifest, indent=2, default=_json_default))
     return path
 
 

@@ -42,9 +42,11 @@ from .model import (
     SystemDims,
     _TAG_PERM,
     _TAG_RETRY,
+    _paths,
+    _stream_seeds,
+    _streams,
     sample_eavesdropper_block,
     sample_gains,
-    sub_rng,
 )
 
 __all__ = [
@@ -65,8 +67,9 @@ _TOL = 1e-9
 _BLOCK_ATTEMPTS = 4  # draws per block before a degenerate block aborts the pass
 
 
-def _block_permutation(K, seed, block_index):
-    return sub_rng(seed, _TAG_PERM, block_index).permutation(K)
+def _block_orders(K, seed, index):
+    """Each block's role ordering, [B, K]: a permutation drawn from the block's own stream."""
+    return np.array([rng.permutation(K) for rng in _streams(_paths(seed, _TAG_PERM, index))])
 
 
 @dataclass
@@ -108,13 +111,13 @@ def _align_blocks(dims, seed, index):
     non-degenerate block. Eavesdropper rows always come from the master seed.
     """
     B = len(index)
-    perm = np.array([_block_permutation(dims.K, seed, t) for t in index])
+    perm = _block_orders(dims.K, seed, index)
 
     def draw(attempt, rows):
         blocks = [index[j] for j in rows]
         seeds = [seed] * len(rows)
         if attempt:
-            seeds = [int(sub_rng(seed, _TAG_RETRY, t, attempt).integers(0, 2**63)) for t in blocks]
+            seeds = _stream_seeds(seed, _TAG_RETRY, blocks, attempt)
         order = perm[rows]
         at = np.arange(len(rows))[:, None, None]
         return sample_gains(dims, seeds, blocks)[at, order[..., None], order[:, None]]

@@ -7,9 +7,16 @@ one (K, K, F) array and an eavesdropper row one (K, F) array.
 Everything downstream (beamformers, mutual informations, rate sweeps) is a
 pure function of a :class:`SystemDims`, a master seed, and optionally a block
 index, so identical inputs reproduce identical numbers bit for bit.
+
+Every random draw reads its own stream, named by a path of integers under
+the master seed: the generator `sub_rng(seed, *path)` builds from numpy's
+`SeedSequence` and `PCG64`. The samplers seed a whole stack of paths at once
+(`_streams`): numpy's seeding runs over arrays, and one reused generator
+takes each path's state, so every draw is `sub_rng`'s bit for bit.
+`sub_rng` itself is the single-stream form, and redraws a stream from its
+start when a gain is rejected.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +46,8 @@ MIN_GAIN_MAGNITUDE = 1e-12
 
 _U64 = 2**64
 _U32_MASK = 2**32 - 1
+_U128_MASK = 2**128 - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
 
 
 def sub_rng(master_seed, *path):
@@ -116,19 +125,106 @@ def _sample_gains(rng, F):
     return g
 
 
-def _stream_gains(shape, F, stream):
-    """One row of F gains per index of `shape`, drawn from the generator `stream(*index)`.
+def _paths(*columns):
+    """The uint64 paths [N, len(columns)] of the broadcast `columns`, one per element in C order."""
+    paths = np.empty((*np.broadcast_shapes(*map(np.shape, columns)), len(columns)), np.uint64)
+    for j, column in enumerate(columns):
+        paths[..., j] = column
+    return paths.reshape(-1, len(columns))
+
+
+def _seed_states(words):
+    """`SeedSequence(row).generate_state(4, np.uint64)` for each row of the uint32 words [G, n].
+
+    numpy mixes a row's words into a pool of four and hashes the pool out
+    again in fixed uint32 rounds whose constants do not depend on the words,
+    so every row, and every pool entry one round touches, takes them at once.
+    The constants are numpy's INIT_A, MULT_A, MIX_MULT_L, MIX_MULT_R, INIT_B
+    and MULT_B.
+    """
+    const = 0x43B0D7E5
+
+    def hashmix(value, width, mult=0x931E8875):
+        # numpy's hash round on each of `width` columns, at the next `width` constants
+        nonlocal const
+        consts = [const]
+        for _ in range(width):
+            consts.append(consts[-1] * mult & _U32_MASK)
+        const = consts[-1]
+        consts = np.array(consts, dtype=np.uint32)
+        value = value ^ consts[:-1]
+        value *= consts[1:]
+        value ^= value >> 16
+        return value
+
+    def mix(x, y):
+        value = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return value ^ value >> 16
+
+    n = words.shape[1]
+    pool = np.zeros((len(words), 4), dtype=np.uint32)
+    pool[:, : min(n, 4)] = words[:, :4]
+    pool = hashmix(pool, 4)
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, [src]], 3))
+    for src in range(4, n):
+        pool = mix(pool, hashmix(words[:, [src]], 4))
+    const = 0x8B51F9DD
+    state = hashmix(np.tile(pool, 2), 8, mult=0x58F38DED)
+    return state.astype("<u4", copy=False).view("<u8")  # word pairs, low word first
+
+
+def _streams(paths):
+    """The generator `sub_rng(*path)` starts as, for each row of the uint64 paths [N, L], in order.
+
+    One `Generator` is yielded again for every row, holding that row's
+    stream, so each must be drawn from before the next is taken. The rows'
+    words (an element below 2^32, zero included, is one word, and a larger
+    one two) are mixed together, a group per word count, and each row's
+    PCG64 state is seeded from its four state words as numpy seeds it:
+    inc = 2 seq + 1 and state = (inc + init) M + inc, mod 2^128.
+    """
+    words = np.ascontiguousarray(paths, dtype="<u8").view("<u4")  # low word first
+    keep = words.astype(bool)
+    keep[:, ::2] = True  # every element's low word, and its high word when nonzero
+    counts = keep.sum(axis=1)
+    states = np.empty((len(paths), 4), dtype=np.uint64)
+    for n in np.flatnonzero(np.bincount(counts)):
+        rows = counts == n
+        states[rows] = _seed_states(words[keep & rows[:, None]].reshape(-1, n))
+    gen = np.random.Generator(np.random.PCG64(0))
+    for row in states:
+        init_hi, init_lo, seq_hi, seq_lo = row.tolist()
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _U128_MASK
+        state = ((init_hi << 64 | init_lo) + inc) * _PCG64_MULT + inc & _U128_MASK
+        gen.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield gen
+
+
+def _stream_seeds(*columns):
+    """A seed below 2^63 drawn from the stream of each path of the broadcast `columns`."""
+    return [rng.integers(0, 2**63) for rng in _streams(_paths(*columns))]
+
+
+def _stream_gains(paths, F):
+    """Gains [N, F] for the uint64 paths [N, L]: row j drawn from the stream `sub_rng(*paths[j])`.
 
     The first draw of every stream is made in place and scaled in one pass;
     a stream with a near-zero gain is drawn again from its start through
-    `_sample_gains`, so its rejection loop is the per-stream one.
+    `sub_rng`, so its rejection loop is the per-stream one.
     """
-    z = np.empty((*shape, 2 * F))
-    for idx in itertools.product(*map(range, shape)):
-        stream(*idx).standard_normal(out=z[idx])
-    g = (z[..., :F] + 1j * z[..., F:]) / np.sqrt(2.0)
-    for idx in zip(*np.nonzero((np.abs(g) < MIN_GAIN_MAGNITUDE).any(axis=-1))):
-        g[idx] = _sample_gains(stream(*idx), F)
+    z = np.empty((len(paths), 2 * F))
+    for row, rng in zip(z, _streams(paths)):
+        rng.standard_normal(out=row)
+    g = (z[:, :F] + 1j * z[:, F:]) / np.sqrt(2.0)
+    for j in np.flatnonzero((np.abs(g) < MIN_GAIN_MAGNITUDE).any(axis=-1)):
+        g[j] = _sample_gains(sub_rng(*paths[j].tolist()), F)
     return g
 
 
@@ -140,12 +236,10 @@ def sample_gains(dims, seeds, block_index=0):
     draws: each link reads its own (seed, link, block) stream. A scalar
     `block_index` is every network's.
     """
-    blocks = np.broadcast_to(block_index, (len(seeds),))
-    return _stream_gains(
-        (len(seeds), dims.K, dims.K),
-        dims.F,
-        lambda t, i, k: sub_rng(seeds[t], _TAG_LINK, i, k, blocks[t]),
-    )
+    seeds, users = np.asarray(seeds, dtype=np.uint64), np.arange(dims.K)
+    blocks = np.reshape(block_index, (-1, 1, 1))
+    paths = _paths(seeds[:, None, None], _TAG_LINK, users[:, None], users, blocks)
+    return _stream_gains(paths, dims.F).reshape(len(seeds), dims.K, dims.K, dims.F)
 
 
 @dataclass
@@ -182,9 +276,8 @@ def sample_eavesdropper_block(dims, seed, block_index):
     array.
     """
     blocks = np.atleast_1d(block_index)
-    rows = _stream_gains(
-        (len(blocks), dims.K), dims.F, lambda b, k: sub_rng(seed, _TAG_EAVES, k, blocks[b])
-    )
+    paths = _paths(seed, _TAG_EAVES, np.arange(dims.K), blocks[:, None])
+    rows = _stream_gains(paths, dims.F).reshape(len(blocks), dims.K, dims.F)
     return rows if np.ndim(block_index) else rows[0]
 
 

@@ -395,9 +395,21 @@ class TestMainEntry:
         header, _, point, *checks = (tmp_path / "summary.txt").read_text().splitlines()
         assert header.startswith(f"seed: {SEED}  config: ")  # an audit runs no scenario
         assert point.startswith("  K=3 m=2 FAILED: ")
-        assert sorted(checks) == [
+        assert checks == [
             f"    check {name}: {'pass' if ok else 'FAIL'}" for name, ok in failed["checks"].items()
-        ]  # the manifest's keys are sorted
+        ]  # in suite order, as the manifest keeps them
+
+    def test_report_reproduces_an_audit_byte_for_byte(self, tmp_path):
+        # the manifest keeps its keys in insertion order, so the re-emitted
+        # summary lists the checks in suite order, as the run did
+        run_dir, report_dir = tmp_path / "run", tmp_path / "report"
+        code = main(["--seed", str(SEED), "--out", str(run_dir), "--trials", "30", "audit"])
+        assert main(["--out", str(report_dir), "report", str(run_dir / "manifest.json")]) == code
+        written = sorted(path.name for path in report_dir.iterdir())
+        assert written == sorted(p.name for p in run_dir.iterdir() if p.name != "manifest.json")
+        assert "summary.txt" in written and "records.csv" in written
+        for name in written:
+            assert (report_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
 
     def test_report_command(self, tmp_path):
         assert main(["--seed", str(SEED), "--out", str(tmp_path), "rates"]) == 0

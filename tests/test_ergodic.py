@@ -19,7 +19,7 @@ from iasec.alignment import (
 from iasec.cli import main
 from iasec.ergodic import (
     ErgodicPass,
-    _block_permutation,
+    _block_orders,
     augment_with_virtual_user,
     block_network,
     eavesdropper_budget_check,
@@ -29,6 +29,7 @@ from iasec.ergodic import (
 )
 from iasec.gaussmi import DEFAULT_RHO_GRID, _subsets, mi_from_gains, spectra_table
 from iasec.model import (
+    _TAG_PERM,
     _TAG_RETRY,
     PowerConfig,
     derive_dims,
@@ -53,17 +54,20 @@ def with_eavesdropper(dims, seed):
 class TestSchedule:
     # the per-block ordering each block_network draw uses
     def test_shape_and_bijection(self):
-        for b in range(5):
-            assert sorted(_block_permutation(3, 1, b).tolist()) == [0, 1, 2]
+        orders = _block_orders(3, 1, range(5))
+        assert orders.shape == (5, 3)
+        assert all(sorted(order) == [0, 1, 2] for order in orders.tolist())
 
     def test_deterministic(self):
-        a = [_block_permutation(3, 2, b) for b in range(20)]
-        b = [_block_permutation(3, 2, b) for b in range(20)]
+        # a block's ordering is its own stream's, whichever blocks are drawn beside it
+        a = _block_orders(3, 2, range(20))
+        b = np.concatenate([_block_orders(3, 2, [b]) for b in range(20)])
         assert np.array_equal(a, b)
+        assert np.array_equal(a, [sub_rng(2, _TAG_PERM, b).permutation(3) for b in range(20)])
 
     def test_uniform_over_orderings(self):
         # chi-square oracle against the uniform law on the 3! orderings
-        keys = [tuple(_block_permutation(3, 3, b).tolist()) for b in range(6000)]
+        keys = [tuple(order) for order in _block_orders(3, 3, range(6000)).tolist()]
         counts = np.array([keys.count(p) for p in sorted(set(keys))])
         assert counts.size == 6
         assert stats.chisquare(counts).pvalue > 0.01
@@ -73,7 +77,7 @@ class TestBlockNetwork:
     def test_identity_permutation_matches_static_construction(self):
         # a block whose drawn ordering is the identity keeps the sampled grid
         dims = derive_dims(3, 1)
-        b = next(b for b in range(100) if _block_permutation(3, SEED, b).tolist() == [0, 1, 2])
+        b = _block_orders(3, SEED, range(100)).tolist().index([0, 1, 2])
         block = block_network(dims, SEED, b)
         net = sample_network(dims, SEED, block_index=b)
         aset = build_beamformers(net, build_generators(net))
@@ -89,7 +93,7 @@ class TestBlockNetwork:
         # the identity and the confidential table all stack each user set in
         # user order, so one network gets bit-identical spectra and one report
         dims = derive_dims(K, m)
-        b = next(b for b in range(100) if _block_permutation(K, SEED, b).tolist() == [*range(K)])
+        b = _block_orders(K, SEED, range(100)).tolist().index([*range(K)])
         net = sample_network(dims, SEED, block_index=b)
         gains, aset, spectra, _ = align_first_valid(
             lambda attempt, rows: net.gains[None], 1, m, 1, str
@@ -109,7 +113,7 @@ class TestBlockNetwork:
         assert report == _report(dims.streams, block.spectra).as_dict()
 
     def test_role_rotation_frequency(self):
-        large_role_user = np.array([_block_permutation(3, 4, b)[0] for b in range(3000)])
+        large_role_user = _block_orders(3, 4, range(3000))[:, 0]
         for user in range(3):
             share = np.mean(large_role_user == user)
             assert abs(share - 1 / 3) < 1 / 3 * 0.10
@@ -144,7 +148,7 @@ class TestBlockNetwork:
         monkeypatch.setattr(alignment, "_passes", fail_block_2_first)
         dims = derive_dims(3, 1)
         pass_ = one_pass(dims, [1e8], 4)
-        perm = _block_permutation(3, SEED, 2)
+        perm = _block_orders(3, SEED, [2])[0]
         salt = int(sub_rng(SEED, _TAG_RETRY, 2, 1).integers(0, 2**63))
         first, redraw = (sample_network(dims, s, block_index=2).gains for s in (SEED, salt))
         # one chunk verifies the four first draws, then block 2's redraw alone
@@ -177,7 +181,7 @@ class TestBlockNetwork:
         assert pass_.resampled_blocks == [2, 3]
         for attempt, blocks in ((1, [2, 3]), (2, [2])):
             for row, t in enumerate(blocks):
-                perm = _block_permutation(3, SEED, t)
+                perm = _block_orders(3, SEED, [t])[0]
                 salt = int(sub_rng(SEED, _TAG_RETRY, t, attempt).integers(0, 2**63))
                 redraw = sample_network(dims, salt, block_index=t).gains
                 assert np.array_equal(verified[attempt][row], redraw[np.ix_(perm, perm)])

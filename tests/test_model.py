@@ -2,7 +2,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from iasec import alignment, cli, ergodic, gaussmi, model, secrecy
 from iasec.ergodic import augment_with_virtual_user
@@ -11,6 +11,7 @@ from iasec.model import (
     NetworkRealization,
     PowerConfig,
     _sample_gains,
+    _streams,
     derive_dims,
     sample_eavesdropper_block,
     sample_gains,
@@ -146,6 +147,21 @@ class TestSampling:
         assert not np.array_equal(b0[0], b1[0])
 
 
+# seeds at the word-count and uint32 and uint64 edges the array seeding must get right
+EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def _path_rows(L):
+    """1 to 8 paths of L elements: edge seeds, small indices, 63-bit and full 64-bit values."""
+    element = st.one_of(
+        st.sampled_from(EDGE_SEEDS),
+        st.integers(0, 9),
+        st.integers(0, 2**63 - 1),
+        st.integers(0, 2**64 - 1),
+    )
+    return st.lists(st.lists(element, min_size=L, max_size=L), min_size=1, max_size=8)
+
+
 class TestSeedSplitting:
     def test_stream_tags_are_distinct_and_live_in_model(self):
         # the tags keep the random streams disjoint under one master seed
@@ -178,6 +194,27 @@ class TestSeedSplitting:
                 got = sub_rng(seed, *path)
                 assert got.bit_generator.state == want.bit_generator.state, (seed, path)
                 assert np.array_equal(got.standard_normal(6), want.standard_normal(6))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(paths=st.integers(1, 6).flatmap(_path_rows), K=st.integers(3, 5))
+    @example(paths=[[seed, 0, 0, 0, 0, 0] for seed in EDGE_SEEDS], K=3)
+    @example(paths=[[seed] for seed in EDGE_SEEDS] + [[0], [1]], K=4)
+    @example(paths=[[seed, 1, 2, 0, 999] for seed in EDGE_SEEDS + [16, 2**62 + 7]], K=5)
+    def test_array_streams_are_numpys(self, paths, K):
+        # _streams seeds each row as numpy seeds the list: SeedSequence's
+        # pool mixing and PCG64's seeding, done over arrays, must give every
+        # draw the pipeline makes from a stream's start, so a numpy change to
+        # either algorithm fails here
+        rows = np.array(paths, dtype=np.uint64)
+        for draw in (
+            lambda rng: rng.standard_normal(7),
+            lambda rng: rng.permutation(K),
+            lambda rng: rng.integers(0, 2**63),
+        ):
+            got = [draw(rng) for rng in _streams(rows)]
+            for path, value in zip(paths, got, strict=True):
+                want = draw(np.random.Generator(np.random.PCG64(np.random.SeedSequence(path))))
+                assert np.array_equal(value, want), path
 
     def test_path_sensitivity(self):
         a = sub_rng(3, 1, 2).standard_normal(4)
