@@ -42,6 +42,10 @@ __all__ = [
 # zero: a hundred times the float64 rounding a matrix's SVD can carry.
 RANK_FLOOR = 100 * np.finfo(float).eps
 
+# The Lemma 2 audit certifies a link H_ik V_k from the spectrum of V_k alone
+# when its bound clears the rank floor by this factor (see `_short_links`).
+_CERTIFY_MARGIN = 1000
+
 # The stacked arrays of one chunk of networks (full-rank-audit redraws or
 # ergodic fading blocks) stay near this size. On a 2-core x86-64 host with
 # OpenBLAS, chunks of 1 MiB ran no faster at K=3 or 4 and raised peak
@@ -387,8 +391,8 @@ def _passes(ranks, streams):
 
 def rank_failures(net, aset):
     """All (receiver, transmitter) pairs where H_{i,k} V_k drops below rank m_k."""
-    short = _short_links(net.gains[None], [v[None] for v in aset.beams])[0]
-    return [(int(i), int(k)) for i, k in np.argwhere(short)]
+    short, _ = _short_links(net.gains[None], [v[None] for v in aset.beams])
+    return [(int(i), int(k)) for i, k in np.argwhere(short[0])]
 
 
 @dataclass
@@ -396,6 +400,7 @@ class FullRankAudit:
     trials: int
     failures: int
     failing_trials: list
+    exact_links: int  # (redraw, i, k) links the spectral bound left to their own SVD
 
     @property
     def passed(self):
@@ -411,8 +416,8 @@ def check_full_rank(dims, trials, seed):
     the network `sample_network` draws at a seed taken from (seed, t); a
     redraw fails when any of its K^2 products H_ik V_k falls below rank m_k
     under `numerical_rank`'s rule, or when its construction would raise
-    AlignmentError. Redraws are sampled, built and tested a chunk at a time,
-    with one stacked singular-value call per (i, k) and chunk.
+    AlignmentError. Redraws are sampled, built and tested a chunk at a time;
+    `_short_links` decides each link from the spectrum of V_k where it can.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -420,31 +425,62 @@ def check_full_rank(dims, trials, seed):
     # bytes per redraw of the chunk's gains, bases and largest effective-channel stack
     per_redraw = 16 * dims.F * (dims.K**2 + sum(dims.streams) + dims.streams[0])
     chunk = _chunk(per_redraw)
-    failing = []
+    failing, exact = [], 0
     for start in range(0, trials, chunk):
         gains = sample_gains(dims, seeds[start : start + chunk])
-        failed = _rank_deficient(gains, dims.m)
+        failed, links = _rank_deficient(gains, dims.m)
         failing += (start + np.flatnonzero(failed)).tolist()
-    return FullRankAudit(trials=trials, failures=len(failing), failing_trials=failing)
+        exact += links
+    return FullRankAudit(trials, len(failing), failing, exact)
 
 
 def _rank_deficient(gains, m):
-    """Per network of gains[T, K, K, F]: is its construction or any H_ik V_k rank short?"""
+    """Per network of gains[T, K, K, F]: is its construction or any H_ik V_k rank short?
+
+    Also returns how many links `_short_links` tested by their own SVD.
+    """
     beams, built = _build(gains, m)
-    return _short_links(gains, _zeroed(built, beams)).any(axis=(1, 2))
+    short, exact = _short_links(gains, _zeroed(built, beams))
+    return short.any(axis=(1, 2)), exact
 
 
 def _short_links(gains, beams):
     """Mask [T, K, K] of the products H_ik V_k below rank m_k, per network of gains[T, K, K, F].
 
-    `beams[k]` holds the networks' V_k as [T, F, m_k]; each (i, k) takes one
-    stacked singular-value call.
+    `beams[k]` holds the networks' V_k as [T, F, m_k]. Also returns how many
+    links went to their own singular-value call.
+
+    A link is certified full rank from one stacked singular-value call per
+    user on V_k itself. For diagonal H, sigma_min(H V) >= min|h| sigma_min(V)
+    and sigma_1(H V) <= max|h| sigma_1(V), so the ratio q of H V's extreme
+    singular values is at least (min|h| / max|h|) r, where r is V's ratio.
+    The link is certified when that bound exceeds `_CERTIFY_MARGIN` times
+    the rank floor 100 eps max(F, m_k) = 100 eps F. LAPACK's computed
+    singular values lie within p(F, m_k) eps sigma_1 of the exact ones
+    (LAPACK Users' Guide, 3rd ed., section 4.9), and forming H V entrywise
+    adds at most about 3 sqrt(m_k) eps sigma_1. Read through both errors, a
+    certified link's computed ratio exceeds 1e5 eps F - 2p eps - 3 sqrt(m_k)
+    eps, which clears the floor 100 eps F whenever p < 3e4 F.
+    Householder bidiagonalisation has p = O(F m_k), far inside that for
+    every (K, m) within the caps, so a certified link reads full rank under
+    `numerical_rank` too. Every other link, including those of unbuilt
+    networks (zeroed beams: a NaN bound) and near-zero gains, takes that
+    test itself: one stacked call per user over just those links.
     """
-    short = np.zeros(gains.shape[:3], dtype=bool)
-    for i in range(gains.shape[1]):
+    F = gains.shape[-1]
+    short, exact = np.zeros(gains.shape[:3], dtype=bool), 0
+    with np.errstate(divide="ignore", invalid="ignore"):
         for k, v in enumerate(beams):
-            short[:, i, k] = numerical_rank(gains[:, i, k, :, None] * v) != v.shape[-1]
-    return short
+            mags = np.abs(gains[:, :, k])
+            sv = np.linalg.svd(v, compute_uv=False)
+            bound = mags.min(axis=-1) / mags.max(axis=-1) * (sv[:, -1] / sv[:, 0])[:, None]
+            # negated, so that a NaN bound is never certified
+            t, i = np.nonzero(~(bound > _CERTIFY_MARGIN * RANK_FLOOR * max(F, v.shape[-1])))
+            if len(t):
+                mats = gains[t, i, k, :, None] * v[t]
+                short[t, i, k] = numerical_rank(mats) != v.shape[-1]
+                exact += len(t)
+    return short, exact
 
 
 def stream_power(aset, power):

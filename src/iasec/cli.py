@@ -8,7 +8,6 @@ across scenarios so downstream tooling never has to branch on shape.
 import argparse
 import csv
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -22,7 +21,10 @@ import numpy as np
 from . import __version__
 from .alignment import (
     AlignmentError,
+    AlignmentSet,
+    _build,
     _chunk,
+    _power_normalizers,
     _report,
     align_first_valid,
     build_beamformers,
@@ -44,7 +46,6 @@ from .gaussmi import (
     estimate_slope,
     mi_from_gains,
     mi_schur,
-    receiver_gains,
     spectra_table,
 )
 from .model import (
@@ -477,6 +478,7 @@ def _alignment_suite(cfg, K, m, trials):
         "lemma2_trials": rank_audit.trials,
         "lemma2_failures": rank_audit.failures,
         "lemma2_failing_trials": rank_audit.failing_trials,
+        "lemma2_exact_links": rank_audit.exact_links,
     }
 
 
@@ -488,27 +490,34 @@ def _oracle_suite(cfg, K, m, trials):
     worst_schur = 0.0
     mono_ok = True
     lemma3_ok = True
-    rho = 1e4
+    power = PowerConfig(rho=1e4, epsilon_margin=cfg.epsilon_margin)
     seeds = _stream_seeds(cfg.seed, _TAG_AUDIT_SEED, np.arange(instances))
-    # sampled a chunk at a time: per link, 2F normals, F gains and two complex temporaries
-    chunk = _chunk(64 * dims.F * dims.K**2)
-    chunks = (sample_gains(dims, seeds[t : t + chunk]) for t in range(0, instances, chunk))
-    for links in itertools.chain.from_iterable(chunks):
-        net = NetworkRealization(dims, links)
-        aset = build_beamformers(net, build_generators(net), verify=False)
-        powers = stream_power(aset, PowerConfig(rho=rho, epsilon_margin=cfg.epsilon_margin))
-        gains = receiver_gains(net, aset, 0)
-        both = mi_from_gains(gains, powers, {1, 2}).bits
-        first = mi_from_gains(gains, powers, {1}).bits
-        second = mi_from_gains(gains, powers, {2}, conditioned={1}).bits
-        worst_chain = max(worst_chain, abs(both - (first + second)) / both)
-        schur = mi_schur(gains, powers, {1, 2})
-        worst_schur = max(worst_schur, abs(both - schur) / both)
-        if first > both + 1e-9 * both:
-            mono_ok = False
-        conditioned = mi_from_gains(gains, powers, {1}, conditioned={2}).bits
-        if first > conditioned + 1e-9 * max(1.0, first):
-            lemma3_ok = False
+    # sampled and built a chunk at a time: per link, 2F normals, F gains and
+    # two complex temporaries; per user, three copies of the F x m_k beams
+    # while they are formed and one F x F product for its power normalizer
+    chunk = _chunk(16 * dims.F * (4 * dims.K**2 + 3 * sum(dims.streams) + dims.F))
+    for start in range(0, instances, chunk):
+        links = sample_gains(dims, seeds[start : start + chunk])
+        beams, built = _build(links, m)
+        if not built.all():  # the first instance that does not build raises its error
+            net = NetworkRealization(dims, links[np.argmin(built)])
+            build_beamformers(net, build_generators(net), verify=False)
+        stack = AlignmentSet(beams, _power_normalizers(beams))
+        for j, rx0 in enumerate(links[:, 0]):
+            aset = stack[j]
+            powers = stream_power(aset, power)
+            gains = aset.apply(rx0)
+            both = mi_from_gains(gains, powers, {1, 2}).bits
+            first = mi_from_gains(gains, powers, {1}).bits
+            second = mi_from_gains(gains, powers, {2}, conditioned={1}).bits
+            worst_chain = max(worst_chain, abs(both - (first + second)) / both)
+            schur = mi_schur(gains, powers, {1, 2})
+            worst_schur = max(worst_schur, abs(both - schur) / both)
+            if first > both + 1e-9 * both:
+                mono_ok = False
+            conditioned = mi_from_gains(gains, powers, {1}, conditioned={2}).bits
+            if first > conditioned + 1e-9 * max(1.0, first):
+                lemma3_ok = False
     scalar = estimate_slope(np.log2(np.add(cfg.rho_grid, 1.0)), cfg.rho_grid)
     return {
         "oracle_chain_rule": worst_chain < 1e-9,

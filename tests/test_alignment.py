@@ -271,8 +271,10 @@ class TestFullRank:
 
     @staticmethod
     def per_redraw_failing_trials(dims, trials, seed):
-        # reference: one network, one build and K^2 rank tests per redraw
+        # reference: one network, one build and K^2 rank tests per redraw,
+        # each link by its own SVD, with no bound deciding any of them
         failing = []
+        K = dims.K
         for t in range(trials):
             net = sample_network(dims, sub_rng(seed, model._TAG_AUDIT, t).integers(0, 2**63))
             try:
@@ -280,9 +282,23 @@ class TestFullRank:
             except AlignmentError:
                 failing.append(t)
                 continue
-            if rank_failures(net, aset):
+            links = [net.gains[i, k][:, None] * aset.beams[k] for i in range(K) for k in range(K)]
+            if any(numerical_rank(hv) != hv.shape[1] for hv in links):
                 failing.append(t)
         return failing
+
+    @pytest.mark.parametrize(
+        "K,m,trials,seed",
+        [(3, 12, 200, 16), (3, 12, 200, 61), (3, 12, 200, 4), (3, 20, 100, 16), (3, 20, 100, 61)],
+    )
+    def test_audit_matches_per_link_reference_at_the_float64_frontier(self, K, m, trials, seed):
+        # here H_ik V_k can read rank short where V_k alone does not, so a
+        # test of rank(V_k) alone gives other verdicts than the K^2 links
+        dims = derive_dims(K, m)
+        audit = check_full_rank(dims, trials=trials, seed=seed)
+        reference = self.per_redraw_failing_trials(dims, trials, seed)
+        assert reference and audit.failing_trials == reference
+        assert 0 < audit.exact_links <= trials * K**2
 
     @pytest.mark.parametrize(
         "K,m,trials,chunk_bytes,deficient,broken",
@@ -330,9 +346,10 @@ class TestFullRank:
         assert broken is None or broken in reference
 
 
-    def test_one_singular_value_call_per_link_and_chunk(self, monkeypatch):
-        # one chunk holds all 200 redraws, so the K^2 rank tests of every
-        # redraw take K^2 stacked calls in all
+    def test_one_singular_value_call_per_user_and_chunk(self, monkeypatch):
+        # one chunk holds all 200 redraws: one stacked call per user on V_k
+        # certifies every link, and a link planted near zero takes one more
+        # call over just its own row
         monkeypatch.setattr(alignment, "_CHUNK_BYTES", 1 << 30)
         svd = np.linalg.svd
         shapes = []
@@ -342,9 +359,23 @@ class TestFullRank:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
-        check_full_rank(derive_dims(4, 1), trials=200, seed=5)
-        assert len(shapes) == 16
-        assert sorted(shapes) == sorted([(200, 33, 32)] * 4 + [(200, 33, 1)] * 12)
+        audit = check_full_rank(derive_dims(4, 1), trials=200, seed=5)
+        assert shapes == [(200, 33, 32)] + [(200, 33, 1)] * 3
+        assert (audit.failures, audit.exact_links) == (0, 0)
+
+        sample = model.sample_gains
+
+        def planted(dims, seeds, block_index=0):
+            # the construction never reads the direct link (2, 2)
+            gains = sample(dims, seeds, block_index)
+            gains[7, 2, 2, :2] = 1e-30
+            return gains
+
+        monkeypatch.setattr(alignment, "sample_gains", planted)
+        shapes.clear()
+        audit = check_full_rank(derive_dims(4, 1), trials=200, seed=5)
+        assert sorted(shapes) == sorted([(200, 33, 32)] + [(200, 33, 1)] * 3 + [(1, 33, 1)])
+        assert (audit.failures, audit.exact_links) == (0, 1)
 
 
 class TestStreamPower:

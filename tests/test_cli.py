@@ -6,8 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from iasec import alignment, gaussmi
-from iasec.alignment import build_beamformers, build_generators, stream_power, verify_alignment
+from iasec import alignment, cli, gaussmi, model
+from iasec.alignment import (
+    AlignmentError,
+    build_beamformers,
+    build_generators,
+    stream_power,
+    verify_alignment,
+)
 from iasec.cli import (
     CSV_COLUMNS,
     ETA_RTOL,
@@ -15,6 +21,7 @@ from iasec.cli import (
     ExperimentConfig,
     _build_parser,
     _confidential_tables,
+    _oracle_suite,
     _record,
     _run_confidential_point,
     emit_report,
@@ -26,7 +33,7 @@ from iasec.cli import (
 )
 from iasec.ergodic import ergodic_pass
 from iasec.gaussmi import DEFAULT_RHO_GRID, mi_from_gains, receiver_gains, spectra_table
-from iasec.model import PowerConfig, derive_dims, sample_network
+from iasec.model import NetworkRealization, PowerConfig, derive_dims, sample_network
 from iasec.secrecy import confidential_rates
 
 SEED = 16
@@ -356,7 +363,11 @@ class TestMainEntry:
         }
         detail = verify["audit_details"]["K3_m2"]
         assert set(detail) == {
-            "alignment", "lemma2_trials", "lemma2_failures", "lemma2_failing_trials"
+            "alignment",
+            "lemma2_trials",
+            "lemma2_failures",
+            "lemma2_failing_trials",
+            "lemma2_exact_links",
         }
         assert detail == {key: full["audit_details"]["K3_m2"][key] for key in detail}
 
@@ -586,6 +597,53 @@ class TestMainEntry:
             assert details[tag]["lemma2_trials"] == 20
             assert details[tag]["mc_trials"] == 30
             assert details[tag]["oracle_instances"] == 20
+
+
+class TestOracleSuite:
+    @staticmethod
+    def per_instance_worst(cfg, K, m, instances):
+        # reference: one network and one per-network build per instance
+        dims = derive_dims(K, m)
+        seeds = model._stream_seeds(cfg.seed, model._TAG_AUDIT_SEED, np.arange(instances))
+        power = PowerConfig(rho=1e4, epsilon_margin=cfg.epsilon_margin)
+        worst_chain = worst_schur = 0.0
+        for links in model.sample_gains(dims, seeds):
+            net = NetworkRealization(dims, links)
+            aset = build_beamformers(net, build_generators(net), verify=False)
+            powers = stream_power(aset, power)
+            gains = receiver_gains(net, aset, 0)
+            both = mi_from_gains(gains, powers, {1, 2}).bits
+            first = mi_from_gains(gains, powers, {1}).bits
+            second = mi_from_gains(gains, powers, {2}, conditioned={1}).bits
+            worst_chain = max(worst_chain, abs(both - (first + second)) / both)
+            worst_schur = max(worst_schur, abs(both - gaussmi.mi_schur(gains, powers, {1, 2})) / both)
+        return worst_chain, worst_schur
+
+    @pytest.mark.parametrize("K,m,trials", [(3, 2, 40), (4, 1, 5)])  # K=4: chunks of 2, the last holds 1
+    def test_chunked_builds_match_per_instance_builds(self, K, m, trials):
+        cfg = make_cfg(K=K, m=m)
+        checks, details = _oracle_suite(cfg, K, m, trials)
+        assert all(checks.values()) and details["oracle_instances"] == trials
+        worst = (details["worst_chain_rel"], details["worst_schur_rel"])
+        assert worst == self.per_instance_worst(cfg, K, m, trials)
+
+    def test_first_unbuilt_instance_raises_its_own_error(self, monkeypatch):
+        # instances 3 and 5 divide by zero while their generators are formed
+        sample = model.sample_gains
+        planted = {}
+
+        def patched(dims, seeds, block_index=0):
+            gains = sample(dims, seeds, block_index)
+            gains[3, 1, 0, 0] = gains[5, 0, 2, 1] = 0.0
+            planted["net"] = NetworkRealization(dims, gains[3].copy())
+            return gains
+
+        monkeypatch.setattr(cli, "sample_gains", patched)
+        with pytest.raises(AlignmentError) as raised:
+            _oracle_suite(make_cfg(), 3, 2, 10)
+        with pytest.raises(AlignmentError) as own:
+            build_beamformers(planted["net"], build_generators(planted["net"]), verify=False)
+        assert str(raised.value) == str(own.value)
 
 
 class TestReadme:
