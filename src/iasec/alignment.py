@@ -77,14 +77,14 @@ class GeneratorSet:
 
 @dataclass
 class AlignmentSet:
-    """Beams V_k (F x m_k, one per user) plus their power normalizers c_k = tr(V V^H)/F.
+    """Beams V_k (F x m_k, one per user) with unit columns, so tr(V_k V_k^H) = m_k.
 
-    A stack of alignments carries leading batch axes: beams [..., F, m_k]
-    and normalizers [..., K].
+    Spending rho - eps per slot therefore takes the per-stream power
+    (rho - eps) F / m_k (`stream_power`). A stack of alignments carries
+    leading batch axes: beams [..., F, m_k].
     """
 
     beams: list
-    power_normalizers: np.ndarray
 
     def apply(self, row):
         """Effective gains [H_k V_k for every k], where row[..., k, :] is the diagonal of H_k."""
@@ -92,7 +92,7 @@ class AlignmentSet:
 
     def __getitem__(self, j):
         """The alignment of network j of a stack."""
-        return AlignmentSet([v[j] for v in self.beams], self.power_normalizers[j])
+        return AlignmentSet([v[j] for v in self.beams])
 
 
 def build_generators(net):
@@ -191,7 +191,7 @@ def build_beamformers(net, gens, verify=True):
     for k, v in enumerate(beams):
         if v.shape[1] != dims.streams[k]:
             raise AlignmentError(f"user {k}: got {v.shape[1]} columns, want {dims.streams[k]}")
-    aset = AlignmentSet(beams=beams, power_normalizers=_power_normalizers(beams))
+    aset = AlignmentSet(beams)
     if verify:
         report = verify_alignment(net, aset)
         if not report.passed:
@@ -225,7 +225,7 @@ def align_first_valid(draw, count, m, attempts, context):
             s2[rows] = s2_new
         drawn[rows] = attempt
         done = rows[ok]
-        gains[done], aset.power_normalizers[done] = redraw[ok], one.power_normalizers[ok]
+        gains[done] = redraw[ok]
         for v, beam in zip(aset.beams, one.beams):
             v[done] = beam[ok]
         rows = rows[~ok]
@@ -234,13 +234,6 @@ def align_first_valid(draw, count, m, attempts, context):
         failure = f"alignment verification failed: {report.summary()}"
         raise AlignmentError(f"{context(rows[0])} beyond retry budget: {failure}")
     return gains, aset, spectra, drawn
-
-
-def _power_normalizers(beams):
-    """c_k = tr(V_k V_k^H) / F for every user, as [..., K] over the beams' batch axes."""
-    F = beams[0].shape[-2]
-    traces = [np.trace(v @ v.conj().swapaxes(-1, -2), axis1=-2, axis2=-1) for v in beams]
-    return np.stack([t.real / F for t in traces], axis=-1)
 
 
 def _build(gains, m):
@@ -253,12 +246,11 @@ def _build(gains, m):
 def _align_stack(gains, m):
     """Build and verify every network of gains[T, K, K, F] at once.
 
-    Returns the stacked beamformers (beams [T, F, m_k], normalizers [T, K])
-    and `_verify`'s mask of the networks that passed and the spectra it read.
+    Returns the stacked beamformers (beams [T, F, m_k]) and `_verify`'s
+    mask of the networks that passed and the spectra it read.
     """
     beams, built = _build(gains, m)
-    with np.errstate(invalid="ignore", over="ignore"):
-        aset = AlignmentSet(beams=beams, power_normalizers=_power_normalizers(beams))
+    aset = AlignmentSet(beams)
     return aset, *_verify(gains, aset, built)
 
 
@@ -266,12 +258,12 @@ def _verify(gains, aset, built):
     """`verify_alignment`'s rule over a stack: a mask [T], and the spectra it read.
 
     The spectra are `_receiver_spectra`'s K pairs, each [T, n]. A network
-    that did not build, or has a zero or non-finite power normalizer, fails;
-    it is read with zero beams.
+    that did not build, or has a non-finite beam entry, fails; it is read
+    with zero beams.
     """
-    c, streams = aset.power_normalizers, [v.shape[-1] for v in aset.beams]
-    ok = built & (np.isfinite(c) & (c > 0)).all(axis=-1)
-    aset = AlignmentSet(_zeroed(ok, aset.beams), np.where(ok[:, None], c, 1.0))
+    streams = [v.shape[-1] for v in aset.beams]
+    ok = built & np.all([np.isfinite(v).all(axis=(-2, -1)) for v in aset.beams], axis=0)
+    aset = AlignmentSet(_zeroed(ok, aset.beams))
     spectra = _receiver_spectra(gains, aset)
     return ok & _passes(_receiver_numbers(spectra, streams)[0], streams), spectra
 
@@ -350,7 +342,7 @@ def verify_alignment(net, aset):
     streams stay independent of it); the spectra are those `spectra_table`
     reads.
     """
-    one = AlignmentSet([v[None] for v in aset.beams], np.asarray(aset.power_normalizers)[None])
+    one = AlignmentSet([v[None] for v in aset.beams])
     _, spectra = _verify(net.gains[None], one, np.ones(1, dtype=bool))
     return _report(net.dims.streams, spectra)
 
@@ -484,12 +476,13 @@ def _short_links(gains, beams):
 
 
 def stream_power(aset, power):
-    """Per-stream transmit powers P_k = (rho - eps) / c_k.
+    """Per-stream transmit powers P_k = (rho - eps) F / m_k, read from the beams' shapes.
 
-    With unit-normalized columns c_k = m_k / F, so the per-slot spend
-    tr(V_k V_k^H) P_k / F lands exactly on rho - eps for every user.
+    The beams' columns are unit-normalized, so tr(V_k V_k^H) = m_k and the
+    per-slot spend tr(V_k V_k^H) P_k / F lands exactly on rho - eps for
+    every user.
     """
     eff = power.effective
     if eff <= 0:
         raise ValueError("rho - epsilon must be positive")
-    return eff / aset.power_normalizers
+    return np.array([eff * v.shape[-2] / v.shape[-1] for v in aset.beams])

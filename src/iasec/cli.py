@@ -24,7 +24,6 @@ from .alignment import (
     AlignmentSet,
     _build,
     _chunk,
-    _power_normalizers,
     _report,
     align_first_valid,
     build_beamformers,
@@ -494,15 +493,15 @@ def _oracle_suite(cfg, K, m, trials):
     seeds = _stream_seeds(cfg.seed, _TAG_AUDIT_SEED, np.arange(instances))
     # sampled and built a chunk at a time: per link, 2F normals, F gains and
     # two complex temporaries; per user, three copies of the F x m_k beams
-    # while they are formed and one F x F product for its power normalizer
-    chunk = _chunk(16 * dims.F * (4 * dims.K**2 + 3 * sum(dims.streams) + dims.F))
+    # while they are formed
+    chunk = _chunk(16 * dims.F * (4 * dims.K**2 + 3 * sum(dims.streams)))
     for start in range(0, instances, chunk):
         links = sample_gains(dims, seeds[start : start + chunk])
         beams, built = _build(links, m)
         if not built.all():  # the first instance that does not build raises its error
             net = NetworkRealization(dims, links[np.argmin(built)])
             build_beamformers(net, build_generators(net), verify=False)
-        stack = AlignmentSet(beams, _power_normalizers(beams))
+        stack = AlignmentSet(beams)
         for j, rx0 in enumerate(links[:, 0]):
             aset = stack[j]
             powers = stream_power(aset, power)
@@ -711,7 +710,9 @@ def _build_parser():
     parser.add_argument("--config", help="JSON experiment config")
     parser.add_argument("--seed", type=int, help="master seed (u64), overrides config")
     parser.add_argument("--out", help="output directory, overrides config")
-    parser.add_argument("--trials", type=int, help="Monte Carlo trials, overrides config")
+    trials = ("Monte Carlo trials, overrides config; audit caps its Monte Carlo blocks"
+              " and oracle networks at 100")
+    parser.add_argument("--trials", type=int, help=trials)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("align-verify", help="sample, align, verify, and rank-audit one point")
     sub.add_parser("rates", help="single-point rate pipeline for the configured scenario")

@@ -87,7 +87,7 @@ class Blocks:
     perm: np.ndarray  # [B, K]
     gains: np.ndarray  # [B, K, K, F], role-ordered
     eavesdropper: np.ndarray  # [B, K, F], role-ordered
-    aset: AlignmentSet  # stacked beams and normalizers
+    aset: AlignmentSet  # stacked beams [B, F, m_k]
     attempts: np.ndarray  # [B]
     spectra: list  # the verification's `_receiver_spectra`: others, all roles
 
@@ -177,7 +177,7 @@ def ergodic_pass(dims, loads, trials, seed):
     blocks are drawn, built and verified a chunk at a time, sized so that a
     chunk's stacked arrays stay near the shared chunk size, and the chunk
     boundaries never change a row. Each block's spectra are those of the
-    unit-power factors G_k / sqrt(c_k), from the same `gaussmi` layer the
+    unit-power factors G_k sqrt(F / m_k), from the same `gaussmi` layer the
     confidential rates read: all roles and the others at each role's
     receiver (2K, which the verification read), every nonempty role set at
     the eavesdropper (2^K - 1), and the eavesdropper's inflated set with

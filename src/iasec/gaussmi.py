@@ -3,7 +3,8 @@
 All quantities are log-det expressions in bits over the F-slot extension,
 taken from the singular values s_j of a stacked factor B:
 log2 det(I + e B B^H) = sum_j log1p(e s_j^2) / ln 2. Every user loads the same
-scalar e = rho - eps onto its unit-power factor G_k / sqrt(c_k), so one SVD
+scalar e = rho - eps onto its unit-power factor G_k sqrt(F / m_k) (a beam of
+m_k unit columns spends m_k / F per slot at unit stream power), so one SVD
 per (receiver, user set) gives the log-det at every rho. One layer serves
 both rate rules: the unit-power factors of a row, the spectra of ordered user
 sets, and one rule I(X_S; Y | X_C) = ld(U - C) - ld(U - C - S) over log-dets
@@ -138,15 +139,14 @@ def _subsets(items, proper=False):
 
 
 def _unit_factors(aset, row):
-    """Unit-power factors B_k = G_k / sqrt(c_k) of one row of diagonals.
+    """Unit-power factors B_k = G_k sqrt(F / m_k) of one row of diagonals.
 
-    With every user at per-stream power P_k = load / c_k, a user set S has
-    log2 det(I + Q_S) = sum_j log1p(load s_j^2) / ln 2 over the squared
-    singular values s_j^2 of its stacked factor [B_k], k in S. A stacked
-    `aset` and row give stacked factors.
+    With every user at per-stream power P_k = load F / m_k (`stream_power`),
+    a user set S has log2 det(I + Q_S) = sum_j log1p(load s_j^2) / ln 2 over
+    the squared singular values s_j^2 of its stacked factor [B_k], k in S.
+    A stacked `aset` and row give stacked factors.
     """
-    scale = (1.0 / np.sqrt(aset.power_normalizers)).astype(complex)
-    return [g * scale[..., k, None, None] for k, g in enumerate(aset.apply(row))]
+    return [g * np.sqrt(g.shape[-2] / g.shape[-1]) for g in aset.apply(row)]
 
 
 def _set_spectra(factors, sets):

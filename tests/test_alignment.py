@@ -88,17 +88,18 @@ class TestBeamformers:
             )
             assert svd_rank(stacked) == (1 if i == 0 else 32)
 
-    def test_columns_unit_normalized(self):
-        _, aset = aligned_instance(3, 3, seed=1)
-        for k in range(3):
-            norms = np.linalg.norm(aset.beams[k], axis=0)
-            assert np.allclose(norms, 1.0, atol=1e-12)
-
-    def test_power_normalizers_are_streams_over_F(self):
-        net, aset = aligned_instance(3, 2, seed=4)
-        dims = net.dims
-        expect = np.array(dims.streams) / dims.F
-        assert np.allclose(aset.power_normalizers, expect, rtol=1e-12)
+    @pytest.mark.parametrize("K, m", [(3, 1), (3, 3), (4, 1), (4, 2)])
+    def test_columns_unit_normalized(self, K, m):
+        # stream_power and the unit-power factors read c_k = m_k / F from the
+        # beams' shapes: it rests on tr(V_k V_k^H) = m_k
+        dims = derive_dims(K, m)
+        beams, built = alignment._build(model.sample_gains(dims, [1, 2, 3]), m)
+        assert built.all()
+        for v, m_k in zip(beams, dims.streams, strict=True):
+            assert v.shape == (3, dims.F, m_k)
+            assert np.allclose(np.linalg.norm(v, axis=-2), 1.0, atol=1e-12)
+            trace = np.trace(v @ v.conj().swapaxes(-1, -2), axis1=-2, axis2=-1)
+            assert np.allclose(trace, m_k, rtol=1e-12, atol=0)
 
     def test_single_generator_power_basis_dimension(self):
         # for K=3 the construction is {w, Rw, ..., R^m w}; span must be m+1
@@ -121,18 +122,15 @@ class TestVerifyAlignment:
 
     def test_zero_beamformer_fails_rank_check(self):
         net, aset = aligned_instance(3, 1, seed=9)
-        broken = AlignmentSet(
-            beams=[np.zeros_like(aset.beams[0]), *aset.beams[1:]],
-            power_normalizers=aset.power_normalizers,
-        )
+        broken = AlignmentSet([np.zeros_like(aset.beams[0]), *aset.beams[1:]])
         report = verify_alignment(net, broken)
         assert not report.passed
 
-    @pytest.mark.parametrize("normalizer", [0.0, np.nan, np.inf])
-    def test_bad_power_normalizer_fails_without_an_svd_of_nans(self, monkeypatch, normalizer):
-        # user 0's unit-power factor would divide by zero or carry NaNs
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_beam_fails_without_an_svd_of_nans(self, monkeypatch, entry):
+        # user 0's unit-power factor would carry a non-finite entry
         net, aset = aligned_instance(3, 1, seed=9)
-        aset.power_normalizers[0] = normalizer
+        aset.beams[0][1, 0] = entry
         svd = np.linalg.svd
 
         def finite_only(a, *args, **kwargs):
@@ -146,6 +144,24 @@ class TestVerifyAlignment:
         assert report.worst_containment == np.inf
         assert "weakest signal 0.00e+00 below the float64 floor" in report.summary()
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_beam_fails_only_its_network(self, entry):
+        # in a stack of 5, network 2 fails and is read with zero beams; the
+        # other networks' spectra do not see it
+        dims = derive_dims(3, 2)
+        gains = model.sample_gains(dims, np.arange(5))
+        beams, built = alignment._build(gains, dims.m)
+        clean_ok, clean = alignment._verify(gains, AlignmentSet(beams), built)
+        planted = [v.copy() for v in beams]
+        planted[1][2, 0, 0] = entry
+        ok, spectra = alignment._verify(gains, AlignmentSet(planted), built)
+        assert clean_ok.all()
+        assert ok.tolist() == [True, True, False, True, True]
+        for pair, clean_pair in zip(spectra, clean, strict=True):
+            for s2, clean_s2 in zip(pair, clean_pair, strict=True):
+                assert np.array_equal(np.delete(s2, 2, axis=0), np.delete(clean_s2, 2, axis=0))
+                assert not s2[2].any()
+
     @staticmethod
     def per_receiver_report(net, aset, floor):
         # reference: per receiver, one SVD of the others' unit-power factors
@@ -153,9 +169,7 @@ class TestVerifyAlignment:
         dims, F = net.dims, net.dims.F
         receivers, passed = [], True
         for i in range(dims.K):
-            unit = [
-                g * (1 / np.sqrt(c)) for g, c in zip(aset.apply(net.gains[i]), aset.power_normalizers)
-            ]
+            unit = [g * np.sqrt(F / m_k) for g, m_k in zip(aset.apply(net.gains[i]), dims.streams)]
             others = [k for k in range(dims.K) if k != i]
             interf = np.hstack([unit[k] for k in others])
             full = np.hstack(unit)
@@ -184,7 +198,7 @@ class TestVerifyAlignment:
             # the others' floor at rx0 is 5 * 2e-17 = 1e-16, so it fails on its
             # containment alone (1.4e-16 at rx0)
             (3, 2, 7, 2e-17, False),
-            (3, 1, 9, RANK_FLOOR, True),  # a zero beamformer under its old normalizer
+            (3, 1, 9, RANK_FLOOR, True),  # a zero beamformer
         ],
         ids=["3-2-7", "3-3-8", "4-1-4", "3-2-7-floor-2e-17", "3-1-9-zero-beam"],
     )
@@ -380,7 +394,8 @@ class TestFullRank:
 
 class TestStreamPower:
     def test_arithmetic_example(self):
-        aset = AlignmentSet(beams=[], power_normalizers=np.array([2 / 3]))
+        # one user with m_k = 2 streams over F = 3 slots: P = 6 * 3 / 2
+        aset = AlignmentSet([np.zeros((3, 2), dtype=complex)])
         p = stream_power(aset, PowerConfig(rho=7.0, epsilon_margin=1.0))
         assert np.allclose(p, [9.0])
 

@@ -93,7 +93,6 @@ class TestEngine:
         def slope_with_scale(scale):
             scaled = build_beamformers(net, build_generators(net))
             scaled.beams = [v * scale for v in scaled.beams]
-            scaled.power_normalizers = scaled.power_normalizers * scale**2
 
             def f(rho):
                 p = stream_power(scaled, PowerConfig(rho=rho))
