@@ -30,7 +30,6 @@ from .gaussmi import (
     _log2det,
     _log2dets,
     _mi_bits,
-    _set_mi,
     _set_spectra,
     _squared_singular_values,
     _subsets,
@@ -209,13 +208,13 @@ def _block_rows(blocks, loads, audit_sets):
     dims, aset, B = blocks.dims, blocks.aset, len(blocks.index)
     K, F = dims.K, dims.F
     roles = tuple(range(K))
-    users, nonempty = frozenset(roles), _subsets(roles)
+    nonempty = _subsets(roles)
     # I(X_r; Y_r) = ld(all roles) - ld(the others), averaged over the roles
     own = sum(_mi_bits(_log2det(a, loads), _log2det(o, loads)) for o, a in blocks.spectra) / K
     unit = _unit_factors(aset, blocks.eavesdropper)
     eaves = _log2dets(_set_spectra(unit, nonempty), loads)
     # with no noise users left, each eavesdropper MI is its log-det alone
-    eav = eaves[users]
+    eav = eaves[frozenset(roles)]
     inflated = [np.sqrt(dims.streams[r]) * unit[r] for r in roles]
     eav_up = _log2det(_squared_singular_values(inflated), loads)
     groups = {
@@ -223,33 +222,42 @@ def _block_rows(blocks, loads, audit_sets):
         "R": (K * own - eav_up) / (K * F), "Rx": eav / (K * F),
     }
 
-    # top-load log-dets keyed by user set: role r belongs to user perm[r],
-    # so a role set's users are the bitmask summing 1 << perm[r]
+    # top-load log-dets by user bitmask: role r belongs to user perm[r], so
+    # a role set's users are the bitmask summing 1 << perm[r]; column 0, the
+    # empty set's, is zero
     top = np.zeros((B, 2**K))
     for role_set, v in eaves.items():
         top[np.arange(B), (1 << blocks.perm[:, sorted(role_set)]).sum(axis=-1)] = v[:, -1]
-    ld = {frozenset(s): top[:, sum(1 << u for u in s)] for s in nonempty}
-    rhs = np.column_stack([_set_mi(ld, users, s, users.difference(s)) / F for s in nonempty])
+    full = 2**K - 1
+
+    def mi(signal, conditioned=0):
+        # I(X_S; Y_e | X_C) = ld(rest) - ld(rest - S), rest = all - C, one
+        # column per entry of the bitmask arrays S and C
+        signal, conditioned = np.broadcast_arrays(signal, conditioned)
+        rest = full & ~conditioned
+        return _mi_bits(top[:, rest], top[:, rest & ~signal])
+
+    sets = _bitmasks(nonempty)
+    rhs = mi(sets, full & ~sets) / F
     sizes = np.array([len(s) for s in nonempty])
     groups.update(rhs=rhs, slack=rhs - sizes * (eav[:, -1:] / (K * F)))
     if audit_sets is not None:
         pairs, strict, sym_conds = audit_sets
-        viol = np.zeros(B)
-        for m_set, l_set in pairs:
-            plain = _set_mi(ld, users, m_set)
-            viol += plain > _set_mi(ld, users, m_set, l_set) + _TOL * np.fmax(1.0, plain)
-        groups["lemma3"] = viol[:, None]
-        lemma4 = []
-        for sub in strict:
-            rest = tuple(u for u in range(K) if u not in sub)
-            rest_mi, sub_mi = _set_mi(ld, users, rest), _set_mi(ld, users, sub, rest)
-            lemma4.append(rest_mi / len(rest) - sub_mi / len(sub))
-        groups["lemma4"] = np.column_stack(lemma4)
+        m_sets, l_sets = _bitmasks([a for a, _ in pairs]), _bitmasks([b for _, b in pairs])
+        plain = mi(m_sets)
+        viol = plain > mi(m_sets, l_sets) + _TOL * np.fmax(1.0, plain)
+        groups["lemma3"] = viol.sum(axis=1, keepdims=True)  # 0/1 counts
+        subs, sub_sizes = _bitmasks(strict), np.array([len(s) for s in strict])
+        groups["lemma4"] = mi(full & ~subs) / (K - sub_sizes) - mi(subs, full & ~subs) / sub_sizes
         for cond in sym_conds:
-            groups["symmetry", cond] = np.column_stack(
-                [_set_mi(ld, users, (u,), cond) for u in range(K) if u not in cond]
-            )
+            signal = _bitmasks([(u,) for u in range(K) if u not in cond])
+            groups["symmetry", cond] = mi(signal, _bitmasks([cond]))
     return groups
+
+
+def _bitmasks(sets):
+    """The user bitmask of each set of users, an int array: user u is bit 1 << u."""
+    return np.array([sum(1 << u for u in s) for s in sets], dtype=np.int64)
 
 
 @dataclass

@@ -11,8 +11,11 @@ sets, and one rule I(X_S; Y | X_C) = ld(U - C) - ld(U - C - S) over log-dets
 keyed by user set. `spectra_table` and the ergodic pass both read it.
 The eigenvalues of the Gram B B^H would square its condition number (3.2e-4
 relative error at rho = 1e12); the SVD stays within 1.3e-14 of a 60-digit
-reference on every grid rho. A Schur-complement path is kept as an
-independent cross-check oracle.
+reference on every grid rho. `mi_from_gains` and a Schur-complement path
+(`mi_schur`) are kept as independent cross-check oracles. Each takes one
+network's effective gains or a stack of them, [T, F, m_k] per user, and
+gives a stack one value per network, each with the bits a call on that
+network alone would give.
 """
 
 import itertools
@@ -113,6 +116,8 @@ def mi_from_gains(gains, powers, signal, conditioned=()):
     the noise covariance. Evaluates log2 det(I + Q_{S u N}) - log2 det(I + Q_N)
     on the sqrt(P_k)-scaled stacked factors.
     The signal set must be nonempty and disjoint from the conditioned set.
+    Gains stacked as [T, F, m_k] give one value per network, an array [T],
+    each the bits of that network's gains alone; `powers` is shared.
     """
     K = len(gains)
     signal = set(signal)
@@ -219,25 +224,31 @@ def mi_schur(gains, powers, signal, conditioned=()):
 
     Solves (I + Q_N) X = B for the stacked signal factor B and applies the
     determinant identity det(I + B^H X) = det(I + Q_{S u N}) / det(I + Q_N).
+    Gains stacked as [T, F, m_k] give one value per network, an array [T];
+    a failure reports the worst condition number of the failing networks'
+    noise covariances.
     """
     K = len(gains)
-    F = gains[0].shape[0]
+    F = gains[0].shape[-2]
     signal = sorted(set(signal))
     conditioned = set(conditioned)
     noise = [k for k in range(K) if k not in signal and k not in conditioned]
-    sigma = np.eye(F, dtype=complex)
+    sigma = np.broadcast_to(np.eye(F, dtype=complex), (*gains[0].shape[:-2], F, F)).copy()
     for k in noise:
-        sigma += powers[k] * (gains[k] @ gains[k].conj().T)
-    b = np.hstack([np.sqrt(powers[k]) * gains[k] for k in signal])
+        sigma += powers[k] * (gains[k] @ gains[k].conj().swapaxes(-1, -2))
+    b = np.concatenate([np.sqrt(powers[k]) * gains[k] for k in signal], axis=-1)
     x = np.linalg.solve(sigma, b)
-    small = np.eye(b.shape[1]) + b.conj().T @ x
-    small = (small + small.conj().T) / 2.0
+    small = np.eye(b.shape[-1]) + b.conj().swapaxes(-1, -2) @ x
+    small = (small + small.conj().swapaxes(-1, -2)) / 2.0
     sign, logdet = np.linalg.slogdet(small)
-    if sign.real <= 0:
+    lost = sign.real <= 0
+    if lost.any():
         raise NumericalError(
-            "Schur path lost positive definiteness", condition_number=float(np.linalg.cond(sigma))
+            "Schur path lost positive definiteness",
+            condition_number=float(np.max(np.linalg.cond(sigma[lost]))),
         )
-    return float(logdet / np.log(2.0))
+    bits = logdet / np.log(2.0)
+    return float(bits) if np.ndim(bits) == 0 else bits
 
 
 def estimate_slope(values, grid=DEFAULT_RHO_GRID):

@@ -17,6 +17,7 @@ takes each path's state, so every draw is `sub_rng`'s bit for bit.
 start when a gain is rejected.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,27 +134,44 @@ def _paths(*columns):
     return paths.reshape(-1, len(columns))
 
 
+@functools.lru_cache(maxsize=None)
+def _hash_rounds(n):
+    """The read-only uint32 constants [2, w] of each of `_seed_states`' hash rounds on n words, in order.
+
+    A round xors each of its w values with the next link of a chain and
+    multiplies it by the link after; each link is the previous times the
+    chain's multiplier. numpy's INIT_A chain (by MULT_A) mixes the words
+    into the pool, and its INIT_B chain (by MULT_B) hashes the pool out.
+    """
+
+    def chain(const, mult, widths):
+        rounds = []
+        for width in widths:
+            links = [const]
+            for _ in range(width):
+                links.append(links[-1] * mult & _U32_MASK)
+            const = links[-1]
+            rounds.append(np.array([links[:-1], links[1:]], dtype=np.uint32))
+            rounds[-1].flags.writeable = False
+        return rounds
+
+    mixing = chain(0x43B0D7E5, 0x931E8875, [4] + [3] * 4 + [4] * max(n - 4, 0))
+    return tuple(mixing + chain(0x8B51F9DD, 0x58F38DED, [8]))
+
+
 def _seed_states(words):
     """`SeedSequence(row).generate_state(4, np.uint64)` for each row of the uint32 words [G, n].
 
     numpy mixes a row's words into a pool of four and hashes the pool out
-    again in fixed uint32 rounds whose constants do not depend on the words,
-    so every row, and every pool entry one round touches, takes them at once.
-    The constants are numpy's INIT_A, MULT_A, MIX_MULT_L, MIX_MULT_R, INIT_B
-    and MULT_B.
+    again in fixed uint32 rounds whose constants depend only on n
+    (`_hash_rounds`), so every row, and every pool entry one round touches,
+    takes them at once. The mixing constants are numpy's MIX_MULT_L and
+    MIX_MULT_R.
     """
-    const = 0x43B0D7E5
 
-    def hashmix(value, width, mult=0x931E8875):
-        # numpy's hash round on each of `width` columns, at the next `width` constants
-        nonlocal const
-        consts = [const]
-        for _ in range(width):
-            consts.append(consts[-1] * mult & _U32_MASK)
-        const = consts[-1]
-        consts = np.array(consts, dtype=np.uint32)
-        value = value ^ consts[:-1]
-        value *= consts[1:]
+    def hashmix(value, consts):
+        value = value ^ consts[0]
+        value *= consts[1]
         value ^= value >> 16
         return value
 
@@ -162,16 +180,16 @@ def _seed_states(words):
         return value ^ value >> 16
 
     n = words.shape[1]
+    rounds = iter(_hash_rounds(n))
     pool = np.zeros((len(words), 4), dtype=np.uint32)
     pool[:, : min(n, 4)] = words[:, :4]
-    pool = hashmix(pool, 4)
+    pool = hashmix(pool, next(rounds))
     for src in range(4):
         dst = [i for i in range(4) if i != src]
-        pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, [src]], 3))
+        pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, [src]], next(rounds)))
     for src in range(4, n):
-        pool = mix(pool, hashmix(words[:, [src]], 4))
-    const = 0x8B51F9DD
-    state = hashmix(np.tile(pool, 2), 8, mult=0x58F38DED)
+        pool = mix(pool, hashmix(words[:, [src]], next(rounds)))
+    state = hashmix(np.tile(pool, 2), next(rounds))
     return state.astype("<u4", copy=False).view("<u8")  # word pairs, low word first
 
 
@@ -222,7 +240,9 @@ def _stream_gains(paths, F):
     z = np.empty((len(paths), 2 * F))
     for row, rng in zip(z, _streams(paths)):
         rng.standard_normal(out=row)
-    g = (z[:, :F] + 1j * z[:, F:]) / np.sqrt(2.0)
+    g = np.empty((len(paths), F), dtype=complex)
+    g.real, g.imag = z[:, :F], z[:, F:]
+    g /= np.sqrt(2.0)
     for j in np.flatnonzero((np.abs(g) < MIN_GAIN_MAGNITUDE).any(axis=-1)):
         g[j] = _sample_gains(sub_rng(*paths[j].tolist()), F)
     return g

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,6 +108,47 @@ class TestBeamformers:
         for m in (1, 2, 3, 4):
             net, aset = aligned_instance(3, m, seed=6)
             assert svd_rank(aset.beams[0]) == m + 1
+
+
+def product_beams(rx0, gens, s0, w, m):
+    """Reference beams: every column of V_0 formed alone, in `itertools.product` order.
+
+    A column is w times its generators' powers, multiplied left to right
+    over its nonzero exponents; the columns are stacked, the shared block
+    (every exponent below m) rotated, and each beam's columns normalized.
+    """
+    M = gens.shape[-2]
+    powers = [[None] + [gens[..., l, :] ** a for a in range(1, m + 1)] for l in range(M)]
+    cols, shared = [], []
+    for alpha in itertools.product(range(m + 1), repeat=M):
+        c = w
+        for pw, a in zip(powers, alpha):
+            if a:
+                c = c * pw[a]
+        cols.append(c)
+        if max(alpha) < m:
+            shared.append(c)
+    rot = rx0[..., 1:, :] * s0[..., None, :]
+    rotated = np.stack(shared, axis=-1)[..., None, :, :] / rot[..., None]
+    beams = [np.stack(cols, axis=-1)] + [rotated[..., j, :, :] for j in range(rot.shape[-2])]
+    return [b / np.linalg.norm(b, axis=-2, keepdims=True) for b in beams]
+
+
+class TestBeamsByBroadcast:
+    @pytest.mark.parametrize("K, m", [(3, 2), (4, 1), (4, 2)])
+    @pytest.mark.parametrize("networks", [6, 1])
+    def test_beams_equal_the_product_reference(self, K, m, networks):
+        # the broadcast build keeps every bit of the column-by-column one
+        dims = derive_dims(K, m)
+        gains = model.sample_gains(dims, range(networks))
+        gens, s0, w, zero = alignment._generators(gains, m)
+        assert not zero.any()
+        beams, zero_rot = alignment._beams(gains[:, 0], gens, s0, w, m)
+        assert not zero_rot.any()
+        want = product_beams(gains[:, 0], gens, s0, w, m)
+        for v, ref, m_k in zip(beams, want, dims.streams, strict=True):
+            assert v.shape == ref.shape == (networks, dims.F, m_k)
+            assert v.tobytes() == ref.tobytes()
 
 
 class TestVerifyAlignment:
@@ -361,9 +404,10 @@ class TestFullRank:
 
 
     def test_one_singular_value_call_per_user_and_chunk(self, monkeypatch):
-        # one chunk holds all 200 redraws: one stacked call per user on V_k
-        # certifies every link, and a link planted near zero takes one more
-        # call over just its own row
+        # one chunk holds all 200 redraws: one stacked call on the
+        # 32-column V_0 and the norms of the one-column beams certify every
+        # link, and a link planted near zero takes one more call over just
+        # its own row
         monkeypatch.setattr(alignment, "_CHUNK_BYTES", 1 << 30)
         svd = np.linalg.svd
         shapes = []
@@ -374,7 +418,7 @@ class TestFullRank:
 
         monkeypatch.setattr(np.linalg, "svd", counted)
         audit = check_full_rank(derive_dims(4, 1), trials=200, seed=5)
-        assert shapes == [(200, 33, 32)] + [(200, 33, 1)] * 3
+        assert shapes == [(200, 33, 32)]
         assert (audit.failures, audit.exact_links) == (0, 0)
 
         sample = model.sample_gains
@@ -388,7 +432,7 @@ class TestFullRank:
         monkeypatch.setattr(alignment, "sample_gains", planted)
         shapes.clear()
         audit = check_full_rank(derive_dims(4, 1), trials=200, seed=5)
-        assert sorted(shapes) == sorted([(200, 33, 32)] + [(200, 33, 1)] * 3 + [(1, 33, 1)])
+        assert sorted(shapes) == sorted([(200, 33, 32), (1, 33, 1)])
         assert (audit.failures, audit.exact_links) == (0, 1)
 
 

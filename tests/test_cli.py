@@ -619,7 +619,8 @@ class TestOracleSuite:
             worst_schur = max(worst_schur, abs(both - gaussmi.mi_schur(gains, powers, {1, 2})) / both)
         return worst_chain, worst_schur
 
-    @pytest.mark.parametrize("K,m,trials", [(3, 2, 40), (4, 1, 5)])  # K=4: chunks of 2, the last holds 1
+    # K=4, m=1: one chunk of 5 instances, and chunks of 5 whose last holds 2
+    @pytest.mark.parametrize("K,m,trials", [(3, 2, 40), (4, 1, 5), (4, 1, 12)])
     def test_chunked_builds_match_per_instance_builds(self, K, m, trials):
         cfg = make_cfg(K=K, m=m)
         checks, details = _oracle_suite(cfg, K, m, trials)

@@ -27,7 +27,16 @@ from iasec.ergodic import (
     ergodic_rates,
     mi_inequality_audit,
 )
-from iasec.gaussmi import DEFAULT_RHO_GRID, _subsets, mi_from_gains, spectra_table
+from iasec.gaussmi import (
+    DEFAULT_RHO_GRID,
+    _log2dets,
+    _set_mi,
+    _set_spectra,
+    _subsets,
+    _unit_factors,
+    mi_from_gains,
+    spectra_table,
+)
 from iasec.model import (
     _TAG_PERM,
     _TAG_RETRY,
@@ -393,6 +402,64 @@ class TestOnePass:
         built.clear()
         assert main(base + ["--out", str(tmp_path / "a"), "audit"]) in (0, 1)
         assert sorted(built) == list(range(40))
+
+
+def _set_mi_groups(blocks, loads):
+    """The rhs, Lemma 3, Lemma 4 and symmetry groups of a chunk, one `_set_mi` per set.
+
+    The top-load log-det of user set S in block j is that of the role set
+    {r : perm[j, r] in S} at the eavesdropper.
+    """
+    dims = blocks.dims
+    K, F, B = dims.K, dims.F, len(blocks.index)
+    users, nonempty = frozenset(range(K)), _subsets(range(K))
+    unit = _unit_factors(blocks.aset, blocks.eavesdropper)
+    eaves = _log2dets(_set_spectra(unit, nonempty), loads)
+    ld = {
+        frozenset(s): np.array(
+            [eaves[frozenset(r for r in range(K) if blocks.perm[j, r] in s)][j, -1] for j in range(B)]
+        )
+        for s in nonempty
+    }
+    groups = {"rhs": np.column_stack([_set_mi(ld, users, s, users.difference(s)) / F for s in nonempty])}
+    pairs, strict, sym_conds = ergodic._audit_sets(K)
+    viol = np.zeros(B)
+    for m_set, l_set in pairs:
+        plain = _set_mi(ld, users, m_set)
+        viol += plain > _set_mi(ld, users, m_set, l_set) + ergodic._TOL * np.fmax(1.0, plain)
+    groups["lemma3"] = viol[:, None]
+    lemma4 = []
+    for sub in strict:
+        rest = tuple(u for u in range(K) if u not in sub)
+        lemma4.append(_set_mi(ld, users, rest) / len(rest) - _set_mi(ld, users, sub, rest) / len(sub))
+    groups["lemma4"] = np.column_stack(lemma4)
+    for cond in sym_conds:
+        groups["symmetry", cond] = np.column_stack(
+            [_set_mi(ld, users, (u,), cond) for u in range(K) if u not in cond]
+        )
+    return groups
+
+
+class TestBlockRows:
+    @pytest.mark.parametrize("K, m, blocks", [(3, 2, 40), (4, 1, 12)])
+    @pytest.mark.parametrize("tol", [None, -1.0])
+    def test_mask_groups_match_set_mi_loop(self, monkeypatch, K, m, blocks, tol):
+        # the bitmask table reads every audit group bit for bit as a loop of
+        # `_set_mi` calls over a dict of user sets does, on one chunk; a
+        # negative tolerance flags some pairs, so the Lemma 3 counts are
+        # exercised too
+        if tol is not None:
+            monkeypatch.setattr(ergodic, "_TOL", tol)
+        dims = derive_dims(K, m)
+        loads = np.subtract([1e4, 1e10], 1.0)
+        chunk = ergodic._align_blocks(dims, SEED, list(range(blocks)))
+        groups = ergodic._block_rows(chunk, loads, ergodic._audit_sets(K))
+        want = _set_mi_groups(chunk, loads)
+        if tol is not None:
+            assert 0 < want["lemma3"].max() < len(ergodic._audit_sets(K)[0])
+        for name, value in want.items():
+            got = np.asarray(groups[name], dtype=float)
+            assert got.shape == value.shape and got.tobytes() == value.tobytes(), name
 
 
 class TestLayout:

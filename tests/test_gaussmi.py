@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from iasec.alignment import build_beamformers, build_generators, stream_power
+from iasec.alignment import AlignmentSet, _build, build_beamformers, build_generators, stream_power
 from iasec.gaussmi import (
     DEFAULT_RHO_GRID,
+    NumericalError,
     _log2det,
     estimate_slope,
     expectation,
@@ -15,7 +16,7 @@ from iasec.gaussmi import (
     receiver_gains,
     spectra_table,
 )
-from iasec.model import PowerConfig, derive_dims, sample_network
+from iasec.model import PowerConfig, derive_dims, sample_gains, sample_network
 from iasec.secrecy import confidential_rates
 
 
@@ -101,6 +102,39 @@ class TestEngine:
             return estimate_slope([f(rho) for rho in DEFAULT_RHO_GRID], DEFAULT_RHO_GRID).slope
 
         assert abs(slope_with_scale(1.0) - slope_with_scale(0.2)) < 1e-4
+
+
+class TestStackedEngines:
+    QUERIES = [({1, 2}, ()), ({1}, ()), ({2}, (1,)), ({1}, (2,)), ({0, 1, 2}, ()), ({0}, (1, 2))]
+
+    @pytest.mark.parametrize("K, m", [(3, 1), (4, 1)])
+    def test_stack_equals_per_network_calls(self, K, m):
+        # gains [T, F, m_k] give each network's value bit for bit as a call
+        # on that network's gains alone
+        dims = derive_dims(K, m)
+        links = sample_gains(dims, range(40, 47))
+        beams, built = _build(links, m)
+        assert built.all()
+        aset = AlignmentSet(beams)
+        powers = stream_power(aset, PowerConfig(rho=1e4))
+        stacked = aset.apply(links[:, 0])
+        for signal, cond in self.QUERIES:
+            single = [mi_from_gains([g[j] for g in stacked], powers, signal, cond).bits for j in range(7)]
+            got = mi_from_gains(stacked, powers, signal, cond).bits
+            assert got.shape == (7,) and got.tobytes() == np.array(single).tobytes()
+            single = [mi_schur([g[j] for g in stacked], powers, signal, cond) for j in range(7)]
+            got = mi_schur(stacked, powers, signal, cond)
+            assert got.shape == (7,) and got.tobytes() == np.array(single).tobytes()
+
+    def test_stacked_schur_failure_reports_the_worst_failing_condition_number(self):
+        # noise covariances diag(1 - 2c^2, 1, 1): c = 2 and 2.2 lose positive
+        # definiteness (condition numbers 7 and 8.68), c = 0.5 does not
+        e1 = np.eye(3, 1, dtype=complex)
+        scale = np.array([2.0, 0.5, 2.2])[:, None, None]
+        gains = [np.broadcast_to(e1, (3, 3, 1)), scale * e1]
+        with pytest.raises(NumericalError) as err:
+            mi_schur(gains, np.array([10.0, -2.0]), {0})
+        assert err.value.condition_number == pytest.approx(8.68)
 
 
 class TestLogdetPrimitive:

@@ -200,11 +200,14 @@ class TestSeedSplitting:
     @example(paths=[[seed, 0, 0, 0, 0, 0] for seed in EDGE_SEEDS], K=3)
     @example(paths=[[seed] for seed in EDGE_SEEDS] + [[0], [1]], K=4)
     @example(paths=[[seed, 1, 2, 0, 999] for seed in EDGE_SEEDS + [16, 2**62 + 7]], K=5)
+    @example(paths=[[2**40 + k] * k + [k] * (3 - k) for k in range(4)], K=3)
+    @example(paths=[[2**32 + k] * k + [k] * (5 - k) for k in range(6)], K=4)
     def test_array_streams_are_numpys(self, paths, K):
         # _streams seeds each row as numpy seeds the list: SeedSequence's
         # pool mixing and PCG64's seeding, done over arrays, must give every
         # draw the pipeline makes from a stream's start, so a numpy change to
-        # either algorithm fails here
+        # either algorithm fails here. The examples hold rows of every word
+        # count from 1 to 10, each with its own hash constants
         rows = np.array(paths, dtype=np.uint64)
         for draw in (
             lambda rng: rng.standard_normal(7),
