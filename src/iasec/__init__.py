@@ -20,7 +20,6 @@ from .model import (
 from .alignment import (
     AlignmentError,
     AlignmentSet,
-    GeneratorSet,
     build_beamformers,
     build_generators,
     check_full_rank,

@@ -24,7 +24,6 @@ from .model import _TAG_AUDIT, _stream_seeds, sample_gains
 
 __all__ = [
     "AlignmentError",
-    "GeneratorSet",
     "AlignmentSet",
     "AlignmentReport",
     "FullRankAudit",
@@ -64,19 +63,6 @@ class AlignmentError(RuntimeError):
 
 
 @dataclass
-class GeneratorSet:
-    """The M commuting diagonal generators, stored as diagonal vectors."""
-
-    generators: np.ndarray  # M x F: one diagonal per row
-    anchor_ratio: np.ndarray  # diagonal of the ratio matrix of the anchor pair (1, 2)
-    seed_vector: np.ndarray  # row-equilibrated start vector (entrywise nonzero)
-
-    @property
-    def M(self):
-        return len(self.generators)
-
-
-@dataclass
 class AlignmentSet:
     """Beams V_k (F x m_k, one per user) with unit columns, so tr(V_k V_k^H) = m_k.
 
@@ -108,13 +94,16 @@ def build_generators(net):
     power-product rows (the mean exponent over the 0..m lattice is m/2 per
     generator) and keeps the basis orders of magnitude away from numerical
     rank collapse as m and the generator count grow.
+
+    Returns (generators [M, F], anchor ratio [F], start vector [F]), each
+    generator a diagonal stored as a vector.
     """
     dims = net.dims
     gens, s0, w, zero = _generators(net.gains, dims.m)
     if zero:
         raise AlignmentError("zero diagonal entry while inverting the channel ratios")
     assert len(gens) == dims.M
-    return GeneratorSet(generators=gens, anchor_ratio=s0, seed_vector=w)
+    return gens, s0, w
 
 
 def _generators(gains, m):
@@ -187,17 +176,12 @@ def build_beamformers(net, gens, verify=True):
     share the 0..m-1 block, pre-rotated by (H[0,j] * anchor)^-1 so their
     images at receiver 0 coincide. Columns are unit-normalized afterwards,
     which preserves every span (and hence every rank and residual) while
-    keeping the dynamic range bounded as m grows.
+    keeping the dynamic range bounded as m grows. `gens` is what
+    `build_generators` returns.
     """
-    dims = net.dims
-    beams, zero = _beams(
-        net.gains[0], gens.generators, gens.anchor_ratio, gens.seed_vector, dims.m
-    )
+    beams, zero = _beams(net.gains[0], *gens, net.dims.m)
     if zero:
         raise AlignmentError("zero diagonal entry while rotating the shared block")
-    for k, v in enumerate(beams):
-        if v.shape[1] != dims.streams[k]:
-            raise AlignmentError(f"user {k}: got {v.shape[1]} columns, want {dims.streams[k]}")
     aset = AlignmentSet(beams)
     if verify:
         report = verify_alignment(net, aset)

@@ -29,7 +29,9 @@ from .gaussmi import (
     McEstimate,
     _log2det,
     _log2dets,
+    _masks,
     _mi_bits,
+    _set_mi,
     _set_spectra,
     _squared_singular_values,
     _subsets,
@@ -183,7 +185,8 @@ def ergodic_pass(dims, loads, trials, seed):
     every role weighted by its stream count (1), each one stacked call per
     chunk. Each user loads rho - eps onto its unit-power factor, so each
     spectrum gives its log-det at every entry of the array `loads` at once,
-    and every MI is a difference of two of them. The budget and audit
+    and every MI is a difference of two of them; `gaussmi._set_mi` reads the
+    eavesdropper's from a table keyed by user bitmask. The budget and audit
     statistics are taken at the last load. All statistics are reduced in
     one table, whose columns `ErgodicPass.layout` names.
     """
@@ -207,57 +210,45 @@ def _block_rows(blocks, loads, audit_sets):
     """The named statistics of each block of a chunk, [B, n] each: see `ErgodicPass`."""
     dims, aset, B = blocks.dims, blocks.aset, len(blocks.index)
     K, F = dims.K, dims.F
-    roles = tuple(range(K))
-    nonempty = _subsets(roles)
+    nonempty = _subsets(range(K))
     # I(X_r; Y_r) = ld(all roles) - ld(the others), averaged over the roles
     own = sum(_mi_bits(_log2det(a, loads), _log2det(o, loads)) for o, a in blocks.spectra) / K
     unit = _unit_factors(aset, blocks.eavesdropper)
-    eaves = _log2dets(_set_spectra(unit, nonempty), loads)
+    eaves = _log2dets(_set_spectra(unit, nonempty), loads, K)  # [B, G, 2^K], by role bitmask
+    full = 2**K - 1
     # with no noise users left, each eavesdropper MI is its log-det alone
-    eav = eaves[frozenset(roles)]
-    inflated = [np.sqrt(dims.streams[r]) * unit[r] for r in roles]
+    eav = eaves[..., full]
+    inflated = [np.sqrt(dims.streams[r]) * unit[r] for r in range(K)]
     eav_up = _log2det(_squared_singular_values(inflated), loads)
     groups = {
         "own": own, "eav": eav, "eav_up": eav_up,
         "R": (K * own - eav_up) / (K * F), "Rx": eav / (K * F),
     }
 
-    # top-load log-dets by user bitmask: role r belongs to user perm[r], so
-    # a role set's users are the bitmask summing 1 << perm[r]; column 0, the
-    # empty set's, is zero
-    top = np.zeros((B, 2**K))
-    for role_set, v in eaves.items():
-        top[np.arange(B), (1 << blocks.perm[:, sorted(role_set)]).sum(axis=-1)] = v[:, -1]
-    full = 2**K - 1
-
-    def mi(signal, conditioned=0):
-        # I(X_S; Y_e | X_C) = ld(rest) - ld(rest - S), rest = all - C, one
-        # column per entry of the bitmask arrays S and C
-        signal, conditioned = np.broadcast_arrays(signal, conditioned)
-        rest = full & ~conditioned
-        return _mi_bits(top[:, rest], top[:, rest & ~signal])
-
-    sets = _bitmasks(nonempty)
-    rhs = mi(sets, full & ~sets) / F
+    # the top-load table by user bitmask: role r belongs to user perm[r], so
+    # role set R is the user set summing 1 << perm[r] over the bits r of R;
+    # every rhs and audit MI is read from it by the one `_set_mi` rule
+    role_bits = np.arange(2**K)[:, None] >> np.arange(K) & 1  # [2^K, K]
+    users = (1 << blocks.perm) @ role_bits.T  # [B, 2^K]
+    top = np.empty((B, 2**K))
+    top[np.arange(B)[:, None], users] = eaves[:, -1]
+    sets = _masks(nonempty)
+    rhs = _set_mi(top, sets, full & ~sets) / F
     sizes = np.array([len(s) for s in nonempty])
     groups.update(rhs=rhs, slack=rhs - sizes * (eav[:, -1:] / (K * F)))
     if audit_sets is not None:
         pairs, strict, sym_conds = audit_sets
-        m_sets, l_sets = _bitmasks([a for a, _ in pairs]), _bitmasks([b for _, b in pairs])
-        plain = mi(m_sets)
-        viol = plain > mi(m_sets, l_sets) + _TOL * np.fmax(1.0, plain)
+        m_sets, l_sets = _masks([a for a, _ in pairs]), _masks([b for _, b in pairs])
+        plain = _set_mi(top, m_sets)
+        viol = plain > _set_mi(top, m_sets, l_sets) + _TOL * np.fmax(1.0, plain)
         groups["lemma3"] = viol.sum(axis=1, keepdims=True)  # 0/1 counts
-        subs, sub_sizes = _bitmasks(strict), np.array([len(s) for s in strict])
-        groups["lemma4"] = mi(full & ~subs) / (K - sub_sizes) - mi(subs, full & ~subs) / sub_sizes
+        subs, sub_sizes = _masks(strict), np.array([len(s) for s in strict])
+        lemma4 = _set_mi(top, full & ~subs) / (K - sub_sizes)
+        groups["lemma4"] = lemma4 - _set_mi(top, subs, full & ~subs) / sub_sizes
         for cond in sym_conds:
-            signal = _bitmasks([(u,) for u in range(K) if u not in cond])
-            groups["symmetry", cond] = mi(signal, _bitmasks([cond]))
+            signal = _masks([(u,) for u in range(K) if u not in cond])
+            groups["symmetry", cond] = _set_mi(top, signal, _masks([cond]))
     return groups
-
-
-def _bitmasks(sets):
-    """The user bitmask of each set of users, an int array: user u is bit 1 << u."""
-    return np.array([sum(1 << u for u in s) for s in sets], dtype=np.int64)
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussmi import _log2det, _log2dets, _set_mi, _subsets, estimate_slope
+from .gaussmi import _log2det, _log2dets, _masks, _set_mi, _subsets, estimate_slope
 
 __all__ = [
     "MAX_ENUM_USERS",
@@ -74,18 +74,21 @@ def confidential_rates(net, spectra, loads):
     K, F = net.dims.K, net.dims.F
     if K > MAX_ENUM_USERS:
         raise ValueError(f"subset enumeration capped at K={MAX_ENUM_USERS}")
-    everyone = frozenset(range(K))
+    full = 2**K - 1
     own, cross, leak_upper, subset_bits = [], [], [], {}
     for i, (sets, inflated) in enumerate(spectra):
-        ld = _log2dets(sets, loads)
-        others = tuple(k for k in range(K) if k != i)
-        own.append(_set_mi(ld, everyone, {i}))
-        for sub in _subsets(others):
-            # conditioning on the rest of the others leaves only user i as noise
-            subset_bits[(i, sub)] = _set_mi(ld, everyone, sub, set(others).difference(sub))
-        cross.append(subset_bits[(i, others)])
+        ld = _log2dets(sets, loads, K)
+        others = full & ~(1 << i)
+        own.append(_set_mi(ld, 1 << i))
+        subs = _subsets(k for k in range(K) if k != i)
+        masks = _masks(subs)
+        # conditioning on the rest of the others leaves only user i as noise
+        bits = _set_mi(ld, masks, others & ~masks)
+        subset_bits.update({(i, sub): b for sub, b in zip(subs, bits.T)})
+        cross.append(bits[..., -1])
         # the cross term with every other user at its whole budget: only ld(all users) changes
-        leak_upper.append(_set_mi({**ld, everyone: _log2det(inflated, loads)}, everyone, others))
+        ld[..., full] = _log2det(inflated, loads)
+        leak_upper.append(_set_mi(ld, others))
     own, cross = np.array(own), np.array(cross)
     r_raw = own.min(axis=0) / F - cross.max(axis=0) / ((K - 1) * F)
     keys = list(subset_bits)

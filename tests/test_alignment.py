@@ -35,26 +35,27 @@ def aligned_instance(K, m, seed=0):
 class TestGenerators:
     def test_three_user_count(self):
         net = sample_network(derive_dims(3, 1), 0)
-        assert build_generators(net).M == 1
+        gens, _, _ = build_generators(net)
+        assert len(gens) == 1
 
     def test_four_user_count(self):
         net = sample_network(derive_dims(4, 1), 0)
-        gens = build_generators(net)
-        assert gens.M == 5
-        assert all(g.shape == (33,) for g in gens.generators)
+        gens, _, _ = build_generators(net)
+        assert len(gens) == 5
+        assert all(g.shape == (33,) for g in gens)
 
     def test_inverse_roundtrip(self):
         # numerical inversion oracle: R * R^-1 = I elementwise
         net = sample_network(derive_dims(3, 2), 3)
-        gens = build_generators(net)
-        r = gens.generators[0]
+        gens, _, _ = build_generators(net)
+        r = gens[0]
         assert np.allclose(r * (1.0 / r), 1.0, rtol=1e-12)
 
     def test_commuting(self):
         net = sample_network(derive_dims(4, 1), 1)
-        gens = build_generators(net)
-        for a in gens.generators:
-            for b in gens.generators:
+        gens, _, _ = build_generators(net)
+        for a in gens:
+            for b in gens:
                 assert np.allclose(a * b, b * a, rtol=1e-12)
 
     def test_zero_divisor_raises(self):
@@ -65,7 +66,8 @@ class TestGenerators:
 
     def test_no_zero_entries(self):
         net = sample_network(derive_dims(4, 1), 2)
-        for g in build_generators(net).generators:
+        gens, _, _ = build_generators(net)
+        for g in gens:
             assert np.all(np.abs(g) > 0)
 
 

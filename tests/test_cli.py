@@ -160,7 +160,8 @@ class TestConfidentialTables:
     # per receiver: I(X_i;Y_i), I(X_S;Y_i|X_rest) for each nonempty S of the
     # K-1 others (the S = all-others entry is the cross term) and the
     # inflated-power leakage bound, each one difference of two table log-dets,
-    # taken once for the whole grid: one call carries every grid rho
+    # taken once for the whole grid: every call carries every grid rho, and
+    # one call covers all of a receiver's subsets
     @pytest.mark.parametrize("K, m, distinct", [(3, 2, 15), (4, 1, 36)])
     def test_each_mutual_information_evaluated_once_per_rho(self, monkeypatch, K, m, distinct):
         net = sample_network(derive_dims(K, m), SEED)
@@ -176,8 +177,8 @@ class TestConfidentialTables:
             monkeypatch.setattr(gaussmi, "_mi_bits", counted)
             cfg = make_cfg(K=K, m=m, rho_grid=list(np.logspace(4, 12, points))).validate()
             _confidential_tables(net, spectra_table(net, aset), cfg)
-            assert len(calls) == distinct
-            assert all(np.shape(a) == (points,) for args in calls for a in args)
+            assert all(np.shape(a)[0] == points for args in calls for a in args)
+            assert sum(np.size(top) for top, _ in calls) == distinct * points
 
     # one SVD per receiver and set: {i}, the others, all users, S u {i} for
     # each proper nonempty S of the others, and the inflated all-users set;

@@ -29,9 +29,9 @@ from iasec.ergodic import (
 )
 from iasec.gaussmi import (
     DEFAULT_RHO_GRID,
-    _log2dets,
-    _set_mi,
-    _set_spectra,
+    _log2det,
+    _mi_bits,
+    _squared_singular_values,
     _subsets,
     _unit_factors,
     mi_from_gains,
@@ -46,6 +46,7 @@ from iasec.model import (
     sample_network,
     sub_rng,
 )
+from iasec.secrecy import confidential_rates
 
 SEED = 16
 
@@ -113,9 +114,9 @@ class TestBlockNetwork:
         for i, (others, everyone) in enumerate(spectra):
             assert np.array_equal(block.spectra[i][0], others)
             assert np.array_equal(block.spectra[i][1], everyone)
-            users = frozenset(range(K))
-            assert np.array_equal(table[i][0][users.difference({i})], others[0])
-            assert np.array_equal(table[i][0][users], everyone[0])
+            full = 2**K - 1
+            assert np.array_equal(table[i][0][full & ~(1 << i)], others[0])
+            assert np.array_equal(table[i][0][full], everyone[0])
         report = verify_alignment(net, aset[0]).as_dict()
         assert report["passed"]
         assert report == _report(dims.streams, spectra).as_dict()
@@ -404,8 +405,19 @@ class TestOnePass:
         assert sorted(built) == list(range(40))
 
 
+def _set_mi(ld, users, signal, conditioned=()):
+    """Reference rule: I(X_S; Y | X_C) = ld(rest) - ld(rest - S), rest = U - C, U the set `users`.
+
+    `ld` maps frozensets of users to log-dets; an empty noise set reads zero.
+    """
+    rest = users.difference(conditioned)
+    noise = rest.difference(signal)
+    top = ld[rest]
+    return _mi_bits(top, ld[noise] if noise else 0.0 * top)
+
+
 def _set_mi_groups(blocks, loads):
-    """The rhs, Lemma 3, Lemma 4 and symmetry groups of a chunk, one `_set_mi` per set.
+    """The rhs, Lemma 3, Lemma 4 and symmetry groups of a chunk, one reference `_set_mi` per set.
 
     The top-load log-det of user set S in block j is that of the role set
     {r : perm[j, r] in S} at the eavesdropper.
@@ -414,7 +426,9 @@ def _set_mi_groups(blocks, loads):
     K, F, B = dims.K, dims.F, len(blocks.index)
     users, nonempty = frozenset(range(K)), _subsets(range(K))
     unit = _unit_factors(blocks.aset, blocks.eavesdropper)
-    eaves = _log2dets(_set_spectra(unit, nonempty), loads)
+    eaves = {
+        frozenset(s): _log2det(_squared_singular_values([unit[r] for r in s]), loads) for s in nonempty
+    }
     ld = {
         frozenset(s): np.array(
             [eaves[frozenset(r for r in range(K) if blocks.perm[j, r] in s)][j, -1] for j in range(B)]
@@ -445,7 +459,7 @@ class TestBlockRows:
     @pytest.mark.parametrize("tol", [None, -1.0])
     def test_mask_groups_match_set_mi_loop(self, monkeypatch, K, m, blocks, tol):
         # the bitmask table reads every audit group bit for bit as a loop of
-        # `_set_mi` calls over a dict of user sets does, on one chunk; a
+        # reference `_set_mi` calls over a dict of user sets does, on one chunk; a
         # negative tolerance flags some pairs, so the Lemma 3 counts are
         # exercised too
         if tol is not None:
@@ -460,6 +474,36 @@ class TestBlockRows:
         for name, value in want.items():
             got = np.asarray(groups[name], dtype=float)
             assert got.shape == value.shape and got.tobytes() == value.tobytes(), name
+
+
+class TestConfidentialReference:
+    @pytest.mark.parametrize("K, m", [(3, 2), (4, 1)])
+    def test_rate_terms_match_set_mi_reference(self, K, m):
+        # every MI the confidential rule reports equals the reference rule
+        # over a dict of user sets, bit for bit, on `spectra_table`'s spectra
+        net = sample_network(derive_dims(K, m), SEED)
+        aset = build_beamformers(net, build_generators(net))
+        loads = np.subtract(DEFAULT_RHO_GRID, 1.0)
+        spectra = spectra_table(net, aset)
+        rates = confidential_rates(net, spectra, loads)
+        users = frozenset(range(K))
+
+        def same(got, want):
+            return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+        for i, (sets, inflated) in enumerate(spectra):
+            ld = {
+                frozenset(u for u in range(K) if mask >> u & 1): _log2det(s2, loads)
+                for mask, s2 in sets.items()
+            }
+            others = users.difference({i})
+            assert same(rates.own_bits[i], _set_mi(ld, users, {i}))
+            for sub in _subsets(others):
+                want = _set_mi(ld, users, sub, others.difference(sub))
+                assert same(rates.subset_bits[(i, sub)], want), (i, sub)
+            assert same(rates.cross_bits[i], _set_mi(ld, users, others))
+            leak = _set_mi({**ld, users: _log2det(inflated, loads)}, users, others)
+            assert same(rates.leak_upper_bits[i], leak)
 
 
 class TestLayout:

@@ -9,6 +9,11 @@ from iasec.gaussmi import (
     DEFAULT_RHO_GRID,
     NumericalError,
     _log2det,
+    _log2dets,
+    _set_mi,
+    _set_spectra,
+    _subsets,
+    _unit_factors,
     estimate_slope,
     expectation,
     mi_from_gains,
@@ -167,6 +172,45 @@ class TestLogdetPrimitive:
         s2 = (10.0 ** np.random.default_rng(seed).uniform(-18, 2, n)) ** 2
         together = _log2det(s2, np.array(loads))
         assert together.tolist() == [_log2det(s2, load) for load in loads]
+
+
+class TestLogdetTable:
+    # the one MI rule reads a table keyed by user bitmask: no silent zeros
+    def table(self, K=3, m=2, receiver=0):
+        net, aset, _ = instance(K, m)
+        unit = _unit_factors(aset, net.gains[receiver])
+        loads = np.subtract(DEFAULT_RHO_GRID, 1.0)
+        return _log2dets(_set_spectra(unit, _subsets(range(K))), loads, K)
+
+    def test_missing_set_reads_nan(self):
+        net, aset, _ = instance()
+        sets, _ = spectra_table(net, aset)[0]  # the sets with user 0, and the others
+        ld = _log2dets(sets, np.subtract(DEFAULT_RHO_GRID, 1.0), 3)
+        assert np.isnan(ld[:, [0b010, 0b100]]).all()
+        # rest {0, 2} is present, the noise set {2} is not
+        assert np.isnan(_set_mi(ld, 0b001, 0b010)).all()
+        assert np.isfinite(_set_mi(ld, 0b110)).all()
+
+    def test_empty_set_reads_zero(self):
+        ld = self.table()
+        assert (ld[:, 0] == 0.0).all() and not np.signbit(ld[:, 0]).any()
+        # with no noise users left, the MI is the rest's log-det itself
+        assert _set_mi(ld, 0b111).tobytes() == ld[:, 0b111].tobytes()
+        assert _set_mi(ld, 0b011, 0b100).tobytes() == ld[:, 0b011].tobytes()
+
+    @pytest.mark.parametrize("K, m", [(3, 2), (4, 1)])
+    def test_broadcast_masks_match_scalar_calls(self, K, m):
+        ld = self.table(K, m)
+        full = 2**K - 1
+        pairs = [(s, c) for s in range(1, full + 1) for c in range(full + 1) if not s & c]
+        signal, conditioned = np.array(pairs).T
+        got = _set_mi(ld, signal, conditioned)
+        assert got.shape == (len(DEFAULT_RHO_GRID), len(pairs))
+        for j, (s, c) in enumerate(pairs):
+            assert got[:, j].tobytes() == _set_mi(ld, s, c).tobytes(), (s, c)
+        # a single conditioning mask broadcasts against an array of signals
+        others = np.array([0b001, 0b010])
+        assert _set_mi(ld, others, [0b100]).tobytes() == _set_mi(ld, others, 0b100).tobytes()
 
 
 class TestSumCapacityBound:
