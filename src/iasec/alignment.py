@@ -45,17 +45,30 @@ RANK_FLOOR = 100 * np.finfo(float).eps
 # when its bound clears the rank floor by this factor (see `_short_links`).
 _CERTIFY_MARGIN = 1000
 
-# The stacked arrays of one chunk of networks (full-rank-audit redraws,
-# oracle instances or ergodic fading blocks) stay near this size. On a
-# 2-core x86-64 host with OpenBLAS, 512 KiB chunks ran the K=3 and K=4, m=1
-# audit at 1000 trials 11% faster than 256 KiB ones (0.314 against 0.354 s,
-# medians of 10 paired runs) for 0.3 MiB more peak resident memory.
+# Every chunk of stacked networks (full-rank-audit redraws, oracle instances
+# or ergodic fading blocks) holds about this many bytes, at `_network_bytes`
+# per network. On a 2-core x86-64 host with OpenBLAS, 512 KiB chunks ran the
+# K=3 and K=4, m=1 audit at 1000 trials 11% faster than 256 KiB ones (0.314
+# against 0.354 s, medians of 10 paired runs) for 0.3 MiB more peak memory.
 _CHUNK_BYTES = 1 << 19
 
 
-def _chunk(item_bytes):
-    """How many networks of `item_bytes` stacked bytes each fill one chunk."""
-    return max(1, _CHUNK_BYTES // item_bytes)
+def _network_bytes(dims):
+    """Stacked bytes per network of a chunk: gains, beams and the widest spectra inputs."""
+    return 16 * dims.F * (dims.K**2 + dims.K + 2 * sum(dims.streams))
+
+
+def _chunk(dims):
+    """How many networks of `dims` fill one chunk."""
+    return max(1, _CHUNK_BYTES // _network_bytes(dims))
+
+
+def _stacks(dims, seeds):
+    """Sample and `_build` the networks `seeds` draw by chunk: (start, gains, beams, built) each."""
+    chunk = _chunk(dims)
+    for start in range(0, len(seeds), chunk):
+        gains = sample_gains(dims, seeds[start : start + chunk])
+        yield start, gains, *_build(gains, dims.m)
 
 
 class AlignmentError(RuntimeError):
@@ -398,33 +411,19 @@ def check_full_rank(dims, trials, seed):
     points at a degenerate draw or a numerically collapsed basis. Redraw t is
     the network `sample_network` draws at a seed taken from (seed, t); a
     redraw fails when any of its K^2 products H_ik V_k falls below rank m_k
-    under `numerical_rank`'s rule, or when its construction would raise
-    AlignmentError. Redraws are sampled, built and tested a chunk at a time;
-    `_short_links` decides each link from the spectrum of V_k where it can.
+    under `numerical_rank`'s rule, or when its construction divides by zero
+    (its zeroed beams read rank 0). Redraws come from `_stacks` a chunk at a
+    time; `_short_links` decides each link from the spectrum of V_k where it can.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     seeds = _stream_seeds(seed, _TAG_AUDIT, np.arange(trials))
-    # bytes per redraw of the chunk's gains, bases and largest effective-channel stack
-    per_redraw = 16 * dims.F * (dims.K**2 + sum(dims.streams) + dims.streams[0])
-    chunk = _chunk(per_redraw)
     failing, exact = [], 0
-    for start in range(0, trials, chunk):
-        gains = sample_gains(dims, seeds[start : start + chunk])
-        failed, links = _rank_deficient(gains, dims.m)
-        failing += (start + np.flatnonzero(failed)).tolist()
+    for start, gains, beams, built in _stacks(dims, seeds):
+        short, links = _short_links(gains, _zeroed(built, beams))
+        failing += (start + np.flatnonzero(short.any(axis=(1, 2)))).tolist()
         exact += links
     return FullRankAudit(trials, len(failing), failing, exact)
-
-
-def _rank_deficient(gains, m):
-    """Per network of gains[T, K, K, F]: is its construction or any H_ik V_k rank short?
-
-    Also returns how many links `_short_links` tested by their own SVD.
-    """
-    beams, built = _build(gains, m)
-    short, exact = _short_links(gains, _zeroed(built, beams))
-    return short.any(axis=(1, 2)), exact
 
 
 def _short_links(gains, beams):

@@ -22,15 +22,12 @@ from . import __version__
 from .alignment import (
     AlignmentError,
     AlignmentSet,
-    _build,
-    _chunk,
+    _align_stack,
     _report,
+    _stacks,
     align_first_valid,
-    build_beamformers,
-    build_generators,
     check_full_rank,
     stream_power,
-    verify_alignment,
 )
 from .ergodic import (
     augment_with_virtual_user,
@@ -276,18 +273,26 @@ def _confidential_tables(net, spectra, cfg):
     return rows, equivocation_deficit(rates, cfg.rho_grid), checks
 
 
-def _record(cfg, K, dims, rows, trials, eta_target, delta_hat, checks, detail):
+def _record(cfg, K, dims, rows, trials, target, delta_hat, checks, detail):
     """One grid point's record, read at the top rho; eta_measured is R's slope over the rows.
 
-    `checks` names the point's hard checks: True, False, or None when not
-    evaluated. The record adds `slope`: a slope that misses a positive target
-    by more than ETA_RTOL of it fails, and a target clamped to zero claims
-    nothing. A record whose checks all read None is vacuous.
+    `target` is the analytic slope, and the record's `eta_target` is it
+    clamped at zero. `checks` names the point's hard checks: True, False, or
+    None when not evaluated. The record adds `slope`: a slope that misses a
+    positive target by more than ETA_RTOL of it fails, and a zero target
+    claims nothing. Where the clamp lifts a negative target, R is clamped
+    too, so the record adds `slope_raw`: R_raw's fitted slope must land
+    within ETA_RTOL of the target's magnitude. A record whose checks all
+    read None is vacuous.
     """
+    eta_target = max(0.0, target)
     fit = estimate_slope([row["R"] for row in rows], cfg.rho_grid)
     slope = abs(fit.slope - eta_target) <= ETA_RTOL * eta_target if eta_target > 0 else None
     checks = {name: None if ok is None else bool(ok) for name, ok in checks.items()}
     checks["slope"] = slope
+    if target < 0:
+        raw = estimate_slope([row["R_raw"] for row in rows], cfg.rho_grid)
+        checks["slope_raw"] = bool(abs(raw.slope - target) <= -ETA_RTOL * target)
     failed = [name for name, ok in checks.items() if ok is False]
     top = rows[-1]
     return {
@@ -354,8 +359,8 @@ def _run_confidential_point(cfg, K, m):
     if known_csi:
         detail["augmented_K"] = aligned_K
     delta = deficit.delta_hat if not deficit.degenerate else None
-    eta_target = max(0.0, eta_target_confidential(aligned_K, m))
-    return _record(cfg, K, dims, rows, None, eta_target, delta, checks, detail)
+    target = eta_target_confidential(aligned_K, m)
+    return _record(cfg, K, dims, rows, None, target, delta, checks, detail)
 
 
 def _run_ergodic_point(cfg, K, m):
@@ -464,13 +469,12 @@ def sweep(cfg):
 def _alignment_suite(cfg, K, m, trials):
     """Verification of the point sampled at the master seed, and the Lemma 2 full-rank audit.
 
-    The beamformers are built unverified: a failure is a finding, never an
-    exception.
+    The pipeline's kernel verifies the seed network as a stack of one: a failure is
+    a finding, never an exception, and a zero divisor reads zeroed beams (rank-0 receivers).
     """
     dims = derive_dims(K, m)
-    net = sample_network(dims, cfg.seed)
-    aset = build_beamformers(net, build_generators(net), verify=False)
-    report = verify_alignment(net, aset)
+    _, _, spectra = _align_stack(sample_gains(dims, [cfg.seed]), m)
+    report = _report(dims.streams, spectra)
     rank_audit = check_full_rank(dims, trials, cfg.seed)
     return {"alignment": report.passed, "lemma2": rank_audit.passed}, {
         "alignment": report.as_dict(),
@@ -482,7 +486,11 @@ def _alignment_suite(cfg, K, m, trials):
 
 
 def _oracle_suite(cfg, K, m, trials):
-    """Chain-rule, Schur, monotonicity, and scalar-slope identities on min(trials, 100) instances."""
+    """Chain-rule, Schur, monotonicity, and scalar-slope identities on min(trials, 100) instances.
+
+    The instances come from `_stacks` a chunk at a time; the first that does
+    not build raises AlignmentError, naming its index.
+    """
     instances = min(trials, 100)
     dims = derive_dims(K, m)
     worst_chain = 0.0
@@ -491,16 +499,10 @@ def _oracle_suite(cfg, K, m, trials):
     lemma3_ok = True
     power = PowerConfig(rho=1e4, epsilon_margin=cfg.epsilon_margin)
     seeds = _stream_seeds(cfg.seed, _TAG_AUDIT_SEED, np.arange(instances))
-    # sampled, built and evaluated a chunk at a time, sized by the build: per
-    # link, 2F normals, F gains and two complex temporaries; per user, three
-    # copies of the F x m_k beams while they are formed
-    chunk = _chunk(16 * dims.F * (4 * dims.K**2 + 3 * sum(dims.streams)))
-    for start in range(0, instances, chunk):
-        links = sample_gains(dims, seeds[start : start + chunk])
-        beams, built = _build(links, m)
-        if not built.all():  # the first instance that does not build raises its error
-            net = NetworkRealization(dims, links[np.argmin(built)])
-            build_beamformers(net, build_generators(net), verify=False)
+    for start, links, beams, built in _stacks(dims, seeds):
+        if not built.all():
+            j = start + int(np.argmin(built))
+            raise AlignmentError(f"oracle instance {j}: zero diagonal entry in its construction")
         # every instance of the chunk at once: one stacked call per MI
         aset = AlignmentSet(beams)
         powers = stream_power(aset, power)

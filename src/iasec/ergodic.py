@@ -93,11 +93,6 @@ class Blocks:
     spectra: list  # the verification's `_receiver_spectra`: others, all roles
 
 
-def _block_bytes(dims):
-    """Stacked bytes per block of a chunk: gains, beams and the widest spectra inputs."""
-    return 16 * dims.F * (dims.K**2 + dims.K + 2 * sum(dims.streams))
-
-
 def _align_blocks(dims, seed, index):
     """Draw and align the fading blocks `index` together, each under its drawn ordering perm.
 
@@ -202,7 +197,7 @@ def ergodic_pass(dims, loads, trials, seed):
             layout.update(zip(groups, map(slice, ends, ends[1:])))
         return np.column_stack(list(groups.values()))
 
-    est = expectation(rows, trials, _chunk(_block_bytes(dims)))
+    est = expectation(rows, trials, _chunk(dims))
     return ErgodicPass(dims=dims, estimate=est, layout=layout, resampled_blocks=sorted(resampled))
 
 

@@ -23,7 +23,6 @@ from iasec.alignment import (
 )
 from iasec.cli import CSV_COLUMNS, ExperimentConfig, main, run
 from iasec.ergodic import (
-    _block_bytes,
     eavesdropper_budget_check,
     ergodic_pass,
     ergodic_rates,
@@ -236,7 +235,7 @@ def test_criterion_9_reproducibility(tmp_path, monkeypatch):
     for thread in threads:
         thread.join(timeout=120)
         assert not thread.is_alive()
-    monkeypatch.setattr(alignment, "_CHUNK_BYTES", _block_bytes(derive_dims(3, 1)))
+    monkeypatch.setattr(alignment, "_CHUNK_BYTES", alignment._network_bytes(derive_dims(3, 1)))
     run_ergodic(outs[2])
     assert list(codes.values()) == [0, 0, 0]
     for name in ("records.csv", "ergodic_details.csv"):

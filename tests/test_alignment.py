@@ -360,22 +360,22 @@ class TestFullRank:
         assert 0 < audit.exact_links <= trials * K**2
 
     @pytest.mark.parametrize(
-        "K,m,trials,chunk_bytes,deficient,broken",
+        "K,m,trials,per_chunk,deficient,broken",
         [
             (3, 1, 200, None, 57, 140),
             (3, 2, 200, None, 3, 199),
             (4, 1, 200, None, 120, 45),
-            (3, 1, 200, 5000, 0, 101),  # chunks of 6 redraws, the last holds 2
+            (3, 1, 200, 6, 0, 101),  # chunks of 6 redraws, the last holds 2
             (4, 1, 1, None, 0, None),
         ],
     )
     def test_stacked_audit_matches_per_redraw_loop(
-        self, monkeypatch, K, m, trials, chunk_bytes, deficient, broken
+        self, monkeypatch, K, m, trials, per_chunk, deficient, broken
     ):
         dims = derive_dims(K, m)
         seed = 31
-        if chunk_bytes is not None:
-            monkeypatch.setattr(alignment, "_CHUNK_BYTES", chunk_bytes)
+        if per_chunk is not None:
+            monkeypatch.setattr(alignment, "_CHUNK_BYTES", per_chunk * alignment._network_bytes(dims))
         draw_seed = {
             int(sub_rng(seed, model._TAG_AUDIT, t).integers(0, 2**63)): t
             for t in (deficient, broken)

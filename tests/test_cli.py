@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from iasec import alignment, cli, gaussmi, model
+from iasec import alignment, cli, ergodic, gaussmi, model
 from iasec.alignment import (
     AlignmentError,
     build_beamformers,
     build_generators,
+    check_full_rank,
     stream_power,
     verify_alignment,
 )
@@ -122,8 +123,10 @@ class TestRun:
 class TestSlopeCheck:
     @staticmethod
     def record(slope, target, checks=None):
+        # R is R_raw clamped at zero, as the rate rules clamp it
         rows = [
-            {"rho": rho, "R": slope * np.log2(rho), "Rx": 0.0, "clamped": False}
+            {"rho": rho, "R": max(0.0, slope * np.log2(rho)), "R_raw": slope * np.log2(rho),
+             "Rx": 0.0, "clamped": slope < 0}
             for rho in DEFAULT_RHO_GRID
         ]
         cfg = make_cfg().validate()
@@ -136,17 +139,27 @@ class TestSlopeCheck:
             (0.1 * (1 - 0.9 * ETA_RTOL), 0.1, True),
             (0.1 * (1 - 1.1 * ETA_RTOL), 0.1, False),
             (0.1 * (1 + 1.1 * ETA_RTOL), 0.1, False),
-            (0.0, 0.0, True),  # a target clamped to zero claims nothing
+            (0.0, 0.0, True),  # a zero target claims nothing
+            # a negative target clamps to zero: R_raw's slope is held to it
+            (-0.1 * (1 - 0.9 * ETA_RTOL), -0.1, True),
+            (-0.1 * (1 + 0.9 * ETA_RTOL), -0.1, True),
+            (-0.1 * (1 - 1.1 * ETA_RTOL), -0.1, False),
+            (-0.1 * (1 + 1.1 * ETA_RTOL), -0.1, False),
         ],
     )
     def test_slope_is_held_to_its_target(self, slope, target, passed):
         rec = self.record(slope, target)
-        assert rec["eta_measured"] == pytest.approx(slope, rel=1e-12, abs=1e-15)
+        assert rec["eta_measured"] == pytest.approx(max(slope, 0.0), rel=1e-12, abs=1e-15)
+        assert rec["eta_target"] == max(target, 0.0)
         assert rec["checks_passed"] is passed
         # a record with no other check and a zero target evaluated nothing
-        assert rec["detail"]["checks"] == {"slope": passed if target > 0 else None}
+        name = "slope" if target > 0 else "slope_raw"
+        want = {"slope": passed if target > 0 else None}
+        if target < 0:
+            want["slope_raw"] = passed
+        assert rec["detail"]["checks"] == want
         assert rec["detail"]["vacuous"] is (target == 0)
-        assert rec["detail"]["failed_checks"] == ([] if passed else ["slope"])
+        assert rec["detail"]["failed_checks"] == ([] if passed else [name])
 
     def test_a_passing_slope_keeps_a_failed_check(self):
         rec = self.record(0.1, 0.1, checks={"decodability": np.False_, "region": True})
@@ -372,6 +385,29 @@ class TestMainEntry:
         }
         assert detail == {key: full["audit_details"]["K3_m2"][key] for key in detail}
 
+    def test_a_seed_network_that_divides_by_zero_is_a_finding(self, monkeypatch, tmp_path):
+        # a zero on the cross link (1, 0) divides by zero while the seed
+        # network's generators are formed: it reads zeroed beams, so the
+        # alignment fails with rank-0 receivers, Lemma 2 still runs, exit 1
+        sample = model.sample_gains
+
+        def planted(dims, seeds, block_index=0):
+            gains = sample(dims, seeds, block_index)
+            gains[:, 1, 0, 0] = 0.0
+            return gains
+
+        monkeypatch.setattr(model, "sample_gains", planted)
+        monkeypatch.setattr(cli, "sample_gains", planted)
+        argv = ["--seed", str(SEED), "--out", str(tmp_path), "--trials", "5", "align-verify"]
+        assert main(argv) == 1
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["failed_points"] == [] and not manifest["passed"]
+        assert manifest["checks"] == {"K3_m2_alignment": False, "K3_m2_lemma2": True}
+        detail = manifest["audit_details"]["K3_m2"]
+        assert detail["lemma2_trials"] == 5 and detail["lemma2_failures"] == 0
+        for r in detail["alignment"]["receivers"]:
+            assert (r["interference_dim"], r["concat_rank"]) == (0, 0)
+
     def test_tight_tolerance_reported_not_crashed(self, monkeypatch, tmp_path):
         # under a floor of 1e-20 the containment (near 1e-16) counts as a rank:
         # align-verify reports the failed verification as a finding, exit 1
@@ -530,20 +566,25 @@ class TestMainEntry:
         assert record["detail"]["alignment"]["passed"] and record["detail"]["attempts"] == 2
         assert "checks False (failed: slope)" in (tmp_path / "o" / "summary.txt").read_text()
 
-    def test_a_point_clamped_everywhere_is_vacuous(self, tmp_path):
+    def test_a_point_clamped_everywhere_is_held_by_its_raw_slope(self, tmp_path):
         # K=4, m=1: the confidential target is negative and R_raw < 0 at every
-        # grid rho, so no hard check is evaluated and the record says so
+        # grid rho, so R and its clamped target claim nothing; R_raw's slope is
+        # held to the unclamped target instead, and the record is not vacuous
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"K": 4, "m": 1, "seed": SEED}))
         assert main(["--config", str(p), "--out", str(tmp_path / "o"), "rates"]) == 0
         [record] = json.loads((tmp_path / "o" / "manifest.json").read_text())["records"]
         detail = record["detail"]
-        assert detail["checks"] == {"decodability": None, "region": None, "slope": None}
-        assert detail["vacuous"] and detail["failed_checks"] == [] and record["checks_passed"]
+        assert eta_target_confidential(4, 1) < 0 and record["eta_target"] == 0.0
+        assert detail["checks"] == {
+            "decodability": None, "region": None, "slope": None, "slope_raw": True,
+        }
+        assert not detail["vacuous"] and detail["failed_checks"] == [] and record["checks_passed"]
         for row in detail["per_rho"]:
             assert row["clamped"] and row["R"] == 0.0 and row["R_raw"] < 0
             assert row["Rx"] == max(row["Rx_raw"], 0.0)
-        assert "checks True (vacuous)" in (tmp_path / "o" / "summary.txt").read_text()
+        summary = (tmp_path / "o" / "summary.txt").read_text()
+        assert "checks True" in summary and "vacuous" not in summary
 
     def test_audit_keeps_the_points_before_a_failed_one(self, tmp_path):
         # block 0 of the m=30 Monte Carlo fails verification on every draw
@@ -620,7 +661,7 @@ class TestOracleSuite:
             worst_schur = max(worst_schur, abs(both - gaussmi.mi_schur(gains, powers, {1, 2})) / both)
         return worst_chain, worst_schur
 
-    # K=4, m=1: one chunk of 5 instances, and chunks of 5 whose last holds 2
+    # K=4, m=1: one chunk of 5 instances, and chunks of 11, the last holds 1
     @pytest.mark.parametrize("K,m,trials", [(3, 2, 40), (4, 1, 5), (4, 1, 12)])
     def test_chunked_builds_match_per_instance_builds(self, K, m, trials):
         cfg = make_cfg(K=K, m=m)
@@ -632,20 +673,43 @@ class TestOracleSuite:
     def test_first_unbuilt_instance_raises_its_own_error(self, monkeypatch):
         # instances 3 and 5 divide by zero while their generators are formed
         sample = model.sample_gains
-        planted = {}
 
         def patched(dims, seeds, block_index=0):
             gains = sample(dims, seeds, block_index)
             gains[3, 1, 0, 0] = gains[5, 0, 2, 1] = 0.0
-            planted["net"] = NetworkRealization(dims, gains[3].copy())
             return gains
 
-        monkeypatch.setattr(cli, "sample_gains", patched)
+        monkeypatch.setattr(alignment, "sample_gains", patched)
         with pytest.raises(AlignmentError) as raised:
             _oracle_suite(make_cfg(), 3, 2, 10)
-        with pytest.raises(AlignmentError) as own:
-            build_beamformers(planted["net"], build_generators(planted["net"]), verify=False)
-        assert str(raised.value) == str(own.value)
+        assert str(raised.value) == "oracle instance 3: zero diagonal entry in its construction"
+
+
+class TestOneChunkRule:
+    @pytest.mark.parametrize("K, m", [(3, 1), (4, 1)])
+    def test_every_stacked_pass_samples_seven_networks_per_chunk(self, monkeypatch, K, m):
+        # one rule sizes every chunk: at 7 networks' bytes the Lemma 2 audit,
+        # the oracles and the ergodic pass each draw 15 networks as 7, 7 and 1
+        dims = derive_dims(K, m)
+        monkeypatch.setattr(alignment, "_CHUNK_BYTES", 7 * alignment._network_bytes(dims))
+        sample, rows = model.sample_gains, []
+
+        def counted(dims, seeds, block_index=0):
+            rows.append(len(seeds))
+            return sample(dims, seeds, block_index)
+
+        monkeypatch.setattr(alignment, "sample_gains", counted)
+        monkeypatch.setattr(ergodic, "sample_gains", counted)
+        loads = np.subtract(DEFAULT_RHO_GRID, 1.0)
+        passes = {
+            "lemma2": lambda: check_full_rank(dims, 15, SEED),
+            "oracles": lambda: _oracle_suite(make_cfg(K=K, m=m), K, m, 15),
+            "ergodic": lambda: ergodic_pass(dims, loads, 15, SEED),
+        }
+        for name, run_pass in passes.items():
+            rows.clear()
+            run_pass()
+            assert rows == [7, 7, 1], name
 
 
 class TestReadme:

@@ -359,9 +359,9 @@ class TestOnePass:
         monkeypatch.setattr(alignment, "RANK_FLOOR", 2.37e-16 / 5)
         dims = derive_dims(3, 2)
         loads = np.subtract(DEFAULT_RHO_GRID, 1.0)
-        assert alignment._chunk(ergodic._block_bytes(dims)) >= 80  # one chunk
+        assert alignment._chunk(dims) >= 80  # one chunk
         whole = ergodic_pass(dims, loads, 80, SEED)
-        chunk_bytes = blocks_per_chunk * ergodic._block_bytes(dims)
+        chunk_bytes = blocks_per_chunk * alignment._network_bytes(dims)
         monkeypatch.setattr(alignment, "_CHUNK_BYTES", chunk_bytes)
         chunked = ergodic_pass(dims, loads, 80, SEED)
         for field in ("mean", "ci_low", "ci_high"):
