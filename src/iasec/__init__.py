@@ -45,7 +45,6 @@ from .secrecy import (
     randomization_region_check,
 )
 from .ergodic import (
-    augment_with_virtual_user,
     block_network,
     eavesdropper_budget_check,
     ergodic_pass,

@@ -30,7 +30,7 @@ from .alignment import (
     stream_power,
 )
 from .ergodic import (
-    augment_with_virtual_user,
+    MAX_AUDIT_USERS,
     eavesdropper_budget_check,
     ergodic_pass,
     ergodic_rates,
@@ -39,6 +39,7 @@ from .ergodic import (
 from .gaussmi import (
     DEFAULT_RHO_GRID,
     NumericalError,
+    _members,
     estimate_slope,
     mi_from_gains,
     mi_schur,
@@ -326,20 +327,19 @@ def _record(cfg, K, dims, rows, trials, target, delta_hat, checks, detail):
 def _run_confidential_point(cfg, K, m):
     """One point of the confidential pipeline.
 
-    The known-CSI scenario runs it on K+1 aligned users: each draw folds the
-    eavesdropper in as a virtual last user, and the record keeps the K real
-    users.
+    The known-CSI scenario runs it on K+1 aligned users: each draw routes the
+    eavesdropper row into the last receiver's links from the real users, a
+    virtual last user, and the record keeps the K real users.
     """
     known_csi = cfg.scenario == "external-known-csi"
     aligned_K = K + 1 if known_csi else K
     dims = derive_dims(aligned_K, m)
 
     def draw(attempt, rows):
-        net = sample_network(dims, cfg.seed, block_index=attempt)
-        if known_csi:
-            eavesdropper = sample_eavesdropper_block(dims, cfg.seed, attempt)
-            net = augment_with_virtual_user(dims, net, eavesdropper)
-        return net.gains[None]
+        gains = sample_network(dims, cfg.seed, block_index=attempt).gains[None]
+        if known_csi:  # the last receiver listens through the eavesdropper row
+            gains[0, -1, :-1] = sample_eavesdropper_block(dims, cfg.seed, attempt)[:-1]
+        return gains
 
     gains, aset, spectra, drawn = align_first_valid(
         draw, 1, m, _RETRY_BUDGET, lambda row: "alignment failed"
@@ -374,14 +374,14 @@ def _run_ergodic_point(cfg, K, m):
         clamped=est.clamped, ci_low=est.R_ci[0], ci_high=est.R_ci[1],
     )
     budget = eavesdropper_budget_check(pass_)
-    # disjoint-pair enumeration is exhaustive only up to K=4
-    ineq = mi_inequality_audit(pass_) if K <= 4 else None
+    # disjoint-pair enumeration is exhaustive only up to MAX_AUDIT_USERS
+    ineq = mi_inequality_audit(pass_) if K <= MAX_AUDIT_USERS else None
     checks = {"lemma5": budget.passed, "inequality_audit": getattr(ineq, "passed", None)}
     detail = {
         "lemma5": {
             "passed": budget.passed,
             "entries": [
-                {"subset": list(s), "lhs": lhs, "rhs": rhs, "ci_half": h, "slack": sl}
+                {"subset": _members(s), "lhs": lhs, "rhs": rhs, "ci_half": h, "slack": sl}
                 for s, lhs, rhs, h, sl in budget.entries
             ],
         },
@@ -533,10 +533,10 @@ def _oracle_suite(cfg, K, m, trials):
 def _monte_carlo_suite(cfg, K, m, trials):
     """Lemmas 3-5 and user symmetry at the top rho, on max(30, min(trials, 100)) fading blocks.
 
-    Disjoint-pair enumeration is exhaustive only up to K=4, so larger K runs
-    no blocks.
+    Disjoint-pair enumeration is exhaustive only up to `MAX_AUDIT_USERS`, so
+    larger K runs no blocks.
     """
-    if K > 4:
+    if K > MAX_AUDIT_USERS:
         return {}, {"mc_trials": 0}
     mc_trials = max(30, min(trials, 100))
     top_load = np.subtract(cfg.rho_grid[-1:], cfg.epsilon_margin)

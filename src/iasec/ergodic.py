@@ -29,17 +29,16 @@ from .gaussmi import (
     McEstimate,
     _log2det,
     _log2dets,
-    _masks,
     _mi_bits,
     _set_mi,
     _set_spectra,
+    _sizes,
     _squared_singular_values,
     _subsets,
     _unit_factors,
     expectation,
 )
 from .model import (
-    NetworkRealization,
     SystemDims,
     _TAG_PERM,
     _TAG_RETRY,
@@ -51,6 +50,7 @@ from .model import (
 )
 
 __all__ = [
+    "MAX_AUDIT_USERS",
     "Blocks",
     "ErgodicPass",
     "ErgodicEstimate",
@@ -61,11 +61,11 @@ __all__ = [
     "ergodic_rates",
     "eavesdropper_budget_check",
     "mi_inequality_audit",
-    "augment_with_virtual_user",
 ]
 
 _TOL = 1e-9
 _BLOCK_ATTEMPTS = 4  # draws per block before a degenerate block aborts the pass
+MAX_AUDIT_USERS = 4  # the audits enumerate every pair of user sets, so they stop at this K
 
 
 def _block_orders(K, seed, index):
@@ -136,12 +136,16 @@ def block_network(dims, seed, block_index):
 
 
 def _audit_sets(K):
-    """Lemma 3 disjoint pairs, Lemma 4 strict subsets, symmetry conditioning sets."""
-    nonempty = _subsets(range(K))
-    pairs = [(a, b) for a in nonempty for b in nonempty if not set(a) & set(b)]
-    strict = _subsets(range(K), proper=True)
-    sym_conds = [c for c in [()] + strict if len(c) <= K - 2]
-    return pairs, strict, sym_conds
+    """Lemma 3's disjoint pairs (two arrays), Lemma 4's strict subsets, the symmetry conditions.
+
+    All are user bitmasks; the conditions are the empty set, then each set of K - 2 users or fewer.
+    """
+    nonempty = _subsets(K)
+    first, second = np.meshgrid(nonempty, nonempty, indexing="ij")
+    disjoint = first & second == 0
+    strict = _subsets(K, proper=True)
+    sym_conds = np.concatenate([[0], strict[_sizes(strict) <= K - 2]])
+    return (first[disjoint], second[disjoint]), strict, sym_conds
 
 
 @dataclass
@@ -151,8 +155,8 @@ class ErgodicPass:
     `layout` maps each statistic's name to its columns of `estimate`, in the
     order `_block_rows` makes them: own, eav, eav_up, R and Rx (one column
     per load), the Lemma 5 budget's rhs and paired slack (one column per
-    nonempty user set, at the top load) and, for K <= 4, lemma3, lemma4 and
-    one ("symmetry", cond) group per conditioning set.
+    nonempty user set, at the top load) and, for K <= `MAX_AUDIT_USERS`,
+    lemma3, lemma4 and one ("symmetry", cond bitmask) group per cond set.
     """
 
     dims: SystemDims
@@ -185,7 +189,7 @@ def ergodic_pass(dims, loads, trials, seed):
     statistics are taken at the last load. All statistics are reduced in
     one table, whose columns `ErgodicPass.layout` names.
     """
-    audit_sets = _audit_sets(dims.K) if dims.K <= 4 else None
+    audit_sets = _audit_sets(dims.K) if dims.K <= MAX_AUDIT_USERS else None
     resampled, layout = [], {}
 
     def rows(index):
@@ -205,7 +209,7 @@ def _block_rows(blocks, loads, audit_sets):
     """The named statistics of each block of a chunk, [B, n] each: see `ErgodicPass`."""
     dims, aset, B = blocks.dims, blocks.aset, len(blocks.index)
     K, F = dims.K, dims.F
-    nonempty = _subsets(range(K))
+    nonempty = _subsets(K)
     # I(X_r; Y_r) = ld(all roles) - ld(the others), averaged over the roles
     own = sum(_mi_bits(_log2det(a, loads), _log2det(o, loads)) for o, a in blocks.spectra) / K
     unit = _unit_factors(aset, blocks.eavesdropper)
@@ -227,22 +231,18 @@ def _block_rows(blocks, loads, audit_sets):
     users = (1 << blocks.perm) @ role_bits.T  # [B, 2^K]
     top = np.empty((B, 2**K))
     top[np.arange(B)[:, None], users] = eaves[:, -1]
-    sets = _masks(nonempty)
-    rhs = _set_mi(top, sets, full & ~sets) / F
-    sizes = np.array([len(s) for s in nonempty])
-    groups.update(rhs=rhs, slack=rhs - sizes * (eav[:, -1:] / (K * F)))
+    rhs = _set_mi(top, nonempty, full & ~nonempty) / F
+    groups.update(rhs=rhs, slack=rhs - _sizes(nonempty) * (eav[:, -1:] / (K * F)))
     if audit_sets is not None:
-        pairs, strict, sym_conds = audit_sets
-        m_sets, l_sets = _masks([a for a, _ in pairs]), _masks([b for _, b in pairs])
+        (m_sets, l_sets), strict, sym_conds = audit_sets
         plain = _set_mi(top, m_sets)
         viol = plain > _set_mi(top, m_sets, l_sets) + _TOL * np.fmax(1.0, plain)
         groups["lemma3"] = viol.sum(axis=1, keepdims=True)  # 0/1 counts
-        subs, sub_sizes = _masks(strict), np.array([len(s) for s in strict])
-        lemma4 = _set_mi(top, full & ~subs) / (K - sub_sizes)
-        groups["lemma4"] = lemma4 - _set_mi(top, subs, full & ~subs) / sub_sizes
-        for cond in sym_conds:
-            signal = _masks([(u,) for u in range(K) if u not in cond])
-            groups["symmetry", cond] = _set_mi(top, signal, _masks([cond]))
+        lemma4 = _set_mi(top, full & ~strict) / (K - _sizes(strict))
+        groups["lemma4"] = lemma4 - _set_mi(top, strict, full & ~strict) / _sizes(strict)
+        singles = 1 << np.arange(K)
+        for cond in sym_conds.tolist():
+            groups["symmetry", cond] = _set_mi(top, singles[singles & cond == 0], cond)
     return groups
 
 
@@ -296,22 +296,19 @@ def eavesdropper_budget_check(pass_):
     """
     rhs, slack = pass_.stats("rhs"), pass_.stats("slack")
     rx = float(pass_.stats("Rx").mean[-1])
-    entries = []
-    ok = True
-    sets = _subsets(range(pass_.dims.K))
-    for sub, mean, gap, half in zip(sets, rhs.mean, slack.mean, slack.ci_halfwidth):
-        lhs = len(sub) * rx
-        entries.append((sub, lhs, mean, half, gap))
-        ok &= bool(gap >= -(half + _TOL * max(1.0, lhs)))
+    sets = _subsets(pass_.dims.K).tolist()
+    entries = [
+        (sub, sub.bit_count() * rx, mean, half, gap)
+        for sub, mean, gap, half in zip(sets, rhs.mean, slack.mean, slack.ci_halfwidth)
+    ]
+    ok = all(gap >= -(half + _TOL * max(1.0, lhs)) for _, lhs, _, half, gap in entries)
     return BudgetReport(entries=entries, passed=ok)
 
 
 @dataclass
 class InequalityAuditReport:
     lemma3_violations: int
-    lemma4_entries: list  # (subset, mean of lhs - rhs, its ci_half)
     lemma4_passed: bool
-    symmetry_entries: list  # (cond set, user means, ci halves)
     symmetry_passed: bool
 
     @property
@@ -324,54 +321,26 @@ def mi_inequality_audit(pass_):
 
     Per realization: conditioning on a disjoint user set never lowers the
     eavesdropper's MI about the remaining set (checked for every disjoint
-    pair, exhaustively for K <= 4). In expectation: the per-user normalized
-    conditional MI of S given its complement dominates that of the complement
-    alone, and single-user conditional MIs agree across users. Read at the
-    pass's top load.
+    pair, exhaustively for K <= `MAX_AUDIT_USERS`). In expectation: the
+    per-user normalized conditional MI of S given its complement dominates
+    that of the complement alone, and single-user conditional MIs agree
+    across users. Read at the pass's top load.
     """
-    K = pass_.dims.K
-    if K > 4:
-        raise ValueError("disjoint-pair enumeration is exhaustive only up to K=4")
+    if pass_.dims.K > MAX_AUDIT_USERS:
+        raise ValueError(f"disjoint-pair enumeration is exhaustive only up to K={MAX_AUDIT_USERS}")
     if pass_.estimate.trials < 30:
         raise ValueError("audits need at least 30 trials")
-    _, strict, sym_conds = _audit_sets(K)
+    _, _, sym_conds = _audit_sets(pass_.dims.K)
     lemma3_viol = int(round(float(pass_.stats("lemma3").mean[0] * pass_.estimate.trials)))
     lemma4 = pass_.stats("lemma4")
-    diffs, spread = lemma4.mean, lemma4.ci_halfwidth
-    lemma4_entries = list(zip(strict, diffs, spread))
-    sym_entries = []
     sym_ok = True
-    for cond in sym_conds:
-        users = [u for u in range(K) if u not in cond]
+    for cond in sym_conds.tolist():
         sym = pass_.stats(("symmetry", cond))
         means, halves = sym.mean, sym.ci_halfwidth
-        sym_entries.append((cond, dict(zip(users, means)), dict(zip(users, halves))))
         # every pair of users agrees within the sum of their half-widths
         sym_ok &= bool((np.abs(means[:, None] - means) <= halves[:, None] + halves).all())
     return InequalityAuditReport(
         lemma3_violations=lemma3_viol,
-        lemma4_entries=lemma4_entries,
-        lemma4_passed=not (diffs > spread + _TOL).any(),
-        symmetry_entries=sym_entries,
+        lemma4_passed=not (lemma4.mean > lemma4.ci_halfwidth + _TOL).any(),
         symmetry_passed=sym_ok,
     )
-
-
-def augment_with_virtual_user(aug_dims, net, eavesdropper):
-    """Fold a known-CSI eavesdropper into the grid as one more receiver.
-
-    `net` holds the real users on the first K-1 indices of an (already
-    K-user-dimensioned) grid, and `eavesdropper[k]` is the (K, F) row's
-    diagonal from transmitter k to the eavesdropper; the returned network
-    routes the row into the last receiver's links while keeping the freshly
-    sampled virtual-transmitter column, so the confidential pipeline applies
-    unchanged.
-    """
-    if net.dims != aug_dims:
-        raise ValueError("network must be sampled at the augmented dimensions")
-    K, F = aug_dims.K, aug_dims.F
-    if np.shape(eavesdropper) != (K, F):
-        raise ValueError(f"eavesdropper must have shape {(K, F)}, got {np.shape(eavesdropper)}")
-    gains = net.gains.copy()
-    gains[-1, :-1] = eavesdropper[:-1]
-    return NetworkRealization(dims=aug_dims, gains=gains)

@@ -6,10 +6,10 @@ log2 det(I + e B B^H) = sum_j log1p(e s_j^2) / ln 2. Every user loads the same
 scalar e = rho - eps onto its unit-power factor G_k sqrt(F / m_k) (a beam of
 m_k unit columns spends m_k / F per slot at unit stream power), so one SVD
 per (receiver, user set) gives the log-det at every rho. One layer serves
-both rate rules: the unit-power factors of a row, the spectra of ordered user
-sets, and one rule I(X_S; Y | X_C) = ld(U - C) - ld(U - C - S) over a table
-of log-dets keyed by user bitmask (user u is bit 1 << u). The confidential
-rule, the ergodic pass and its audit all read it.
+both rate rules: the unit-power factors of a row, the spectra of user sets,
+and one rule I(X_S; Y | X_C) = ld(U - C) - ld(U - C - S) over a table of
+log-dets keyed by user bitmask (user u is bit 1 << u), a user set's one form.
+The confidential rule, the ergodic pass and its audit all read it.
 The eigenvalues of the Gram B B^H would square its condition number (3.2e-4
 relative error at rho = 1e12); the SVD stays within 1.3e-14 of a 60-digit
 reference on every grid rho. `mi_from_gains` and a Schur-complement path
@@ -19,7 +19,6 @@ gives a stack one value per network, each with the bits a call on that
 network alone would give.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,14 +133,23 @@ def mi_from_gains(gains, powers, signal, conditioned=()):
     return MiValue(bits=_mi_bits(top, bot))
 
 
-def _subsets(items, proper=False):
-    """Nonempty subsets of `items` as sorted tuples, by size, then lexicographic.
+def _subsets(K, proper=False):
+    """The nonempty sets of users 0..K-1 as user bitmasks, an int64 array.
 
-    `proper` leaves out the full set.
+    Ordered by size, then lexicographically; `proper` leaves out the full set.
     """
-    items = sorted(items)
-    sizes = range(1, len(items) if proper else len(items) + 1)
-    return [sub for r in sizes for sub in itertools.combinations(items, r)]
+    masks = range(1, 2**K - 1 if proper else 2**K)
+    return np.array(sorted(masks, key=lambda s: (s.bit_count(), _members(s))), dtype=np.int64)
+
+
+def _members(mask):
+    """The users of one bitmask, in increasing order: a list."""
+    return [u for u in range(int(mask).bit_length()) if mask >> u & 1]
+
+
+def _sizes(masks):
+    """The number of users in each bitmask of `masks`, an int array of its shape."""
+    return (np.asarray(masks)[..., None] >> np.arange(63) & 1).sum(axis=-1)
 
 
 def _unit_factors(aset, row):
@@ -155,18 +163,9 @@ def _unit_factors(aset, row):
     return [g * np.sqrt(g.shape[-2] / g.shape[-1]) for g in aset.apply(row)]
 
 
-def _masks(sets):
-    """The user bitmask of each set of users, an int array: user u is bit 1 << u."""
-    return np.array([sum(1 << u for u in s) for s in sets], dtype=np.int64)
-
-
-def _set_spectra(factors, sets):
-    """Squared singular values of each ordered user set's stacked factor, keyed by its bitmask.
-
-    The order of a set is the column order of its stack.
-    """
-    masks = _masks(sets).tolist()
-    return {mask: _squared_singular_values([factors[k] for k in s]) for mask, s in zip(masks, sets)}
+def _set_spectra(factors, masks):
+    """Squared singular values of each user set's factors, stacked in user order, by bitmask."""
+    return {int(s): _squared_singular_values([factors[k] for k in _members(s)]) for s in masks}
 
 
 def _receiver_spectra(gains, aset):
@@ -176,12 +175,9 @@ def _receiver_spectra(gains, aset):
     over any batch axes `aset` shares. Returns K pairs (others, all users),
     one SVD each, every set stacked in user order.
     """
-    K, pairs = gains.shape[-3], []
-    for i in range(K):
-        others = tuple(k for k in range(K) if k != i)
-        unit = _unit_factors(aset, gains[..., i, :, :])
-        pairs.append(tuple(_set_spectra(unit, [others, tuple(range(K))]).values()))
-    return pairs
+    full = 2 ** gains.shape[-3] - 1
+    units = (_unit_factors(aset, gains[..., i, :, :]) for i in range(gains.shape[-3]))
+    return [tuple(_set_spectra(u, [full & ~(1 << i), full]).values()) for i, u in enumerate(units)]
 
 
 def _log2dets(spectra, load, K):
@@ -224,13 +220,12 @@ def spectra_table(net, aset, spectra=None):
     K = net.dims.K
     if spectra is None:
         spectra = _receiver_spectra(net.gains, aset)
-    table, full = [], 2**K - 1
+    table, full, proper = [], 2**K - 1, _subsets(K, proper=True)
     for i, (others_s2, everyone_s2) in enumerate(spectra):
         unit = _unit_factors(aset, net.gains[i])
-        others = tuple(k for k in range(K) if k != i)
-        sets = _set_spectra(unit, [s for s in _subsets(range(K), proper=True) if i in s])
+        sets = _set_spectra(unit, proper[proper >> i & 1 == 1])
         sets.update({full & ~(1 << i): others_s2, full: everyone_s2})
-        for k in others:  # weighted in place, once the sets' spectra are taken
+        for k in _members(full & ~(1 << i)):  # weighted in place, once the sets' spectra are taken
             unit[k] *= np.sqrt(net.dims.streams[k])
         table.append((sets, _squared_singular_values(unit)))
     return table

@@ -54,26 +54,16 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multipli
 def sub_rng(master_seed, *path):
     """Derive an independent generator for (master_seed, path).
 
-    The split is counter-based via ``SeedSequence`` so that sampling order
-    does not matter: any (link, block) stream can be drawn in isolation.
-    The entropy is handed over as the uint32 words numpy itself would make
-    of the list ``[master_seed, *path]`` (each value split little-endian
-    into 32-bit words, zero as one word), which skips its per-element
-    coercion and leaves every stream unchanged.
+    The split is counter-based via ``SeedSequence`` of the list
+    ``[master_seed, *path]`` so that sampling order does not matter: any
+    (link, block) stream can be drawn in isolation.
     """
     if not 0 <= int(master_seed) < _U64:
         raise ValueError(f"seed must be a u64, got {master_seed}")
-    words = []
-    for value in (master_seed, *path):
-        value = int(value)
+    entropy = [int(value) for value in (master_seed, *path)]
+    for value in entropy:
         if value < 0:
             raise ValueError(f"seed path elements must be non-negative, got {value}")
-        words.append(value & _U32_MASK)
-        value >>= 32
-        while value:
-            words.append(value & _U32_MASK)
-            value >>= 32
-    entropy = np.fromiter(words, dtype=np.uint32, count=len(words))
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussmi import _log2det, _log2dets, _masks, _set_mi, _subsets, estimate_slope
+from .gaussmi import _log2det, _log2dets, _set_mi, _sizes, _subsets, estimate_slope
 
 __all__ = [
     "MAX_ENUM_USERS",
@@ -37,7 +37,8 @@ class RateCurve:
 
     The per-receiver mutual informations the rates come from are kept, in
     bits over the F-slot extension, so every check reads them instead of
-    recomputing them. G is the number of grid points.
+    recomputing them. G is the number of grid points and S the number of
+    subsets of the others per receiver (`subset_masks`, all the others last).
     """
 
     R: np.ndarray  # [G], R_raw clamped at zero
@@ -49,8 +50,9 @@ class RateCurve:
     own_bits: np.ndarray  # [K, G]: I(X_i; Y_i) per receiver
     cross_bits: np.ndarray  # [K, G]: I(X_{K-i}; Y_i) per receiver
     leak_upper_bits: np.ndarray  # [K, G]: relaxed upper bound on I(X_{K-i}; Y_i)
-    subset_bits: dict  # (receiver, subset) -> [G]: I(X_S; Y_i | X_rest)
-    binding: list  # the (receiver, subset) that sets Rx, per grid point
+    subset_bits: np.ndarray  # [K, S, G]: I(X_S; Y_i | X_rest)
+    subset_masks: np.ndarray  # [K, S]: the user bitmask of each subset S
+    binding: np.ndarray  # [2, G]: the receiver and the subset's bitmask that set Rx
 
 
 def confidential_rates(net, spectra, loads):
@@ -74,27 +76,27 @@ def confidential_rates(net, spectra, loads):
     K, F = net.dims.K, net.dims.F
     if K > MAX_ENUM_USERS:
         raise ValueError(f"subset enumeration capped at K={MAX_ENUM_USERS}")
-    full = 2**K - 1
-    own, cross, leak_upper, subset_bits = [], [], [], {}
+    full, nonempty = 2**K - 1, _subsets(K)
+    own, cross, leak_upper, subset_bits, subset_masks = [], [], [], [], []
     for i, (sets, inflated) in enumerate(spectra):
         ld = _log2dets(sets, loads, K)
         others = full & ~(1 << i)
         own.append(_set_mi(ld, 1 << i))
-        subs = _subsets(k for k in range(K) if k != i)
-        masks = _masks(subs)
+        masks = nonempty[nonempty >> i & 1 == 0]
         # conditioning on the rest of the others leaves only user i as noise
         bits = _set_mi(ld, masks, others & ~masks)
-        subset_bits.update({(i, sub): b for sub, b in zip(subs, bits.T)})
+        subset_bits.append(bits.T)
+        subset_masks.append(masks)
         cross.append(bits[..., -1])
         # the cross term with every other user at its whole budget: only ld(all users) changes
         ld[..., full] = _log2det(inflated, loads)
         leak_upper.append(_set_mi(ld, others))
-    own, cross = np.array(own), np.array(cross)
+    own, cross, subset_bits, subset_masks = map(np.array, (own, cross, subset_bits, subset_masks))
     r_raw = own.min(axis=0) / F - cross.max(axis=0) / ((K - 1) * F)
-    keys = list(subset_bits)
-    bits, sizes = np.array(list(subset_bits.values())), np.array([len(s) for _, s in keys])
+    bits, sizes = subset_bits.reshape(subset_masks.size, -1), _sizes(subset_masks).ravel()
     pick = np.argmin(bits / sizes[:, None], axis=0)
     rx_raw = bits[pick, np.arange(len(pick))] / (sizes[pick] * F)
+    receiver, column = np.unravel_index(pick, subset_masks.shape)
     return RateCurve(
         R=np.maximum(r_raw, 0.0),
         Rx=np.maximum(rx_raw, 0.0),
@@ -106,7 +108,8 @@ def confidential_rates(net, spectra, loads):
         cross_bits=cross,
         leak_upper_bits=np.array(leak_upper),
         subset_bits=subset_bits,
-        binding=[keys[j] for j in pick],
+        subset_masks=subset_masks,
+        binding=np.array([receiver, subset_masks[receiver, column]]),
     )
 
 
@@ -120,11 +123,10 @@ def decodability_check(rates):
 def randomization_region_check(rates):
     """Check |S| Rx <= I(X_S;Y_i|X_rest)/F for every receiver and subset.
 
-    Returns the slack, one row per `subset_bits` entry in its order, and a
-    pass mask over the grid.
+    Returns the slack [K, S, G], laid out as `subset_bits`, and a pass mask [G].
     """
-    slack = np.array([b / rates.F - len(s) * rates.Rx for (_, s), b in rates.subset_bits.items()])
-    return slack, (slack >= -_SLACK_TOL * np.maximum(1.0, rates.Rx)).all(axis=0)
+    slack = rates.subset_bits / rates.F - _sizes(rates.subset_masks)[..., None] * rates.Rx
+    return slack, (slack >= -_SLACK_TOL * np.maximum(1.0, rates.Rx)).all(axis=(0, 1))
 
 
 @dataclass

@@ -119,6 +119,16 @@ class TestRun:
         target = eta_target_ergodic(3, 1)
         assert abs(rec["eta_measured"] - target) / target < 0.10
 
+    def test_ergodic_manifest_lists_each_budget_subset(self, tmp_path):
+        # the budget keys its sets by user bitmask; the manifest writes their members
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "external-ergodic", "K": 3, "m": 1}))
+        argv = ["--config", str(cfg), "--seed", str(SEED), "--trials", "30", "--out", str(tmp_path)]
+        assert main(argv + ["ergodic"]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        entries = manifest["records"][0]["detail"]["lemma5"]["entries"]
+        assert [e["subset"] for e in entries] == [[0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]]
+
 
 class TestSlopeCheck:
     @staticmethod
@@ -221,10 +231,12 @@ class TestConfidentialTables:
         rates = confidential_rates(net, spectra_table(net, aset), loads)
         for g, rho in enumerate(DEFAULT_RHO_GRID):
             powers = stream_power(aset, PowerConfig(rho=rho))
-            for (i, sub), bits in rates.subset_bits.items():
-                rest = set(range(K)) - {i, *sub}
-                ref = mi_from_gains(receiver_gains(net, aset, i), powers, sub, rest).bits
-                assert abs(bits[g] - ref) <= 1e-12 * ref
+            for i, masks in enumerate(rates.subset_masks.tolist()):
+                for j, mask in enumerate(masks):
+                    sub = [k for k in range(K) if mask >> k & 1]
+                    rest = set(range(K)) - {i, *sub}
+                    ref = mi_from_gains(receiver_gains(net, aset, i), powers, sub, rest).bits
+                    assert abs(rates.subset_bits[i, j, g] - ref) <= 1e-12 * ref
 
 
 class TestSpectraTakenOnce:

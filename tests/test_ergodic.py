@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from iasec import alignment, ergodic
+from iasec import alignment, cli, ergodic
 from iasec.alignment import (
     _report,
     align_first_valid,
@@ -16,11 +17,10 @@ from iasec.alignment import (
     stream_power,
     verify_alignment,
 )
-from iasec.cli import main
+from iasec.cli import ExperimentConfig, main
 from iasec.ergodic import (
     ErgodicPass,
     _block_orders,
-    augment_with_virtual_user,
     block_network,
     eavesdropper_budget_check,
     ergodic_pass,
@@ -30,6 +30,7 @@ from iasec.ergodic import (
 from iasec.gaussmi import (
     DEFAULT_RHO_GRID,
     _log2det,
+    _members,
     _mi_bits,
     _squared_singular_values,
     _subsets,
@@ -40,6 +41,7 @@ from iasec.gaussmi import (
 from iasec.model import (
     _TAG_PERM,
     _TAG_RETRY,
+    NetworkRealization,
     PowerConfig,
     derive_dims,
     sample_eavesdropper_block,
@@ -54,11 +56,6 @@ SEED = 16
 def one_pass(dims, rhos, trials, seed=SEED):
     """A pass at the loads rho - eps, eps = 1."""
     return ergodic_pass(dims, np.subtract(rhos, 1.0), trials, seed)
-
-
-def with_eavesdropper(dims, seed):
-    """The network at (dims, seed) and the eavesdropper row of its block 0."""
-    return sample_network(dims, seed), sample_eavesdropper_block(dims, seed, 0)
 
 
 class TestSchedule:
@@ -235,7 +232,7 @@ class TestBudget:
 
     def test_full_set_is_tight(self, pass_):
         report = eavesdropper_budget_check(pass_)
-        full = [e for e in report.entries if e[0] == (0, 1, 2)][0]
+        full = [e for e in report.entries if e[0] == 0b111][0]
         assert full[1] == 3 * ergodic_rates(pass_).Rx[-1]
         assert abs(full[4]) < 1e-9
 
@@ -250,7 +247,7 @@ class TestBudget:
         report = eavesdropper_budget_check(replace(pass_, estimate=moved))
         assert not report.passed
         *rest, full = report.entries
-        assert full[0] == (0, 1, 2) and full[4] < -full[3]
+        assert full[0] == 0b111 and full[4] < -full[3]
         assert full[4] == pytest.approx(-full[1], abs=1e-9)
         assert rest == eavesdropper_budget_check(pass_).entries[:-1]
 
@@ -272,10 +269,12 @@ class TestInequalityAudit:
 
 class TestSymmetryAudit:
     def test_user_means_agree(self):
-        report = mi_inequality_audit(one_pass(derive_dims(3, 1), [1e6], 300))
-        unconditioned = report.symmetry_entries[0]
-        assert unconditioned[0] == () and sorted(unconditioned[1]) == [0, 1, 2]
-        assert report.symmetry_passed
+        pass_ = one_pass(derive_dims(3, 1), [1e6], 300)
+        # unconditioned, then given each single user: one column per other user
+        groups = [key for key in pass_.layout if isinstance(key, tuple)]
+        assert groups == [("symmetry", cond) for cond in (0, 0b001, 0b010, 0b100)]
+        assert [pass_.stats(key).mean.shape for key in groups] == [(3,), (2,), (2,), (2,)]
+        assert mi_inequality_audit(pass_).symmetry_passed
 
     def test_trials_floor(self):
         with pytest.raises(ValueError):
@@ -287,6 +286,27 @@ def _close(have, want):
     return math.isclose(have, want, rel_tol=1e-12, abs_tol=1e-9 if abs(want) < 1e-6 else 0.0)
 
 
+def _audit_tuples(K):
+    """`ergodic._audit_sets(K)` decoded: the pairs, strict subsets and conditioning sets as tuples."""
+    (first, second), strict, sym_conds = ergodic._audit_sets(K)
+
+    def decode(masks):
+        return [tuple(_members(s)) for s in masks]
+
+    return list(zip(decode(first), decode(second))), decode(strict), decode(sym_conds)
+
+
+def test_audit_sets_are_the_enumerated_tuples():
+    # Lemma 3: every ordered pair of disjoint nonempty sets; Lemma 4: every
+    # strict subset; symmetry: the empty set, then each set of K - 2 users or fewer
+    for K in (3, 4):
+        nonempty = [s for r in range(1, K + 1) for s in itertools.combinations(range(K), r)]
+        pairs, strict, sym_conds = _audit_tuples(K)
+        assert pairs == [(a, b) for a in nonempty for b in nonempty if not set(a) & set(b)]
+        assert strict == nonempty[:-1]
+        assert sym_conds == [()] + [c for c in strict if len(c) <= K - 2]
+
+
 def _reference_rows(dims, powers, trials):
     """Per-block statistics recomputed with mi_from_gains on the same blocks.
 
@@ -295,8 +315,8 @@ def _reference_rows(dims, powers, trials):
     for the last three.
     """
     K, F = dims.K, dims.F
-    subsets = _subsets(range(K))
-    pairs, strict, _ = ergodic._audit_sets(K)
+    subsets = [_members(s) for s in _subsets(K)]
+    pairs, strict, _ = _audit_tuples(K)
     rates, budget, lemma4, lemma3 = [], [], [], 0
     for t in range(trials):
         block = block_network(dims, SEED, t)
@@ -348,10 +368,9 @@ class TestOnePass:
         report = eavesdropper_budget_check(pass_)
         for entry, want in zip(report.entries, budget, strict=True):
             assert _close(entry[2], want), (entry, want)
-        audit = mi_inequality_audit(pass_)
-        for entry, want in zip(audit.lemma4_entries, lemma4, strict=True):
-            assert _close(entry[1], want), (entry, want)
-        assert audit.lemma3_violations == lemma3
+        for have, want in zip(pass_.stats("lemma4").mean, lemma4, strict=True):
+            assert _close(have, want), (have, want)
+        assert mi_inequality_audit(pass_).lemma3_violations == lemma3
 
     @pytest.mark.parametrize("blocks_per_chunk", [1, 7])
     def test_estimate_does_not_depend_on_chunks(self, monkeypatch, blocks_per_chunk):
@@ -424,7 +443,7 @@ def _set_mi_groups(blocks, loads):
     """
     dims = blocks.dims
     K, F, B = dims.K, dims.F, len(blocks.index)
-    users, nonempty = frozenset(range(K)), _subsets(range(K))
+    users, nonempty = frozenset(range(K)), [_members(s) for s in _subsets(K)]
     unit = _unit_factors(blocks.aset, blocks.eavesdropper)
     eaves = {
         frozenset(s): _log2det(_squared_singular_values([unit[r] for r in s]), loads) for s in nonempty
@@ -436,7 +455,7 @@ def _set_mi_groups(blocks, loads):
         for s in nonempty
     }
     groups = {"rhs": np.column_stack([_set_mi(ld, users, s, users.difference(s)) / F for s in nonempty])}
-    pairs, strict, sym_conds = ergodic._audit_sets(K)
+    pairs, strict, sym_conds = _audit_tuples(K)
     viol = np.zeros(B)
     for m_set, l_set in pairs:
         plain = _set_mi(ld, users, m_set)
@@ -448,7 +467,7 @@ def _set_mi_groups(blocks, loads):
         lemma4.append(_set_mi(ld, users, rest) / len(rest) - _set_mi(ld, users, sub, rest) / len(sub))
     groups["lemma4"] = np.column_stack(lemma4)
     for cond in sym_conds:
-        groups["symmetry", cond] = np.column_stack(
+        groups["symmetry", sum(1 << u for u in cond)] = np.column_stack(
             [_set_mi(ld, users, (u,), cond) for u in range(K) if u not in cond]
         )
     return groups
@@ -470,7 +489,7 @@ class TestBlockRows:
         groups = ergodic._block_rows(chunk, loads, ergodic._audit_sets(K))
         want = _set_mi_groups(chunk, loads)
         if tol is not None:
-            assert 0 < want["lemma3"].max() < len(ergodic._audit_sets(K)[0])
+            assert 0 < want["lemma3"].max() < len(ergodic._audit_sets(K)[0][0])
         for name, value in want.items():
             got = np.asarray(groups[name], dtype=float)
             assert got.shape == value.shape and got.tobytes() == value.tobytes(), name
@@ -498,9 +517,11 @@ class TestConfidentialReference:
             }
             others = users.difference({i})
             assert same(rates.own_bits[i], _set_mi(ld, users, {i}))
-            for sub in _subsets(others):
-                want = _set_mi(ld, users, sub, others.difference(sub))
-                assert same(rates.subset_bits[(i, sub)], want), (i, sub)
+            for mask, bits in zip(rates.subset_masks[i].tolist(), rates.subset_bits[i]):
+                sub = frozenset(_members(mask))
+                assert i not in sub
+                assert same(bits, _set_mi(ld, users, sub, others.difference(sub))), (i, sub)
+            assert len(rates.subset_masks[i]) == 2 ** (K - 1) - 1
             assert same(rates.cross_bits[i], _set_mi(ld, users, others))
             leak = _set_mi({**ld, users: _log2det(inflated, loads)}, users, others)
             assert same(rates.leak_upper_bits[i], leak)
@@ -527,40 +548,48 @@ class TestLayout:
         assert {name: s.stop - s.start for name, s in pass_.layout.items()} == {
             "own": 2, "eav": 2, "eav_up": 2, "R": 2, "Rx": 2, "rhs": sets, "slack": sets,
             "lemma3": 1, "lemma4": len(strict),
-            **{("symmetry", cond): K - len(cond) for cond in sym_conds},
+            **{("symmetry", cond): K - len(_members(cond)) for cond in sym_conds.tolist()},
         }
         for name, span in pass_.layout.items():
             assert pass_.stats(name).mean.tolist() == pass_.estimate.mean[span].tolist()
 
 
 class TestAugmentation:
-    def test_two_real_users_become_three(self):
-        aug_dims = derive_dims(3, 2)
-        net, eaves = with_eavesdropper(aug_dims, 4)
-        aug = augment_with_virtual_user(aug_dims, net, eaves)
-        assert aug.dims.K == 3
-        # last receiver now listens through the eavesdropper row
-        for k in range(2):
-            assert np.array_equal(aug.gains[2, k], eaves[k])
-        # the virtual transmitter's links stay freshly sampled
-        assert np.array_equal(aug.gains[2, 2], net.gains[2, 2])
-        assert np.array_equal(aug.gains[0, 2], net.gains[0, 2])
-        assert not np.array_equal(aug.gains[2, 0], net.gains[2, 0])
+    # the known-CSI point folds the eavesdropper in as the last receiver in its draw
+    @staticmethod
+    def known_csi_draw(monkeypatch, seed, K=2, m=2):
+        """The draw the known-CSI point at K real users runs, taken from the point itself."""
+        draws, align = [], cli.align_first_valid
 
-    def test_augmented_network_aligns(self):
+        def recorded(draw, *args):
+            draws.append(draw)
+            return align(draw, *args)
+
+        monkeypatch.setattr(cli, "align_first_valid", recorded)
+        cfg = ExperimentConfig(scenario="external-known-csi", K=K, m=m, seed=seed).validate()
+        cli._run_confidential_point(cfg, K, m)
+        return draws[0]
+
+    def test_two_real_users_become_three(self, monkeypatch):
+        aug_dims = derive_dims(3, 2)
+        draw = self.known_csi_draw(monkeypatch, 4)
+        for attempt in (0, 1):  # a redraw reads the attempt's block of both streams
+            gains = draw(attempt, [0])
+            net = sample_network(aug_dims, 4, block_index=attempt)
+            eaves = sample_eavesdropper_block(aug_dims, 4, attempt)
+            assert gains.shape == (1, 3, 3, 5)
+            # last receiver now listens through the eavesdropper row
+            for k in range(2):
+                assert np.array_equal(gains[0, 2, k], eaves[k])
+            # the virtual transmitter's links and the real receivers' stay freshly sampled
+            assert np.array_equal(gains[0, :, 2], net.gains[:, 2])
+            assert np.array_equal(gains[0, :2], net.gains[:2])
+            assert not np.array_equal(gains[0, 2, 0], net.gains[2, 0])
+
+    def test_augmented_network_aligns(self, monkeypatch):
         aug_dims = derive_dims(3, 2)
         for seed in (4, 6, 8):
-            aug = augment_with_virtual_user(aug_dims, *with_eavesdropper(aug_dims, seed))
+            gains = self.known_csi_draw(monkeypatch, seed)(0, [0])
+            aug = NetworkRealization(aug_dims, gains[0])
             aset = build_beamformers(aug, build_generators(aug))
             assert aset.beams[0].shape == (5, 3)
-
-    def test_requires_eavesdropper_row(self):
-        aug_dims = derive_dims(3, 1)
-        net = sample_network(aug_dims, 4)
-        with pytest.raises(ValueError):
-            augment_with_virtual_user(aug_dims, net, None)
-
-    def test_requires_matching_dims(self):
-        net, eaves = with_eavesdropper(derive_dims(3, 1), 4)
-        with pytest.raises(ValueError):
-            augment_with_virtual_user(derive_dims(3, 2), net, eaves)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,8 +11,10 @@ from iasec.gaussmi import (
     NumericalError,
     _log2det,
     _log2dets,
+    _members,
     _set_mi,
     _set_spectra,
+    _sizes,
     _subsets,
     _unit_factors,
     estimate_slope,
@@ -174,13 +177,30 @@ class TestLogdetPrimitive:
         assert together.tolist() == [_log2det(s2, load) for load in loads]
 
 
+class TestUserSets:
+    # a user set is its bitmask everywhere: user u is bit 1 << u
+    @pytest.mark.parametrize("K", range(1, 7))
+    @pytest.mark.parametrize("proper", [False, True])
+    def test_masks_are_the_combinations_in_size_then_lexicographic_order(self, K, proper):
+        sizes = range(1, K if proper else K + 1)
+        want = [s for r in sizes for s in itertools.combinations(range(K), r)]
+        masks = _subsets(K, proper=proper)
+        assert masks.dtype == np.int64
+        assert masks.tolist() == [sum(1 << u for u in s) for s in want]
+        assert [_members(mask) for mask in masks] == [list(s) for s in want]
+        assert _sizes(masks).tolist() == [len(s) for s in want]
+
+    def test_empty_mask_has_no_members(self):
+        assert _members(0) == [] and _sizes(0) == 0
+
+
 class TestLogdetTable:
     # the one MI rule reads a table keyed by user bitmask: no silent zeros
     def table(self, K=3, m=2, receiver=0):
         net, aset, _ = instance(K, m)
         unit = _unit_factors(aset, net.gains[receiver])
         loads = np.subtract(DEFAULT_RHO_GRID, 1.0)
-        return _log2dets(_set_spectra(unit, _subsets(range(K))), loads, K)
+        return _log2dets(_set_spectra(unit, _subsets(K)), loads, K)
 
     def test_missing_set_reads_nan(self):
         net, aset, _ = instance()

@@ -106,8 +106,9 @@ def test_terms_match_high_precision_reference(K, m):
                  rates.cross_bits[i, g], mi_from_gains(gains, powers, others).bits),
             ]
             if K == 4:
-                for (rx, sub), bits in rates.subset_bits.items():
-                    if rx != i or sub == others:
+                for mask, bits in zip(rates.subset_masks[i].tolist(), rates.subset_bits[i]):
+                    sub = tuple(k for k in range(K) if mask >> k & 1)
+                    if sub == others:
                         continue
                     rest = set(others) - set(sub)
                     top = _log2det_eye_plus(grams, _weights(powers, {i, *sub}))

@@ -80,14 +80,20 @@ class TestConfidentialRates:
     def test_subsets_never_condition_on_the_receiver(self):
         net, aset = instance(2)
         rates = rates_at(net, aset, 1e8)
-        assert len(rates.subset_bits) == 3 * 3
-        assert all(i not in sub for i, sub in rates.subset_bits)
+        assert rates.subset_bits.shape == (3, 3, 1)
+        assert rates.subset_masks.tolist() == [[0b010, 0b100, 0b110], [0b001, 0b100, 0b101],
+                                               [0b001, 0b010, 0b011]]
+        # each receiver's last subset is the set of all the others, its cross term
+        assert (rates.subset_bits[:, -1] == rates.cross_bits).all()
 
     def test_rx_positive_and_binding_subset_recorded(self):
         net, aset = instance(2)
         rates = rates_at(net, aset, 1e8)
         assert rates.Rx[0] > 0
-        assert rates.binding[0] in rates.subset_bits
+        (receiver, mask), = rates.binding.T.tolist()
+        column = rates.subset_masks[receiver].tolist().index(mask)
+        size = bin(mask).count("1")
+        assert rates.Rx_raw[0] == rates.subset_bits[receiver, column, 0] / (size * net.dims.F)
 
     @pytest.mark.parametrize("K, m", [(3, 2), (4, 1)])
     def test_grid_call_equals_one_load_calls(self, K, m):
@@ -99,12 +105,10 @@ class TestConfidentialRates:
         curve = confidential_rates(net, spectra, grid)
         for g in range(len(grid)):
             one = confidential_rates(net, spectra, grid[g : g + 1])
-            assert one.F == curve.F and one.binding == [curve.binding[g]]
-            assert one.subset_bits.keys() == curve.subset_bits.keys()
-            for key, bits in curve.subset_bits.items():
-                assert one.subset_bits[key][0] == bits[g]
+            assert one.F == curve.F
+            assert np.array_equal(one.subset_masks, curve.subset_masks)
             for field in fields(curve):
-                if field.name not in ("F", "binding", "subset_bits"):
+                if field.name not in ("F", "subset_masks"):
                     have, want = getattr(one, field.name)[..., 0], getattr(curve, field.name)[..., g]
                     assert (have == want).all(), (field.name, g)
 
@@ -157,6 +161,18 @@ class TestRandomizationRegion:
         slack, passed = randomization_region_check(rates)
         assert passed.all()
         assert abs(slack.min()) < 1e-9
+
+    @pytest.mark.parametrize("K, m", [(3, 3), (4, 1)])
+    def test_slack_equals_a_loop_over_receivers_and_subsets(self, K, m):
+        net, aset = instance(m, K=K)
+        rates = rate_curve(net, aset)
+        slack, passed = randomization_region_check(rates)
+        _, S, G = rates.subset_bits.shape
+        assert slack.shape == (K, S, G) and passed.shape == (G,)
+        for i in range(K):
+            for j, mask in enumerate(rates.subset_masks[i].tolist()):
+                want = rates.subset_bits[i, j] / rates.F - bin(mask).count("1") * rates.Rx
+                assert slack[i, j].tobytes() == want.tobytes(), (i, mask)
 
     def test_extra_bit_fails(self):
         net, aset = instance(3)
