@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .gaussmi import _receiver_spectra
+from .gaussmi import _receiver_spectra, _singular_values
 from .model import _TAG_AUDIT, _stream_seeds, sample_gains
 
 __all__ = [
@@ -286,7 +286,7 @@ def numerical_rank(mat):
     """Rank by SVD under `_rank`'s floor; a stack [..., rows, cols] gives one per matrix, one call."""
     if mat.size == 0:
         return 0
-    ranks = _rank(np.linalg.svd(mat, compute_uv=False), mat.shape[-2:])
+    ranks = _rank(_singular_values(mat), mat.shape[-2:])
     return int(ranks) if np.ndim(ranks) == 0 else ranks
 
 
@@ -458,7 +458,7 @@ def _short_links(gains, beams):
                 norm = np.linalg.norm(v, axis=-2)
                 ratio = norm / norm
             else:
-                sv = np.linalg.svd(v, compute_uv=False)
+                sv = _singular_values(v)
                 ratio = sv[:, -1:] / sv[:, :1]
             bound = mags.min(axis=-1) / mags.max(axis=-1) * ratio
             # negated, so that a NaN bound is never certified

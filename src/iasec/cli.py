@@ -39,7 +39,9 @@ from .ergodic import (
 from .gaussmi import (
     DEFAULT_RHO_GRID,
     NumericalError,
+    _SINGLE_THREAD_ROWS,
     _members,
+    _openblas,
     estimate_slope,
     mi_from_gains,
     mi_schur,
@@ -398,11 +400,14 @@ def _run_ergodic_point(cfg, K, m):
 def _environment():
     """What the numbers depend on besides the config: numpy, its BLAS and the BLAS threads."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    openblas = _openblas()
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads": None if openblas is None else openblas.threads,
         **{name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+        "blas_single_thread_below_rows": _SINGLE_THREAD_ROWS,
     }
 
 

@@ -16,9 +16,16 @@ reference on every grid rho. `mi_from_gains` and a Schur-complement path
 (`mi_schur`) are kept as independent cross-check oracles. Each takes one
 network's effective gains or a stack of them, [T, F, m_k] per user, and
 gives a stack one value per network, each with the bits a call on that
-network alone would give.
+network alone would give. Every SVD of the package goes through one hub,
+`_singular_values`, which runs those of fewer than 512 rows on one
+OpenBLAS thread, so their values do not depend on OPENBLAS_NUM_THREADS.
 """
 
+import collections
+import contextlib
+import ctypes
+import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +44,21 @@ __all__ = [
 ]
 
 DEFAULT_RHO_GRID = (1e4, 1e6, 1e8, 1e10, 1e12)
+
+# Below this many rows an SVD runs faster on one OpenBLAS thread than on two.
+# On a 2-core x86-64 host, ms per SVD of an F x 1.2F complex matrix, one
+# thread against two: F=128 3.0-3.8 vs 6.4-6.6, F=275 18 vs 23-27, F=400
+# 59-64 vs 58-62, F=550 157-165 vs 133-136, F=1000 880-911 vs 567-570. So
+# the F = 33 and 275 points run on one thread; F = 1267 and 2049 keep the
+# environment's count. A fixed rule, so records at F < 512 do not depend on
+# OPENBLAS_NUM_THREADS.
+_SINGLE_THREAD_ROWS = 512
+# held across set, SVD and restore, so that concurrent runs never restore
+# the count between another run's set and its SVD
+_BLAS_LOCK = threading.Lock()
+# (prefix, suffix) of OpenBLAS's thread-count functions, in the order tried
+_OPENBLAS_NAMES = (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", ""))
+_OpenBlas = collections.namedtuple("_OpenBlas", "set get threads")
 
 
 class NumericalError(RuntimeError):
@@ -78,6 +100,46 @@ def receiver_gains(net, aset, receiver):
     return aset.apply(net.gains[receiver])
 
 
+@functools.cache
+def _openblas():
+    """The OpenBLAS numpy's linalg links: its thread-count functions and the count
+    it reported at first use, the one every pinned call restores; None if none resolves.
+
+    Resolved under the lock, so that no concurrent pinned call's count is read.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        for prefix, suffix in _OPENBLAS_NAMES:
+            if hasattr(lib, f"{prefix}set_num_threads{suffix}"):
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}")
+                with _BLAS_LOCK:
+                    return _OpenBlas(getattr(lib, f"{prefix}set_num_threads{suffix}"), get, get())
+    except (AttributeError, OSError):
+        pass
+    return None
+
+
+@contextlib.contextmanager
+def _blas_pinned(rows):
+    """One OpenBLAS thread inside for fewer than `_SINGLE_THREAD_ROWS` rows, else a no-op."""
+    blas = _openblas() if rows < _SINGLE_THREAD_ROWS else None
+    if blas is None or blas.threads == 1:
+        yield
+        return
+    with _BLAS_LOCK:
+        blas.set(1)
+        try:
+            yield
+        finally:
+            blas.set(blas.threads)
+
+
+def _singular_values(a):
+    """The singular values of a, or of each matrix of a stack, descending: every SVD's one call."""
+    with _blas_pinned(a.shape[-2]):
+        return np.linalg.svd(a, compute_uv=False)
+
+
 def _squared_singular_values(blocks):
     """Squared singular values of the column stack of `blocks` (none: empty).
 
@@ -85,7 +147,7 @@ def _squared_singular_values(blocks):
     """
     if not blocks:
         return np.zeros(0)
-    return np.linalg.svd(np.concatenate(blocks, axis=-1), compute_uv=False) ** 2
+    return _singular_values(np.concatenate(blocks, axis=-1)) ** 2
 
 
 def _log2det(s2, load=1.0):

@@ -8,10 +8,15 @@ below), pinned only so the suite is reproducible.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 
+import iasec
 from iasec import alignment
 from iasec.alignment import (
     build_beamformers,
@@ -248,3 +253,35 @@ def test_criterion_9_reproducibility(tmp_path, monkeypatch):
         "PASS criterion 9: byte-identical records on rerun, for two concurrent runs "
         "and with one-block chunks"
     )
+
+
+def test_criterion_9_records_do_not_depend_on_blas_threads(tmp_path):
+    """K=4, m=[1, 2] (F = 33 and 275) at 1 and 2 OpenBLAS threads, each in a fresh interpreter.
+
+    Every SVD below 512 rows runs on one thread whatever the environment
+    sets, so at F < 512 the tolerance between thread counts is zero:
+    `records.csv` is byte-identical, and the manifest differs only in its
+    timings, environment, output path and config hash.
+    """
+    cfg = tmp_path / "k4.json"
+    cfg.write_text(json.dumps({"scenario": "confidential", "K": 4, "m": [1, 2]}))
+    src = str(Path(iasec.__file__).resolve().parents[1])
+    manifests, records = [], set()
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=src)
+        argv = ["--config", str(cfg), "--seed", str(SEED), "--out", str(out), "dof-sweep"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "iasec.cli", *argv], env=env, capture_output=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        records.add((out / "records.csv").read_bytes())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["environment"]["OPENBLAS_NUM_THREADS"] == str(threads)
+        for key in ("timings", "environment", "config_hash"):
+            del manifest[key]
+        del manifest["config"]["out"]
+        manifests.append(manifest)
+    assert len(records) == 1
+    assert manifests[0] == manifests[1]
+    print("PASS criterion 9: byte-identical K=4 records at 1 and 2 BLAS threads")

@@ -622,6 +622,10 @@ class TestMainEntry:
         env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
         assert env["numpy"] == np.__version__ and env["blas"]
         assert env["OPENBLAS_NUM_THREADS"] == "2" and env["OMP_NUM_THREADS"] is None
+        # the count OpenBLAS reports, restored after every single-thread SVD
+        blas = gaussmi._openblas()
+        assert env["blas_threads"] == (None if blas is None else blas.get())
+        assert env["blas_single_thread_below_rows"] == 512
 
     def test_report_failed_manifest_exits_one(self, tmp_path):
         path = tmp_path / "manifest.json"

@@ -1,10 +1,18 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import iasec
+from iasec import gaussmi
 from iasec.alignment import AlignmentSet, _build, build_beamformers, build_generators, stream_power
 from iasec.gaussmi import (
     DEFAULT_RHO_GRID,
@@ -14,6 +22,7 @@ from iasec.gaussmi import (
     _members,
     _set_mi,
     _set_spectra,
+    _singular_values,
     _sizes,
     _subsets,
     _unit_factors,
@@ -260,6 +269,109 @@ class TestSumCapacityBound:
         # F - m_1 = 1 for K=3, m=1
         assert abs(slope_of("cross_bits") - 1.0) < 0.02
         assert abs(slope_of("leak_upper_bits") - 1.0) < 0.02
+
+
+def _openblas_or_skip():
+    blas = gaussmi._openblas()
+    if blas is None:
+        pytest.skip("numpy's linalg links no OpenBLAS with thread-count functions")
+    return blas
+
+
+# each thread runs one K=4, m=2 dof-sweep into its own directory, then one
+# run alone; prints the exit codes
+_CONCURRENT_SWEEPS = """
+import json, sys, threading
+from iasec.cli import main
+
+cfg, outs = sys.argv[1], sys.argv[2:]
+codes = {}
+
+def sweep(out):
+    codes[out] = main(["--config", cfg, "--seed", "16", "--out", out, "dof-sweep"])
+
+threads = [threading.Thread(target=sweep, args=(out,)) for out in outs[:2]]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+sweep(outs[2])
+print(json.dumps([codes[out] for out in outs]))
+"""
+
+
+class TestSingularValueHub:
+    @pytest.mark.parametrize("rows, pinned", [(275, True), (600, False)])
+    def test_the_thread_count_is_pinned_below_the_crossover_and_restored(
+        self, rows, pinned, monkeypatch
+    ):
+        _, get, threads = _openblas_or_skip()
+        svd, inside = np.linalg.svd, []
+
+        def spy(a, **kwargs):
+            inside.append(get())
+            return svd(a, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        before = get()
+        _singular_values(np.ones((rows, 3)))
+        assert inside == [1 if pinned else threads]
+        assert get() == before
+
+    def test_the_count_is_restored_when_the_svd_raises(self, monkeypatch):
+        _, get, _ = _openblas_or_skip()
+
+        def fail(a, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        before = get()
+        with pytest.raises(np.linalg.LinAlgError):
+            _singular_values(np.ones((275, 3)))
+        assert get() == before and not gaussmi._BLAS_LOCK.locked()
+
+    def test_a_concurrent_call_waits_for_the_pinned_svd(self, monkeypatch):
+        """A second thread's call during a pinned SVD would, unlocked, restore the
+        count under it; it waits instead, and both SVDs run on one thread."""
+        _, get, _ = _openblas_or_skip()
+        svd, inside, second = np.linalg.svd, [], []
+
+        def spy(a, **kwargs):
+            inside.append(get())
+            if not second:
+                second.append(threading.Thread(target=_singular_values, args=(np.ones((275, 3)),)))
+                second[0].start()
+                second[0].join(timeout=0.2)
+                inside.append(get())
+            return svd(a, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        before = get()
+        _singular_values(np.ones((275, 3)))
+        second[0].join(timeout=30)
+        assert inside == [1, 1, 1] and get() == before
+
+    def test_without_openblas_the_values_are_numpys(self, monkeypatch):
+        monkeypatch.setattr(gaussmi, "_openblas", lambda: None)
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((2, 275, 330)) + 1j * rng.standard_normal((2, 275, 330))
+        assert _singular_values(a).tobytes() == np.linalg.svd(a, compute_uv=False).tobytes()
+
+    def test_concurrent_sweeps_write_the_solo_records(self, tmp_path):
+        """Two K=4, m=2 sweeps at once in one process, at two BLAS threads, write
+        the records of one run alone."""
+        cfg = tmp_path / "k4.json"
+        cfg.write_text(json.dumps({"scenario": "confidential", "K": 4, "m": 2}))
+        outs = [tmp_path / name for name in ("a", "b", "solo")]
+        src = str(Path(iasec.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _CONCURRENT_SWEEPS, str(cfg), *map(str, outs)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 0]
+        assert len({(out / "records.csv").read_bytes() for out in outs}) == 1
 
 
 class TestSlopeEstimation:
